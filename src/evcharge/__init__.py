@@ -28,20 +28,9 @@ from .ratio import (
     solve_pi_t,
 )
 from .online import (
-    AdaptiveState,
-    DistributorState,
-    FixedRatioState,
     PolicyStep,
-    alg_adaptive_step,
-    alg_fixed_step,
-    alg_int_step,
-    alg_rat_step,
     make_policy,
     naive_threshold_step,
-    new_adaptive_state,
-    new_fixed_state,
-    new_int_state,
-    new_rat_state,
     rhc_step,
 )
 from .adversary import (

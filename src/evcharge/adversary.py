@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
-from .online import PolicyRunner, _FixedRunner
+from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
 MIN_LEVEL_GAP = 1e-12
@@ -79,7 +79,7 @@ def worst_case_rate_limited(spec: ProblemSpec, steps: int) -> AdversaryTrace:
 
 
 def adaptive_adversary(
-    policy: PolicyRunner, spec: ProblemSpec, steps: int
+    policy: Policy, spec: ProblemSpec, steps: int
 ) -> tuple[AdversaryTrace, float]:
     """Duel `policy` against the reference on the worst-case descent.
 
@@ -89,7 +89,7 @@ def adaptive_adversary(
     """
     pi_star = solve_pi_star(spec).pi_star
     plan = worst_case_no_limit(spec, pi_star, steps).prices.slots
-    reference = _FixedRunner(spec, pi_star)
+    reference = FixedRatioPolicy(spec, pi_star)
     c = spec.capacity_f
 
     cum_policy = 0.0

@@ -92,7 +92,10 @@ def _as_fraction(capacity) -> Fraction:
         if not math.isfinite(capacity):
             raise ZeroCapacity(f"capacity must be finite, got {capacity!r}")
         return Fraction(capacity).limit_denominator(MAX_CAPACITY_DENOMINATOR)
-    return Fraction(capacity)
+    try:
+        return Fraction(capacity)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValidationError(f"capacity: expected a number or m/n, got {capacity!r}") from None
 
 
 def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minutes: int = 5) -> ProblemSpec:

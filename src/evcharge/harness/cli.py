@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 input/output error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -15,11 +14,11 @@ import sys
 from ..adversary import worst_case_no_limit, worst_case_rate_limited
 from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import ParseError, ingest_prices
-from .report import emit_report, load_rows, rows_to_dicts
-from .runner import run_episode, spec_from_calibration
-from .sweeps import compare_policies, sweep_alpha, sweep_rate_limit
+from .report import emit_report, load_rows, rows_to_dicts, write_report
+from .runner import spec_from_calibration
+from .sweeps import compare_rows, run_policies, sweep_alpha, sweep_rate_limit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,15 +110,11 @@ def _cmd_adversary(args) -> int:
     else:
         pi = args.pi if args.pi is not None else solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, args.steps)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["slot", "price"])
-        for i, price in enumerate(trace.prices):
-            writer.writerow([i, repr(price)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = [{"slot": i, "price": price} for i, price in enumerate(trace.prices)]
+    if args.out is None:
+        write_report(rows, "csv", sys.stdout)
+    else:
+        emit_report(rows, "csv", args.out)
     return EXIT_OK
 
 
@@ -133,13 +128,7 @@ def _cmd_simulate(args) -> int:
     spec = spec_from_calibration(cfg, data.calibration)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    summary = []
-    slot_rows = []
-    for ep in data.episodes:
-        for policy in cfg.policies:
-            row, slots = run_episode(cfg, spec, ep.trace, policy, ep.date)
-            summary.append(row)
-            slot_rows.extend(slots)
+    summary, slot_rows = run_policies(cfg, spec, data)
 
     meta = {
         "p_min": data.calibration.p_min,
@@ -163,7 +152,7 @@ def _cmd_simulate(args) -> int:
         for metric in ("price", "charge", "eta", "opt", "ratio"):
             long_rows.append({**base, "metric": metric, "value": s[metric]})
     emit_report(long_rows, "csv", os.path.join(cfg.out_dir, "slots.csv"))
-    emit_report(compare_policies(cfg, data), "csv", os.path.join(cfg.out_dir, "compare.csv"))
+    emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(cfg.out_dir, "compare.csv"))
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
     return EXIT_OK
 
@@ -171,11 +160,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     if args.alpha_grid is not None:
-        cfg = apply_overrides(cfg, alpha_grid=tuple(float(x) for x in args.alpha_grid.split(",")))
+        cfg = apply_overrides(cfg, alpha_grid=_coerce("alpha_grid", args.alpha_grid))
         rows = sweep_alpha(cfg)
         name = "sweep_alpha"
     else:
-        cfg = apply_overrides(cfg, rate_grid=tuple(float(x) for x in args.rate_grid.split(",")))
+        cfg = apply_overrides(cfg, rate_grid=_coerce("rate_grid", args.rate_grid))
         rows = sweep_rate_limit(cfg)
         name = "sweep_rate"
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -188,17 +177,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     rows = load_rows(args.src)
     if args.out is None:
-        if args.fmt == "json":
-            print(json.dumps(rows, indent=1))
-        else:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            if rows:
-                header = list(rows[0].keys())
-                writer.writerow(header)
-                for d in rows:
-                    writer.writerow(["" if d[k] is None else
-                                     (repr(d[k]) if isinstance(d[k], float) else str(d[k]))
-                                     for k in header])
+        write_report(rows, args.fmt, sys.stdout)
         return EXIT_OK
     emit_report(rows, args.fmt, args.out)
     print(f"wrote {args.out}")

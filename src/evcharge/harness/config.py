@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import time
 
@@ -34,18 +35,30 @@ _TUPLE_FLOAT = {"alpha_grid", "rate_grid"}
 _OPTIONAL_FLOAT = {"alpha"}
 
 
+def _number(name: str, text: str, kind):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValidationError(f"{name}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{name}: expected a finite number, got {text!r}")
+    return value
+
+
 def _coerce(name: str, raw: str):
+    """Parse the text value of config key `name`; bad numbers raise ValidationError."""
     hint = ExperimentConfig.__dataclass_fields__[name].type
     if name in _TUPLE_STR:
         return tuple(x.strip() for x in raw.split(",") if x.strip())
     if name in _TUPLE_FLOAT:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    if name in _OPTIONAL_FLOAT:
-        return float(raw)
+        grid = tuple(_number(name, x, float) for x in raw.split(",") if x.strip())
+        if not grid:
+            raise ValidationError(f"{name}: empty grid {raw!r}")
+        return grid
+    if name in _OPTIONAL_FLOAT or hint == "float":
+        return _number(name, raw, float)
     if hint == "int":
-        return int(raw)
-    if hint == "float":
-        return float(raw)
+        return _number(name, raw, int)
     return raw
 
 

@@ -37,25 +37,28 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_report(rows, fmt: str, path: str) -> str:
-    """Write rows (dataclasses or dicts) to path as csv or json."""
+def write_report(rows, fmt: str, fh) -> None:
+    """Write rows (dataclasses or dicts) to an open text stream as csv or json."""
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
     dicts = rows_to_dicts(rows)
     if fmt == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(dicts, fh, indent=1)
-            fh.write("\n")
-        return path
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not dicts:
-            fh.write("")
-            return path
+        json.dump(dicts, fh, indent=1)
+        fh.write("\n")
+    elif dicts:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(dicts[0].keys())
         writer.writerow(header)
         for d in dicts:
             writer.writerow([_csv_cell(d[k]) for k in header])
+
+
+def emit_report(rows, fmt: str, path: str) -> str:
+    """Write rows (dataclasses or dicts) to path as csv or json."""
+    if fmt not in FORMATS:
+        raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_report(rows, fmt, fh)
     return path
 
 
@@ -76,10 +79,22 @@ def load_rows(path: str) -> list[dict]:
     """Read back a report emitted by emit_report (either format)."""
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ParseError(f"{path}: expected a JSON array of rows")
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
+            raise ParseError(f"{path}: expected a JSON array of row objects")
+        if any(row.keys() != data[0].keys() for row in data):
+            raise ParseError(f"{path}: rows do not all have the same keys")
         return data
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        return [{k: _csv_value(v) for k, v in row.items()} for row in reader]
+        for row in reader:
+            if None in row or None in row.values():
+                raise ParseError(
+                    f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} cells"
+                )
+            rows.append({k: _csv_value(v) for k, v in row.items()})
+    return rows

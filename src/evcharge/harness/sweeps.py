@@ -6,12 +6,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean
 
-from ..core import MAX_CAPACITY_DENOMINATOR, ValidationError, validate_spec
+from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, validate_spec
 from ..offline import opt_rate_limited
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult, ingest_prices
-from .runner import run_episode, slot_energy_kwh, spec_from_calibration
+from .runner import EpisodeRow, SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
 
 _SEASONS = {
     12: "winter", 1: "winter", 2: "winter",
@@ -136,26 +136,42 @@ def _bucket(date: str, mode: str) -> str:
     return f"{date[:4]}-{date[5:7]}" if mode == "month" else _SEASONS[month]
 
 
-def compare_policies(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> list[CompareRow]:
-    """Mean per-policy scores grouped by a date bucket."""
-    data = ingested or _ingested(cfg)
-    spec = spec_from_calibration(cfg, data.calibration)
-    grouped: dict[tuple[str, str], list] = {}
+def run_policies(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,
+                 collect_slots: bool = True) -> tuple[list[EpisodeRow], list[SlotRow]]:
+    """Run every configured policy once on every episode, episodes outermost."""
+    summary: list[EpisodeRow] = []
+    slots: list[SlotRow] = []
     for ep in data.episodes:
-        key_bucket = _bucket(ep.date, cfg.bucket)
         for policy in cfg.policies:
-            row, _ = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
-            grouped.setdefault((key_bucket, policy), []).append(row)
+            row, ep_slots = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots)
+            summary.append(row)
+            slots.extend(ep_slots)
+    return summary, slots
+
+
+def compare_rows(rows: list[EpisodeRow], bucket_mode: str) -> list[CompareRow]:
+    """Mean per-policy scores of episode rows grouped by a date bucket."""
+    grouped: dict[tuple[str, str], list[EpisodeRow]] = {}
+    for row in rows:
+        grouped.setdefault((_bucket(row.date, bucket_mode), row.policy), []).append(row)
     out = []
-    for (bucket, policy), rows in sorted(grouped.items()):
+    for (bucket, policy), group in sorted(grouped.items()):
         out.append(
             CompareRow(
                 bucket=bucket,
                 policy=policy,
-                episodes=len(rows),
-                mean_ratio=fmean(r.ratio for r in rows),
-                mean_objective=fmean(r.objective for r in rows),
-                mean_charged_fraction=fmean(r.charged_fraction for r in rows),
+                episodes=len(group),
+                mean_ratio=fmean(r.ratio for r in group),
+                mean_objective=fmean(r.objective for r in group),
+                mean_charged_fraction=fmean(r.charged_fraction for r in group),
             )
         )
     return out
+
+
+def compare_policies(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> list[CompareRow]:
+    """Mean per-policy scores grouped by a date bucket."""
+    data = ingested or _ingested(cfg)
+    spec = spec_from_calibration(cfg, data.calibration)
+    summary, _ = run_policies(cfg, spec, data, collect_slots=False)
+    return compare_rows(summary, cfg.bucket)

@@ -1,7 +1,9 @@
-"""Online charging policies, one pure step function per policy.
+"""Online charging policies, one small mutable object per episode.
 
-States are immutable values; each step returns the successor state plus a
-PolicyStep record.  The ratio policies never clamp at the top level (the
+Each policy's step takes the current price (and, for lookahead baselines,
+the next prices) and returns only the charge it places now.  Scoring, the
+running cost and the offline optimum belong to the episode loop in
+`harness.runner`.  The ratio policies never clamp at the top level (the
 target keeps totals within capacity); distributor sub-problems clamp only
 as a guard, and treat any material clamp as a bug.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
 from .ratio import AdaptiveRatioContext, solve_pi_star, solve_pi_t
@@ -21,208 +24,127 @@ SUB_CLAMP_TOL = 1e-9
 @dataclass(frozen=True)
 class PolicyStep:
     charge: float
-    eta_after: float
-    opt_after: float
     target_ratio: float | None
 
 
-@dataclass(frozen=True)
-class FixedRatioState:
-    pi: float
-    eta: float
-    opt: float
-    charged: float
-    capacity: float
+class Policy:
+    """One episode of one policy; build a fresh one per episode."""
+
+    name: str
+    lookahead_needed: int = 0
+
+    def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
+        raise NotImplementedError
 
 
-def new_fixed_state(spec: ProblemSpec, pi: float, capacity: float | None = None) -> FixedRatioState:
-    c = spec.capacity_f if capacity is None else capacity
-    start = spec.alpha * c
-    return FixedRatioState(pi=pi, eta=start, opt=start, charged=0.0, capacity=c)
+class FixedRatioPolicy(Policy):
+    """Charge just enough to pull cost-so-far back to pi times the optimum.
 
-
-def alg_fixed_step(state: FixedRatioState, spec: ProblemSpec, price: float) -> tuple[FixedRatioState, PolicyStep]:
-    """Charge just enough to pull cost-so-far back to pi times the optimum."""
-    alpha = spec.alpha
-    opt = state.opt
-    scaled = price * state.capacity
-    if scaled < opt:
-        opt = scaled
-    if price >= alpha:
-        step = PolicyStep(0.0, state.eta, opt, state.pi)
-        if opt == state.opt:
-            return state, step
-        return FixedRatioState(state.pi, state.eta, opt, state.charged, state.capacity), step
-    gap = alpha - price
-    excess = state.eta - opt * state.pi
-    v = excess / gap if excess > 0.0 else 0.0
-    eta = state.eta - gap * v
-    new = FixedRatioState(state.pi, eta, opt, state.charged + v, state.capacity)
-    return new, PolicyStep(v, eta, opt, state.pi)
-
-
-def _assigned_sub_step(state: FixedRatioState, spec: ProblemSpec, price: float) -> tuple[FixedRatioState, float]:
-    """Step one sub-problem that was just assigned `price` (price < alpha).
-
-    The assigned price is the sub-problem's new optimum.  Remaining-capacity
-    clamping is defensive only: the target guarantees headroom, so a clamp
-    beyond tolerance means the distributor fed an invalid sequence.
+    eta is the cost-so-far as if the window ended now and opt the
+    unlimited-rate optimum of the prefix; both drive the charging rule.
     """
-    alpha = spec.alpha
-    opt = price * state.capacity
-    gap = alpha - price
-    excess = state.eta - opt * state.pi
-    v = excess / gap if excess > 0.0 else 0.0
-    room = state.capacity - state.charged
-    if v > room:
-        if v - room > SUB_CLAMP_TOL:
-            raise InternalConsistencyError(
-                f"sub-problem overshoot {v - room} beyond remaining capacity"
-            )
-        v = room if room > 0.0 else 0.0
-    eta = state.eta - gap * v
-    return FixedRatioState(state.pi, eta, opt, state.charged + v, state.capacity), v
+
+    def __init__(self, spec: ProblemSpec, pi: float, capacity: float | None = None):
+        c = spec.capacity_f if capacity is None else capacity
+        self.name = "fixed"
+        self.alpha = spec.alpha
+        self.pi = pi
+        self.capacity = c
+        self.eta = self.opt = spec.alpha * c
+        self.charged = 0.0
+
+    def step(self, price, lookahead=()):
+        scaled = price * self.capacity
+        if scaled < self.opt:
+            self.opt = scaled
+        if price >= self.alpha:
+            return PolicyStep(0.0, self.pi)
+        return PolicyStep(self._charge_to_target(price, math.inf), self.pi)
+
+    def assign(self, price: float) -> float:
+        """Step as a distributor sub-problem that was just assigned `price`
+        (price < alpha), which is its new optimum; returns the charge.
+
+        Remaining-capacity clamping is defensive only: the target guarantees
+        headroom, so a clamp beyond tolerance means the distributor fed an
+        invalid sequence.
+        """
+        self.opt = price * self.capacity
+        return self._charge_to_target(price, self.capacity - self.charged)
+
+    def _charge_to_target(self, price: float, room: float) -> float:
+        gap = self.alpha - price
+        excess = self.eta - self.opt * self.pi
+        v = excess / gap if excess > 0.0 else 0.0
+        if v > room:
+            if v - room > SUB_CLAMP_TOL:
+                raise InternalConsistencyError(
+                    f"sub-problem overshoot {v - room} beyond remaining capacity"
+                )
+            v = room if room > 0.0 else 0.0
+        self.eta -= gap * v
+        self.charged += v
+        return v
 
 
-@dataclass(frozen=True)
-class AdaptiveState:
-    eta: float
-    opt: float
-    charged: float
-    running_min: float
-    pi_t: float | None
-    capacity: float
-
-
-def new_adaptive_state(spec: ProblemSpec) -> AdaptiveState:
-    c = spec.capacity_f
-    return AdaptiveState(
-        eta=spec.alpha * c,
-        opt=spec.alpha * c,
-        charged=0.0,
-        running_min=math.inf,
-        pi_t=None,
-        capacity=c,
-    )
-
-
-def alg_adaptive_step(state: AdaptiveState, spec: ProblemSpec, price: float) -> tuple[AdaptiveState, PolicyStep]:
+class AdaptivePolicy(Policy):
     """Re-solve the tightest sustainable target at each new price minimum."""
-    alpha = spec.alpha
-    if price >= alpha or price >= state.running_min:
-        # No new minimum below alpha: charging now can only be matched or
-        # beaten later, so skip.  The tracked optimum is unchanged too.
-        return state, PolicyStep(0.0, state.eta, state.opt, state.pi_t)
-    opt = price * state.capacity
-    ctx = AdaptiveRatioContext(state.charged, state.eta)
-    pi_t = solve_pi_t(ctx, spec, price)
-    gap = alpha - price
-    excess = state.eta - opt * pi_t
-    v = excess / gap if excess > 0.0 else 0.0
-    eta = state.eta - gap * v
-    new = AdaptiveState(eta, opt, state.charged + v, price, pi_t, state.capacity)
-    return new, PolicyStep(v, eta, opt, pi_t)
+
+    def __init__(self, spec: ProblemSpec):
+        self.name = "adaptive"
+        self.spec = spec
+        self.eta = spec.alpha * spec.capacity_f
+        self.charged = 0.0
+        self.running_min = math.inf
+        self.pi_t: float | None = None
+
+    def step(self, price, lookahead=()):
+        spec = self.spec
+        if price >= spec.alpha or price >= self.running_min:
+            # No new minimum below alpha: charging now can only be matched
+            # or beaten later, so skip.
+            return PolicyStep(0.0, self.pi_t)
+        pi_t = solve_pi_t(AdaptiveRatioContext(self.charged, self.eta), spec, price)
+        gap = spec.alpha - price
+        excess = self.eta - price * spec.capacity_f * pi_t
+        v = excess / gap if excess > 0.0 else 0.0
+        self.eta -= gap * v
+        self.charged += v
+        self.running_min = price
+        self.pi_t = pi_t
+        return PolicyStep(v, pi_t)
 
 
-@dataclass(frozen=True)
-class DistributorState:
+class DistributorPolicy(Policy):
     """Capacity split into sub-problems, each running the fixed policy.
 
-    mu[i] is the price sub-problem i last accepted (alpha before any).
-    m/n record the capacity as a fraction; with m <= n a single sub-problem
-    of the full capacity stands in, which reproduces the unlimited-rate
-    policy exactly.
+    mu[i] is the price sub-problem i last accepted (alpha before any).  A
+    price below the highest held one goes to the `fanout` sub-problems
+    holding the highest prices (ties to the lowest index) that it beats.
     """
 
-    mu: tuple[float, ...]
-    subs: tuple[FixedRatioState, ...]
-    eta: float
-    charged: float
-    m: int
-    n: int
-    pi: float
+    def __init__(self, name: str, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
+        self.name = name
+        self.pi = pi
+        self.fanout = fanout
+        self.mu = [spec.alpha] * count
+        self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
 
-
-def _distributor(spec: ProblemSpec, pi: float, count: int, sub_capacity: float) -> DistributorState:
-    cap = spec.capacity
-    subs = tuple(new_fixed_state(spec, pi, sub_capacity) for _ in range(count))
-    return DistributorState(
-        mu=(spec.alpha,) * count,
-        subs=subs,
-        eta=spec.alpha * spec.capacity_f,
-        charged=0.0,
-        m=cap.numerator,
-        n=cap.denominator,
-        pi=pi,
-    )
-
-
-def new_int_state(spec: ProblemSpec, pi: float) -> DistributorState:
-    if spec.capacity.denominator != 1:
-        raise ValidationError(
-            f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"
-        )
-    return _distributor(spec, pi, int(spec.capacity), 1.0)
-
-
-def new_rat_state(spec: ProblemSpec, pi: float) -> DistributorState:
-    m, n = spec.capacity.numerator, spec.capacity.denominator
-    if m <= n:
-        return _distributor(spec, pi, 1, spec.capacity_f)
-    return _distributor(spec, pi, m, float(Fraction(1, n)))
-
-
-def _sum_opt(subs: tuple[FixedRatioState, ...]) -> float:
-    return math.fsum(s.opt for s in subs)
-
-
-def alg_int_step(state: DistributorState, spec: ProblemSpec, price: float) -> tuple[DistributorState, PolicyStep]:
-    """Hand the price to the sub-problem holding the highest accepted price."""
-    best = 0
-    mu = state.mu
-    for i in range(1, len(mu)):
-        if mu[i] > mu[best]:
-            best = i
-    if price >= mu[best]:
-        return state, PolicyStep(0.0, state.eta, _sum_opt(state.subs), state.pi)
-    sub, v = _assigned_sub_step(state.subs[best], spec, price)
-    subs = state.subs[:best] + (sub,) + state.subs[best + 1 :]
-    eta = state.eta - (spec.alpha - price) * v
-    new = DistributorState(
-        mu[:best] + (price,) + mu[best + 1 :],
-        subs,
-        eta,
-        state.charged + v,
-        state.m,
-        state.n,
-        state.pi,
-    )
-    return new, PolicyStep(v, eta, _sum_opt(subs), state.pi)
-
-
-def alg_rat_step(state: DistributorState, spec: ProblemSpec, price: float) -> tuple[DistributorState, PolicyStep]:
-    """Fractional-capacity variant: up to n sub-problems accept each price."""
-    mu = state.mu
-    count = len(mu)
-    if count == 1:
-        return alg_int_step(state, spec, price)
-    if price >= max(mu):
-        return state, PolicyStep(0.0, state.eta, _sum_opt(state.subs), state.pi)
-    ranked = sorted(range(count), key=lambda i: (-mu[i], i))[: state.n]
-    chosen = [i for i in ranked if mu[i] > price]
-    new_mu = list(mu)
-    new_subs = list(state.subs)
-    total = 0.0
-    for i in chosen:
-        new_mu[i] = price
-        new_subs[i], v_i = _assigned_sub_step(state.subs[i], spec, price)
-        total += v_i
-    eta = state.eta - (spec.alpha - price) * total
-    subs = tuple(new_subs)
-    new = DistributorState(
-        tuple(new_mu), subs, eta, state.charged + total, state.m, state.n, state.pi
-    )
-    return new, PolicyStep(total, eta, _sum_opt(subs), state.pi)
+    def step(self, price, lookahead=()):
+        mu = self.mu
+        top = max(mu)
+        if price >= top:
+            return PolicyStep(0.0, self.pi)
+        if self.fanout == 1:
+            chosen = [mu.index(top)]
+        else:
+            ranked = sorted(range(len(mu)), key=lambda i: (-mu[i], i))[: self.fanout]
+            chosen = [i for i in ranked if mu[i] > price]
+        total = 0.0
+        for i in chosen:
+            mu[i] = price
+            total += self.subs[i].assign(price)
+        return PolicyStep(total, self.pi)
 
 
 def rhc_step(remaining: float, window: tuple[float, ...], spec: ProblemSpec) -> float:
@@ -255,130 +177,60 @@ def naive_threshold_step(remaining: float, price: float, spec: ProblemSpec) -> f
     return 1.0 if remaining >= 1.0 else remaining
 
 
-class PolicyRunner:
-    """Mutable episode wrapper around the pure step functions.
+class BaselinePolicy(Policy):
+    """A baseline that only knows its remaining need: `rule(remaining,
+    window)` gives the charge for the slot, where the window is the current
+    price followed by up to `lookahead_needed` upcoming ones."""
 
-    All runners track eta (the objective as if the window ended now) so
-    baselines can be scored alongside the ratio policies.
-    """
-
-    name: str
-    target_ratio: float | None = None
-    lookahead_needed: int = 0
-
-    def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
-        raise NotImplementedError
-
-
-class _FixedRunner(PolicyRunner):
-    def __init__(self, spec: ProblemSpec, pi: float):
-        self.name = "fixed"
-        self.spec = spec
-        self.state = new_fixed_state(spec, pi)
-        self.target_ratio = pi
-
-    def step(self, price, lookahead=()):
-        self.state, out = alg_fixed_step(self.state, self.spec, price)
-        return out
-
-
-class _AdaptiveRunner(PolicyRunner):
-    def __init__(self, spec: ProblemSpec, pi: float):
-        self.name = "adaptive"
-        self.spec = spec
-        self.state = new_adaptive_state(spec)
-        self.target_ratio = pi
-
-    def step(self, price, lookahead=()):
-        self.state, out = alg_adaptive_step(self.state, self.spec, price)
-        return out
-
-
-class _DistributorRunner(PolicyRunner):
-    def __init__(self, spec: ProblemSpec, pi: float, rational: bool):
-        self.name = "rat" if rational else "int"
-        self.spec = spec
-        self.state = new_rat_state(spec, pi) if rational else new_int_state(spec, pi)
-        self.step_fn = alg_rat_step if rational else alg_int_step
-        self.target_ratio = pi
-
-    def step(self, price, lookahead=()):
-        self.state, out = self.step_fn(self.state, self.spec, price)
-        return out
-
-
-class _CapTrackingRunner(PolicyRunner):
-    """Shared bookkeeping for baselines that only know their remaining need."""
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
+    def __init__(self, name: str, spec: ProblemSpec, rule, lookahead_needed: int = 0):
+        self.name = name
+        self.rule = rule
+        self.lookahead_needed = lookahead_needed
         self.remaining = spec.capacity_f
-        self.eta = spec.alpha * spec.capacity_f
 
-    def _charge(self, price: float, v: float) -> PolicyStep:
+    def step(self, price, lookahead=()):
+        v = self.rule(self.remaining, (price,) + tuple(lookahead[: self.lookahead_needed]))
         self.remaining -= v
-        self.eta -= (self.spec.alpha - price) * v
-        return PolicyStep(v, self.eta, math.nan, None)
-
-
-class _RhcRunner(_CapTrackingRunner):
-    def __init__(self, spec: ProblemSpec, horizon: int):
-        super().__init__(spec)
-        if horizon < 0:
-            raise ValidationError(f"lookahead horizon must be >= 0, got {horizon}")
-        self.name = f"rhc:{horizon}"
-        self.horizon = horizon
-        self.lookahead_needed = horizon
-
-    def step(self, price, lookahead=()):
-        window = (price,) + tuple(lookahead[: self.horizon])
-        return self._charge(price, rhc_step(self.remaining, window, self.spec))
-
-
-class _NaiveRunner(_CapTrackingRunner):
-    def __init__(self, spec: ProblemSpec):
-        super().__init__(spec)
-        self.name = "naive"
-
-    def step(self, price, lookahead=()):
-        return self._charge(price, naive_threshold_step(self.remaining, price, self.spec))
-
-
-class _NeverRunner(_CapTrackingRunner):
-    """Diagnostic baseline that never charges."""
-
-    def __init__(self, spec: ProblemSpec):
-        super().__init__(spec)
-        self.name = "never"
-
-    def step(self, price, lookahead=()):
-        return self._charge(price, 0.0)
+        return PolicyStep(v, None)
 
 
 RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")
 
 
-def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> PolicyRunner:
-    """Build a fresh episode runner; `pi` defaults to the solved target."""
+def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy:
+    """Build a fresh episode policy; `pi` defaults to the solved target."""
     if pi is None and (name in RATIO_POLICIES):
         pi = solve_pi_star(spec).pi_star
+    m, n = spec.capacity.numerator, spec.capacity.denominator
     if name == "fixed":
-        return _FixedRunner(spec, pi)
+        return FixedRatioPolicy(spec, pi)
     if name == "adaptive":
-        return _AdaptiveRunner(spec, pi)
+        return AdaptivePolicy(spec)
     if name == "int":
-        return _DistributorRunner(spec, pi, rational=False)
+        # one unit sub-problem per slot of integer capacity
+        if n != 1:
+            raise ValidationError(
+                f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"
+            )
+        return DistributorPolicy("int", spec, pi, m, 1.0, 1)
     if name == "rat":
-        return _DistributorRunner(spec, pi, rational=True)
+        # m sub-problems of 1/n, each price fanning out to up to n of them;
+        # with m <= n a single sub-problem of the full capacity stands in,
+        # which reproduces the unlimited-rate policy exactly
+        if m <= n:
+            return DistributorPolicy("rat", spec, pi, 1, spec.capacity_f, 1)
+        return DistributorPolicy("rat", spec, pi, m, float(Fraction(1, n)), n)
     if name.startswith("rhc:"):
         raw = name.split(":", 1)[1]
         try:
             horizon = int(raw)
         except ValueError:
             raise ValidationError(f"bad lookahead horizon {raw!r} in policy {name!r}") from None
-        return _RhcRunner(spec, horizon)
+        if horizon < 0:
+            raise ValidationError(f"lookahead horizon must be >= 0, got {horizon}")
+        return BaselinePolicy(f"rhc:{horizon}", spec, partial(rhc_step, spec=spec), horizon)
     if name == "naive":
-        return _NaiveRunner(spec)
+        return BaselinePolicy("naive", spec, lambda left, window: naive_threshold_step(left, window[0], spec))
     if name == "never":
-        return _NeverRunner(spec)
+        return BaselinePolicy("never", spec, lambda left, window: 0.0)
     raise ValidationError(f"unknown policy {name!r}")

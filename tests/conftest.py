@@ -29,6 +29,33 @@ def total_charge(steps: list[PolicyStep]) -> float:
     return math.fsum(s.charge for s in steps)
 
 
+def eta_path(spec: ProblemSpec, prices, steps: list[PolicyStep]) -> list[float]:
+    """Cost-so-far after each slot, as if the window ended there, derived
+    from the charges: it starts at alpha * c and each charge v at price p
+    lowers it by (alpha - p) * v."""
+    eta = spec.alpha * spec.capacity_f
+    out = []
+    for p, s in zip(prices, steps):
+        eta -= (spec.alpha - p) * s.charge
+        out.append(eta)
+    return out
+
+
+def opt_no_limit_path(spec: ProblemSpec, prices) -> list[float]:
+    """Unlimited-rate optimum of each prefix, in closed form."""
+    low = math.inf
+    out = []
+    for p in prices:
+        low = min(low, p)
+        out.append(min(low, spec.alpha) * spec.capacity_f)
+    return out
+
+
+def sub_opt_sum(policy) -> float:
+    """Sum of a distributor's sub-problem optima."""
+    return math.fsum(s.opt for s in policy.subs)
+
+
 def random_prices(rng: np.random.Generator, spec: ProblemSpec, T: int) -> list[float]:
     """Mixed-shape price path inside the spec band: iid, descending, or piecewise."""
     lo, hi = spec.p_min, spec.p_max

@@ -25,10 +25,10 @@ from evcharge.harness.ingest import ingest_prices
 from evcharge.harness.sweeps import sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import write_corpus
 from evcharge.offline import new_offline_state, offline_step, opt_rate_limited
-from evcharge.online import alg_int_step, make_policy, new_int_state
+from evcharge.online import make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
-from conftest import decreasing_prices, spec_of
+from conftest import decreasing_prices, eta_path, opt_no_limit_path, spec_of, sub_opt_sum
 
 
 @contextmanager
@@ -58,18 +58,25 @@ def policy_suite():
     caps_frac = (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3))
     counts = {"feasibility": 0, "slot_cap": 0, "guarantee": 0, "dominance": 0}
 
-    def run(runner, prices, capacity, pi, capped):
+    def run(policy, prices, spec, pi, capped):
+        # cost-so-far from the charges; the optimum is the capped policies'
+        # sub-problem sum, else the unlimited-rate closed form
+        alpha = spec.alpha
+        eta = alpha * spec.capacity_f
         total = 0.0
         etas = []
+        opts = [] if capped else opt_no_limit_path(spec, prices)
         for p in prices:
-            out = runner.step(p)
-            total += out.charge
-            etas.append(out.eta_after)
-            if capped and out.charge > 1.0 + 1e-9:
-                counts["slot_cap"] += 1
-            if out.eta_after > pi * out.opt_after + 1e-6:
-                counts["guarantee"] += 1
-        if total > capacity + 1e-9:
+            v = policy.step(p).charge
+            total += v
+            eta -= (alpha - p) * v
+            etas.append(eta)
+            if capped:
+                opts.append(sub_opt_sum(policy))
+                if v > 1.0 + 1e-9:
+                    counts["slot_cap"] += 1
+        counts["guarantee"] += sum(e > pi * o + 1e-6 for e, o in zip(etas, opts))
+        if total > spec.capacity_f + 1e-9:
             counts["feasibility"] += 1
         return etas
 
@@ -83,27 +90,27 @@ def policy_suite():
         spec_i = validate_spec(p_min, p_max, alpha, caps_int[i % 3])
         spec_f = validate_spec(p_min, p_max, alpha, caps_frac[i % 4])
         pi = solve_pi_star(spec_i).pi_star
-        fixed = run(make_policy("fixed", spec_i, pi=pi), prices, spec_i.capacity_f, pi, False)
-        adapt = run(make_policy("adaptive", spec_i, pi=pi), prices, spec_i.capacity_f, pi, False)
-        run(make_policy("int", spec_i, pi=pi), prices, spec_i.capacity_f, pi, True)
-        run(make_policy("rat", spec_f, pi=pi), prices, spec_f.capacity_f, pi, True)
+        fixed = run(make_policy("fixed", spec_i, pi=pi), prices, spec_i, pi, False)
+        adapt = run(make_policy("adaptive", spec_i, pi=pi), prices, spec_i, pi, False)
+        run(make_policy("int", spec_i, pi=pi), prices, spec_i, pi, True)
+        run(make_policy("rat", spec_f, pi=pi), prices, spec_f, pi, True)
         counts["dominance"] += sum(a > f + 1e-9 for f, a in zip(fixed, adapt))
 
     # the adversarial descents, replayed under the same checks
     spec2 = spec_of(1, 5, 5, 2)
     pi2 = solve_pi_star(spec2).pi_star
     descent = worst_case_no_limit(spec2, pi2, 10_000).prices.slots
-    run(make_policy("fixed", spec2), descent, 2.0, pi2, False)
-    run(make_policy("adaptive", spec2), descent, 2.0, pi2, False)
+    run(make_policy("fixed", spec2), descent, spec2, pi2, False)
+    run(make_policy("adaptive", spec2), descent, spec2, pi2, False)
     repeated = worst_case_rate_limited(spec2, 5_000).prices.slots
-    run(make_policy("int", spec2), repeated, 2.0, pi2, True)
+    run(make_policy("int", spec2), repeated, spec2, pi2, True)
     spec_r = spec_of(1, 5, 5, Fraction(5, 2))
-    run(make_policy("rat", spec_r), descent, 2.5, pi2, True)
+    run(make_policy("rat", spec_r), descent, spec_r, pi2, True)
     spec20 = spec_of(1, 5, 20, 1)
     pi20 = solve_pi_star(spec20).pi_star
     flat = worst_case_no_limit(spec20, pi20, 10_000).prices.slots
-    run(make_policy("fixed", spec20), flat, 1.0, pi20, False)
-    run(make_policy("adaptive", spec20), flat, 1.0, pi20, False)
+    run(make_policy("fixed", spec20), flat, spec20, pi20, False)
+    run(make_policy("adaptive", spec20), flat, spec20, pi20, False)
 
     counts["elapsed"] = time.perf_counter() - t0
     return counts
@@ -172,10 +179,9 @@ def test_06_worst_case_construction_is_tight():
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
         runner = make_policy("fixed", spec)
-        out = None
-        for p in worst_case_no_limit(spec, pi, 10_000).prices.slots:
-            out = runner.step(p)
-        final_ratio = out.eta_after / out.opt_after
+        descent = worst_case_no_limit(spec, pi, 10_000).prices.slots
+        steps = [runner.step(p) for p in descent]
+        final_ratio = eta_path(spec, descent, steps)[-1] / opt_no_limit_path(spec, descent)[-1]
         assert pi * 0.99 <= final_ratio <= pi + 1e-6
         policies = ("fixed", "adaptive", "int", "rat", "rhc:0", "rhc:8", "naive", "never")
         for name in policies:
@@ -199,13 +205,14 @@ def test_07_capacity_split_is_exact():
             p_max = p_min * float(rng.uniform(1.5, 5.0))
             alpha = p_min * float(rng.uniform(1.1, 10.0))
             spec = validate_spec(p_min, p_max, alpha, c)
-            state = new_int_state(spec, solve_pi_star(spec).pi_star)
+            policy = make_policy("int", spec)
             offline = new_offline_state(spec)
+            eta = alpha * c
             for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
-                state, out = alg_int_step(state, spec, p)
+                eta -= (alpha - p) * policy.step(p).charge
                 offline = offline_step(offline, p)
-                assert abs(state.eta - math.fsum(s.eta for s in state.subs)) <= 1e-12
-                assert abs(out.opt_after - offline.opt_value) <= 1e-12
+                assert abs(eta - math.fsum(s.eta for s in policy.subs)) <= 1e-12
+                assert abs(sub_opt_sum(policy) - offline.opt_value) <= 1e-12
 
 
 def _lp_vertex_opt(spec, prices) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import evcharge.harness.cli as cli
+import evcharge.harness.sweeps as sweeps
 from evcharge.core import InternalConsistencyError, PriceTrace, ValidationError, validate_spec
 from evcharge.harness.config import (
     ExperimentConfig,
@@ -341,6 +342,19 @@ class TestReport:
         emit_report([], "csv", str(path))
         assert load_rows(str(path)) == []
 
+    @pytest.mark.parametrize("name, text", [
+        ("broken.json", '[{"a": 1},\n'),
+        ("scalars.json", "[1, 2]\n"),
+        ("mixed_keys.json", '[{"a": 1}, {"b": 2}]\n'),
+        ("short_row.csv", "a,b\n1,2\n3\n"),
+        ("long_row.csv", "a,b\n1,2,3\n"),
+    ])
+    def test_malformed_report_raises_parse_error(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=name):
+            load_rows(str(path))
+
 
 class TestSynthetic:
     def test_models_are_seeded_and_banded(self):
@@ -415,6 +429,31 @@ class TestCli:
         assert len(summary) == 20
         assert {r["policy"] for r in summary} == {"fixed", "naive"}
 
+    def test_simulate_runs_each_episode_once(self, corpus_path, corpus_data, tmp_path, monkeypatch):
+        calls = []
+        real = sweeps.run_episode
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        # every module that could hold a reference to run_episode
+        for module in (cli, sweeps):
+            monkeypatch.setattr(module, "run_episode", counting, raising=False)
+        out = tmp_path / "once"
+        assert cli.main(["simulate", "--prices", corpus_path, "--out", str(out)]) == 0
+        policies = ExperimentConfig().policies
+        assert len(calls) == len(corpus_data.episodes) * len(policies)
+        assert sorted(set(calls)) == sorted(policies)
+
+    def test_simulate_compare_matches_compare_policies(self, corpus_path, corpus_cfg, corpus_data,
+                                                       tmp_path):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--prices", corpus_path, "--out", str(out)]) == 0
+        expected = tmp_path / "compare.csv"
+        emit_report(compare_policies(corpus_cfg, corpus_data), "csv", str(expected))
+        assert (out / "compare.csv").read_bytes() == expected.read_bytes()
+
     def test_simulate_without_prices_exits_one(self, capsys):
         assert cli.main(["simulate"]) == 1
 
@@ -444,6 +483,52 @@ class TestCli:
         rows = load_rows(str(out / "sweep_alpha.csv"))
         assert [r["alpha_factor"] for r in rows] == [1.0, 4.0, 10.0]
         assert rows[-1]["mean_charged_fraction"] >= 0.90
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha-grid", "a,b"],
+        ["sweep", "--alpha-grid", ","],
+        ["sweep", "--rate-grid", "inf"],
+        ["sweep", "--rate-grid", "nan"],
+        ["simulate", "--capacity", "abc"],
+        ["simulate", "--capacity", "1/0"],
+        ["simulate", "--config", "alpha_grid = 1, x"],
+        ["simulate", "--config", "capacity = abc"],
+    ])
+    def test_bad_numbers_exit_one(self, corpus_path, tmp_path, capsys, argv):
+        if argv[1] == "--config":
+            config = tmp_path / "bad.cfg"
+            config.write_text(argv[2] + "\n", encoding="utf-8")
+            argv = argv[:2] + [str(config)]
+        code = cli.main(argv + ["--prices", corpus_path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("broken.json", "{"),
+        ("scalars.json", "[1, 2]"),
+        ("short_row.csv", "a,b\n1\n"),
+        ("long_row.csv", "a,b\n1,2,3\n"),
+    ])
+    def test_malformed_report_input_exits_two(self, tmp_path, capsys, name, text):
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_stdout_equals_out_file(self, corpus_path, tmp_path, capsys, fmt):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--prices", corpus_path, "--policies", "fixed,never",
+                         "--out", str(sim)]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"again.{fmt}"
+        assert cli.main(["report", "--in", str(sim / "summary.json"), "--format", fmt,
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--in", str(sim / "summary.json"), "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     def test_report_reformat(self, tmp_path, capsys):
         src = tmp_path / "rows.json"

@@ -6,23 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import drive, random_prices, spec_of, total_charge
+from conftest import (
+    drive,
+    eta_path,
+    opt_no_limit_path,
+    random_prices,
+    spec_of,
+    sub_opt_sum,
+    total_charge,
+)
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import new_offline_state, offline_step
-from evcharge.online import (
-    RATIO_POLICIES,
-    alg_adaptive_step,
-    alg_fixed_step,
-    alg_int_step,
-    alg_rat_step,
-    make_policy,
-    naive_threshold_step,
-    new_adaptive_state,
-    new_fixed_state,
-    new_int_state,
-    new_rat_state,
-    rhc_step,
-)
+from evcharge.online import RATIO_POLICIES, make_policy, naive_threshold_step, rhc_step
 from evcharge.adversary import worst_case_no_limit
 from evcharge.ratio import solve_pi_star
 
@@ -31,20 +26,20 @@ class TestFixedStep:
     def test_floor_price_first(self):
         spec = spec_of(1, 5, 5, 1)
         pi = solve_pi_star(spec).pi_star
-        state = new_fixed_state(spec, pi)
-        state, out = alg_fixed_step(state, spec, 1.0)
-        assert out.charge == pytest.approx(0.7768091842729072, rel=1e-12)
-        assert out.eta_after == pytest.approx(pi, rel=1e-12)
-        assert out.eta_after / out.opt_after == pytest.approx(pi, rel=1e-12)
+        steps = drive("fixed", spec, [1.0])
+        (eta,) = eta_path(spec, [1.0], steps)
+        (opt,) = opt_no_limit_path(spec, [1.0])
+        assert steps[0].charge == pytest.approx(0.7768091842729072, rel=1e-12)
+        assert eta == pytest.approx(pi, rel=1e-12)
+        assert eta / opt == pytest.approx(pi, rel=1e-12)
 
     def test_price_at_or_above_alpha_only_tracks(self):
         spec = spec_of(1, 5, 3, 1)
-        state = new_fixed_state(spec, 1.5)
-        state, out = alg_fixed_step(state, spec, 3.0)
-        assert out.charge == 0.0
-        assert state.eta == spec.alpha
-        state, out = alg_fixed_step(state, spec, 4.0)
-        assert out.charge == 0.0
+        policy = make_policy("fixed", spec, pi=1.5)
+        assert policy.step(3.0).charge == 0.0
+        assert policy.eta == spec.alpha
+        assert policy.opt == spec.alpha
+        assert policy.step(4.0).charge == 0.0
 
     def test_repeat_price_charges_nothing(self):
         spec = spec_of(1, 5, 5, 1)
@@ -54,23 +49,24 @@ class TestFixedStep:
         assert steps[2].charge == 0.0
 
     def test_eta_recurrence(self):
+        # the policy's own cost-so-far follows the charges it returns
         spec = spec_of(1, 5, 5, 2)
-        state = new_fixed_state(spec, 1.9)
-        eta = state.eta
-        for p in [3.0, 2.2, 1.4, 1.1]:
-            state, out = alg_fixed_step(state, spec, p)
-            assert out.eta_after == pytest.approx(eta - (spec.alpha - p) * out.charge, rel=1e-12)
-            eta = out.eta_after
+        prices = [3.0, 2.2, 1.4, 1.1]
+        policy = make_policy("fixed", spec, pi=1.9)
+        eta = policy.eta
+        for p, opt in zip(prices, opt_no_limit_path(spec, prices)):
+            eta -= (spec.alpha - p) * policy.step(p).charge
+            assert policy.eta == pytest.approx(eta, rel=1e-12)
+            assert policy.opt == opt
 
 
 class TestAdaptiveStep:
     def test_floor_start_fills_everything(self):
         spec = spec_of(1, 5, 5, 1)
-        state = new_adaptive_state(spec)
-        state, out = alg_adaptive_step(state, spec, 1.0)
+        (out,) = steps = drive("adaptive", spec, [1.0])
         assert out.target_ratio == 1.0
         assert out.charge == 1.0
-        assert out.eta_after / out.opt_after == 1.0
+        assert eta_path(spec, [1.0], steps)[0] / opt_no_limit_path(spec, [1.0])[0] == 1.0
 
     def test_no_new_minimum_skips(self):
         # first price low enough to act on; the repeat is not a new minimum
@@ -94,48 +90,47 @@ class TestAdaptiveStep:
         spec = spec_of(1, 5, 4, 3)
         for _ in range(100):
             prices = random_prices(rng, spec, int(rng.integers(1, 80)))
-            fixed = drive("fixed", spec, prices)
-            adaptive = drive("adaptive", spec, prices)
+            fixed = eta_path(spec, prices, drive("fixed", spec, prices))
+            adaptive = eta_path(spec, prices, drive("adaptive", spec, prices))
             for f, a in zip(fixed, adaptive):
-                assert a.eta_after <= f.eta_after + 1e-9
+                assert a <= f + 1e-9
 
 
 class TestIntStep:
     def test_hand_traced_assignments(self):
         spec = spec_of(1, 8, 10, 2)
-        pi = solve_pi_star(spec).pi_star
-        state = new_int_state(spec, pi)
-        state, _ = alg_int_step(state, spec, 5.0)
-        assert state.mu == (5.0, 10.0)
-        state, _ = alg_int_step(state, spec, 3.0)
-        assert state.mu == (5.0, 3.0)
-        state, out = alg_int_step(state, spec, 7.0)
-        assert out.charge == 0.0 and state.mu == (5.0, 3.0)
-        state, _ = alg_int_step(state, spec, 2.0)
-        assert state.mu == (2.0, 3.0)
+        policy = make_policy("int", spec)
+        policy.step(5.0)
+        assert policy.mu == [5.0, 10.0]
+        policy.step(3.0)
+        assert policy.mu == [5.0, 3.0]
+        out = policy.step(7.0)
+        assert out.charge == 0.0 and policy.mu == [5.0, 3.0]
+        policy.step(2.0)
+        assert policy.mu == [2.0, 3.0]
 
     def test_fresh_subproblems_fill_in_order(self):
         spec = spec_of(1, 8, 10, 3)
-        state = new_int_state(spec, solve_pi_star(spec).pi_star)
+        policy = make_policy("int", spec)
         # fresh subproblems hold the highest threshold, so each new price
         # lands on an untouched one until all of them are in play
-        for p, expect in [(4.0, (4.0, 10.0, 10.0)), (3.0, (4.0, 3.0, 10.0)), (3.5, (4.0, 3.0, 3.5))]:
-            state, _ = alg_int_step(state, spec, p)
-            assert state.mu == expect
+        for p, expect in [(4.0, [4.0, 10.0, 10.0]), (3.0, [4.0, 3.0, 10.0]), (3.5, [4.0, 3.0, 3.5])]:
+            policy.step(p)
+            assert policy.mu == expect
 
     def test_price_equal_to_max_held_is_discarded(self):
         spec = spec_of(1, 8, 10, 2)
-        state = new_int_state(spec, solve_pi_star(spec).pi_star)
-        state, _ = alg_int_step(state, spec, 4.0)
-        state, _ = alg_int_step(state, spec, 3.0)
-        state, out = alg_int_step(state, spec, 4.0)
+        policy = make_policy("int", spec)
+        policy.step(4.0)
+        policy.step(3.0)
+        out = policy.step(4.0)
         assert out.charge == 0.0
-        assert state.mu == (4.0, 3.0)
+        assert policy.mu == [4.0, 3.0]
 
     def test_rejects_fractional_capacity(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
         with pytest.raises(ValidationError):
-            new_int_state(spec, 1.5)
+            make_policy("int", spec, pi=1.5)
 
     def test_per_slot_cap(self):
         rng = np.random.default_rng(23)
@@ -149,26 +144,25 @@ class TestRatStep:
     def test_price_fans_out_to_n_subproblems(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
         pi = solve_pi_star(spec).pi_star
-        state = new_rat_state(spec, pi)
-        assert state.mu == (10.0, 10.0, 10.0)
-        assert state.subs[0].capacity == pytest.approx(0.5)
-        state, out = alg_rat_step(state, spec, 4.0)
-        assert state.mu == (4.0, 4.0, 10.0)
+        policy = make_policy("rat", spec)
+        assert policy.mu == [10.0, 10.0, 10.0]
+        assert policy.subs[0].capacity == pytest.approx(0.5)
+        out = policy.step(4.0)
+        assert policy.mu == [4.0, 4.0, 10.0]
         # 4.0 sits above alpha / pi, so the assigned pair only lowers thresholds
         assert out.charge == 0.0
-        state, out = alg_rat_step(state, spec, 3.0)
+        out = policy.step(3.0)
         # 3.0 beats the fresh subproblem and one of the pair holding 4.0
-        assert state.mu == (3.0, 4.0, 3.0)
+        assert policy.mu == [3.0, 4.0, 3.0]
         per_sub = (spec.alpha * 0.5 - 3.0 * 0.5 * pi) / (spec.alpha - 3.0)
         assert out.charge == pytest.approx(2 * per_sub, rel=1e-12)
         assert out.charge > 0.0
 
     def test_price_above_all_held_is_discarded(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
-        state = new_rat_state(spec, solve_pi_star(spec).pi_star)
-        state, _ = alg_rat_step(state, spec, 4.0)
-        state, out = alg_rat_step(state, spec, 9.0)
-        assert out.charge == 0.0
+        policy = make_policy("rat", spec)
+        policy.step(4.0)
+        assert policy.step(9.0).charge == 0.0
 
     def test_unit_denominator_equals_integer_variant(self):
         rng = np.random.default_rng(31)
@@ -176,12 +170,10 @@ class TestRatStep:
         pi = solve_pi_star(spec).pi_star
         for _ in range(30):
             prices = random_prices(rng, spec, 10)
-            a = new_int_state(spec, pi)
-            b = new_rat_state(spec, pi)
+            a = make_policy("int", spec, pi=pi)
+            b = make_policy("rat", spec, pi=pi)
             for p in prices:
-                a, out_a = alg_int_step(a, spec, p)
-                b, out_b = alg_rat_step(b, spec, p)
-                assert out_a.charge == out_b.charge
+                assert a.step(p).charge == b.step(p).charge
                 assert a.mu == b.mu
 
     def test_small_capacity_equals_unlimited_policy(self):
@@ -199,12 +191,12 @@ class TestRatStep:
     def test_held_prices_only_fall(self):
         rng = np.random.default_rng(41)
         spec = spec_of(1, 5, 7, Fraction(5, 2))
-        state = new_rat_state(spec, solve_pi_star(spec).pi_star)
-        prev = state.mu
+        policy = make_policy("rat", spec)
+        prev = list(policy.mu)
         for p in random_prices(rng, spec, 80):
-            state, _ = alg_rat_step(state, spec, p)
-            assert all(new <= old for new, old in zip(state.mu, prev))
-            prev = state.mu
+            policy.step(p)
+            assert all(new <= old for new, old in zip(policy.mu, prev))
+            prev = list(policy.mu)
 
 
 class TestDecomposition:
@@ -212,36 +204,34 @@ class TestDecomposition:
         rng = np.random.default_rng(43)
         for cap in (1, 2, 3, Fraction(3, 2), Fraction(5, 2)):
             spec = spec_of(1, 5, 6, cap)
-            pi = solve_pi_star(spec).pi_star
-            state = new_rat_state(spec, pi)
-            step_fn = alg_rat_step
+            policy = make_policy("rat", spec)
+            eta = spec.alpha * spec.capacity_f
             for p in random_prices(rng, spec, 50):
-                state, _ = step_fn(state, spec, p)
-                assert state.eta == pytest.approx(math.fsum(s.eta for s in state.subs), abs=1e-12)
+                eta -= (spec.alpha - p) * policy.step(p).charge
+                assert eta == pytest.approx(math.fsum(s.eta for s in policy.subs), abs=1e-12)
 
     def test_subproblem_optima_sum_to_offline_optimum(self):
         rng = np.random.default_rng(47)
         for cap in (1, 2, 3, Fraction(3, 2), Fraction(7, 3)):
             spec = spec_of(1, 5, 4, cap)
-            pi = solve_pi_star(spec).pi_star
-            state = new_rat_state(spec, pi)
+            policy = make_policy("rat", spec)
             offline = new_offline_state(spec)
             for p in random_prices(rng, spec, 60):
-                state, out = alg_rat_step(state, spec, p)
+                policy.step(p)
                 offline = offline_step(offline, p)
-                assert out.opt_after == pytest.approx(offline.opt_value, abs=1e-12)
+                assert sub_opt_sum(policy) == pytest.approx(offline.opt_value, abs=1e-12)
 
     def test_held_prices_mirror_offline_kept_set(self):
         rng = np.random.default_rng(53)
         spec = spec_of(1, 5, 4, 3)
-        state = new_int_state(spec, solve_pi_star(spec).pi_star)
+        policy = make_policy("int", spec)
         offline = new_offline_state(spec)
         for p in random_prices(rng, spec, 40):
-            state, _ = alg_int_step(state, spec, p)
+            policy.step(p)
             offline = offline_step(offline, p)
             kept = sorted(price for price, _ in offline.kept)
             padding = [spec.alpha] * (3 - len(kept))
-            assert sorted(state.mu) == pytest.approx(kept + padding)
+            assert sorted(policy.mu) == pytest.approx(kept + padding)
 
 
 def test_inserting_non_minimum_prices_changes_nothing():
@@ -273,13 +263,20 @@ def test_ratio_guarantee_and_feasibility_random_suite():
         prices = random_prices(rng, spec, int(rng.integers(1, 120)))
         names = ["fixed", "adaptive", "rat"] + (["int"] if spec.capacity.denominator == 1 else [])
         for name in names:
-            steps = drive(name, spec, prices)
+            capped = name in ("int", "rat")
+            policy = make_policy(name, spec)
+            steps = []
+            opts = [] if capped else opt_no_limit_path(spec, prices)
+            for p in prices:
+                steps.append(policy.step(p))
+                if capped:
+                    opts.append(sub_opt_sum(policy))
             assert total_charge(steps) <= spec.capacity_f + 1e-9
-            if name in ("int", "rat"):
+            if capped:
                 assert all(s.charge <= 1.0 + 1e-9 for s in steps)
             # cost-so-far never exceeds the target times the tracked optimum
-            for s in steps:
-                assert s.eta_after <= pi * s.opt_after + 1e-6
+            for eta, opt in zip(eta_path(spec, prices, steps), opts):
+                assert eta <= pi * opt + 1e-6
 
 
 class TestRhc:
