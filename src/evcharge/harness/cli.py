@@ -16,7 +16,7 @@ from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import ParseError, ingest_prices
-from .report import emit_report, load_rows, rows_to_dicts, write_report
+from .report import emit_report, load_rows, write_report
 from .runner import spec_from_calibration
 from .sweeps import compare_rows, run_policies, sweep_alpha, sweep_rate_limit
 
@@ -146,11 +146,10 @@ def _cmd_simulate(args) -> int:
         fh.write("\n")
     emit_report(summary, "csv", os.path.join(cfg.out_dir, "summary.csv"))
     emit_report(summary, "json", os.path.join(cfg.out_dir, "summary.json"))
-    long_rows = []
-    for s in rows_to_dicts(slot_rows):
-        base = {k: s[k] for k in ("date", "policy", "slot")}
-        for metric in ("price", "charge", "eta", "opt", "ratio"):
-            long_rows.append({**base, "metric": metric, "value": s[metric]})
+    long_rows = [
+        {"date": s.date, "policy": s.policy, "slot": s.slot, "metric": m, "value": getattr(s, m)}
+        for s in slot_rows for m in ("price", "charge", "eta", "opt", "ratio")
+    ]
     emit_report(long_rows, "csv", os.path.join(cfg.out_dir, "slots.csv"))
     emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(cfg.out_dir, "compare.csv"))
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
@@ -197,15 +196,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

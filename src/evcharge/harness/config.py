@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import time
 
@@ -79,8 +80,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return check_config(ExperimentConfig(**values))
 
 
+@contextmanager
+def open_text(path: str, error: type[Exception]):
+    """Open path as UTF-8 text; bytes that are not UTF-8 raise `error` naming it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ValidationError) as fh:
         return parse_config_text(fh.read())
 
 

@@ -10,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from ..core import EvChargeError, PriceTrace, ValidationError
-from .config import ExperimentConfig, _parse_hhmm, episode_slot_count
+from .config import ExperimentConfig, _parse_hhmm, episode_slot_count, open_text
 
 
 class ParseError(EvChargeError):
@@ -47,7 +47,7 @@ class IngestResult:
 def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float]]:
     local = timezone(timedelta(minutes=tz_offset_minutes))
     rows: list[tuple[datetime, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, ParseError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:

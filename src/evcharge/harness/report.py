@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON emission for result rows.
+"""Deterministic CSV/JSON emission for flat rows: dataclasses or dicts.
 
 Floats are written with repr so files round-trip exactly and two runs of
 the same experiment produce byte-identical reports.
@@ -8,27 +8,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
+from dataclasses import fields, is_dataclass
 
 from ..core import ValidationError
+from .config import open_text
 from .ingest import ParseError
 
 FORMATS = ("csv", "json")
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def rows_to_dicts(rows) -> list[dict]:
-    out = []
-    for row in rows:
-        d = asdict(row) if is_dataclass(row) else dict(row)
-        out.append({k: _plain(v) for k, v in d.items()})
-    return out
+    """One flat dict per row; dict rows are passed through, not copied."""
+    return [{f.name: getattr(row, f.name) for f in fields(row)} if is_dataclass(row) else row
+            for row in rows]
 
 
 def _csv_cell(value) -> str:
@@ -77,19 +69,18 @@ def _csv_value(cell: str):
 
 def load_rows(path: str) -> list[dict]:
     """Read back a report emitted by emit_report (either format)."""
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ParseError) as fh:
+        if path.endswith(".json"):
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
-            raise ParseError(f"{path}: expected a JSON array of row objects")
-        if any(row.keys() != data[0].keys() for row in data):
-            raise ParseError(f"{path}: rows do not all have the same keys")
-        return data
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+            if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
+                raise ParseError(f"{path}: expected a JSON array of row objects")
+            if any(row.keys() != data[0].keys() for row in data):
+                raise ParseError(f"{path}: rows do not all have the same keys")
+            return data
+        rows = []
         reader = csv.DictReader(fh)
         for row in reader:
             if None in row or None in row.values():
@@ -97,4 +88,4 @@ def load_rows(path: str) -> list[dict]:
                     f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} cells"
                 )
             rows.append({k: _csv_value(v) for k, v in row.items()})
-    return rows
+        return rows

@@ -4,14 +4,15 @@ Without a per-slot cap the optimum charges the whole capacity at the
 cheapest price seen (or abstains when dissatisfaction is cheaper).  With
 the cap, the optimum fills the cheapest slots priced below alpha at full
 rate, plus one fractional slot when capacity is not a whole number of
-slots; everything else is paid as dissatisfaction.
+slots; everything else is paid as dissatisfaction.  Both forms read the
+fill amounts from a FillTable, so stream and batch are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ChargingSchedule, PriceTrace, ProblemSpec
@@ -25,32 +26,32 @@ def opt_no_limit(spec: ProblemSpec, prices) -> float:
     return min(min(slots), spec.alpha) * spec.capacity_f
 
 
-def _keep_limit(spec: ProblemSpec) -> int:
-    cap = spec.capacity
-    return -(-cap.numerator // cap.denominator)  # ceil
+class FillTable:
+    """The capped optimum's fill amounts for capacity c, as floats.
 
-
-def _greedy_value(spec: ProblemSpec, kept: tuple[tuple[float, int], ...]) -> tuple[float, list[tuple[int, float]]]:
-    """Fill capacity cheapest-first over the kept slots; return (value, fills).
-
-    `kept` must be ascending by (price, slot).  Amounts are exact rationals
-    until the final float multiply, so streaming and batch callers land on
-    bit-identical values.
+    fills[k] = min(c - k, 1) is the charge of the (k+1)-th cheapest kept
+    slot and unmet[k] = max(c - k, 0) the need left after k fills, each an
+    exact integer over c's denominator until one correctly rounded division
+    (as float() of the Fraction).  Entries are added as the kept set grows,
+    never past keep = ceil(c), so a huge c costs no more than the horizon.
     """
-    remaining = spec.capacity
-    one = Fraction(1)
-    terms = []
-    fills: list[tuple[int, float]] = []
-    for price, slot in kept:
-        if remaining <= 0:
-            break
-        q = one if remaining >= one else remaining
-        remaining -= q
-        qf = float(q)
-        terms.append(price * qf)
-        fills.append((slot, qf))
-    terms.append(spec.alpha * float(remaining))
-    return math.fsum(terms), fills
+
+    def __init__(self, capacity: Fraction):
+        self.num, self.den = capacity.numerator, capacity.denominator
+        self.keep = math.ceil(capacity)
+        self.fills: list[float] = []
+        self.unmet = [float(capacity)]
+
+    def value(self, alpha: float, kept) -> float:
+        """fsum of price * fill over kept (ascending), plus alpha * unmet need.
+        First tabulates any fills kept reaches that are not yet in the table."""
+        for k in range(len(self.fills), len(kept)):
+            left = self.num - k * self.den  # (c - k) * den
+            self.fills.append(min(left, self.den) / self.den)
+            self.unmet.append(max(left - self.den, 0) / self.den)
+        terms = [price * q for (price, _), q in zip(kept, self.fills)]
+        terms.append(alpha * self.unmet[len(kept)])
+        return math.fsum(terms)
 
 
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, ChargingSchedule]:
@@ -58,13 +59,11 @@ def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, ChargingSchedule
     slots = list(prices)
     if not slots:
         raise ValueError("empty price prefix")
-    limit = _keep_limit(spec)
-    candidates = sorted(
-        ((p, i) for i, p in enumerate(slots) if p < spec.alpha)
-    )[:limit]
-    value, fills = _greedy_value(spec, tuple(candidates))
+    fill = FillTable(spec.capacity)
+    kept = sorted((p, i) for i, p in enumerate(slots) if p < spec.alpha)[: fill.keep]
+    value = fill.value(spec.alpha, kept)
     v = [0.0] * len(slots)
-    for slot, q in fills:
+    for (_, slot), q in zip(kept, fill.fills):
         v[slot] = q
     return value, ChargingSchedule(tuple(v))
 
@@ -75,8 +74,8 @@ class OfflineState:
 
     kept holds the (price, slot) pairs of the cheapest slots priced below
     alpha, at most ceil(capacity) of them, ascending; ties keep the earlier
-    slot.  Values are recomputed from kept each step so the stream matches
-    the batch computation exactly.
+    slot.  The capped value is recomputed from kept with the episode's
+    FillTable each step, so it equals opt_rate_limited's bit for bit.
     """
 
     spec: ProblemSpec
@@ -84,6 +83,7 @@ class OfflineState:
     running_min: float
     kept: tuple[tuple[float, int], ...]
     opt_value: float
+    fill: FillTable = field(compare=False, repr=False)
 
     @property
     def opt_no_limit_value(self) -> float:
@@ -97,25 +97,26 @@ def new_offline_state(spec: ProblemSpec) -> OfflineState:
         running_min=math.inf,
         kept=(),
         opt_value=spec.alpha * spec.capacity_f,
+        fill=FillTable(spec.capacity),
     )
 
 
 def offline_step(state: OfflineState, price: float) -> OfflineState:
     """Advance the prefix by one slot."""
-    spec = state.spec
+    spec, fill = state.spec, state.fill
     slot = state.t  # 0-based index of the incoming slot
     kept = state.kept
     if price < spec.alpha:
         buf = list(kept)
         insort(buf, (price, slot))
-        if len(buf) > _keep_limit(spec):
+        if len(buf) > fill.keep:
             buf.pop()  # evict the most expensive, latest on price ties
         kept = tuple(buf)
-    value, _ = _greedy_value(spec, kept)
     return OfflineState(
         spec=spec,
         t=slot + 1,
         running_min=min(state.running_min, price),
         kept=kept,
-        opt_value=value,
+        opt_value=fill.value(spec.alpha, kept),
+        fill=fill,
     )

@@ -5,9 +5,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from evcharge.core import ProblemSpec, validate_spec
 from evcharge.online import PolicyStep, make_policy
+
+# The same examples on every run, whatever an example database holds, and
+# no per-example deadline, which a CPU running at half speed would trip.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=100,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 def spec_of(p_min=1.0, p_max=5.0, alpha=5.0, capacity=1) -> ProblemSpec:

@@ -1,7 +1,9 @@
 """Experiment harness: config, ingestion, episode scoring, sweeps, CLI."""
 
+import csv
+import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from evcharge.harness.config import (
     parse_config_text,
 )
 from evcharge.harness.ingest import EmptyAfterTrim, ParseError, ingest_prices
-from evcharge.harness.report import emit_report, load_rows
+from evcharge.harness.report import emit_report, load_rows, rows_to_dicts, write_report
 from evcharge.harness.runner import run_episode, slot_energy_kwh, spec_from_calibration
 from evcharge.harness.sweeps import compare_policies, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
@@ -176,11 +178,12 @@ class TestIngest:
             ("price.csv", "timestamp,price\n2021-03-01 17:00,cheap\n"),
             ("nan.csv", "timestamp,price\n2021-03-01 17:00,nan\n"),
             ("cols.csv", "timestamp,price\n2021-03-01 17:00\n"),
+            ("latin1.csv", b"timestamp,price\n2021-03-01 17:00,\xff\xfe\n"),
         ]
         for name, text in cases:
             path = tmp_path / name
-            path.write_text(text, encoding="utf-8")
-            with pytest.raises(ParseError):
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+            with pytest.raises(ParseError, match=name):
                 ingest_prices(str(path), ExperimentConfig(prices=str(path)))
 
     def test_header_only_file_is_empty(self, tmp_path):
@@ -510,12 +513,59 @@ class TestCli:
         ("scalars.json", "[1, 2]"),
         ("short_row.csv", "a,b\n1\n"),
         ("long_row.csv", "a,b\n1,2,3\n"),
+        ("latin1.csv", b"a,b\n1,\xff\n"),
+        ("latin1.json", b'[{"a": "\xff"}]'),
     ])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, name, text):
         src = tmp_path / name
-        src.write_text(text, encoding="utf-8")
+        src.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 2
         assert name in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_one(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"alpha_factor = 3 # \xe9t\xe9\n")
+        code = cli.main(["simulate", "--config", str(config), "--prices", corpus_path,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "latin1.cfg" in err
+        assert "Traceback" not in err
+
+    def test_simulate_slots_csv_layout(self, corpus_path, corpus_cfg, corpus_data, tmp_path):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--prices", corpus_path, "--policies", "fixed,int",
+                         "--out", str(out)]) == 0
+        spec = spec_from_calibration(corpus_cfg, corpus_data.calibration)
+        expected = []
+        for ep in corpus_data.episodes:
+            for policy in ("fixed", "int"):
+                expected.extend(run_episode(corpus_cfg, spec, ep.trace, policy, ep.date)[1])
+        with open(out / "slots.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["date", "policy", "slot", "metric", "value"]
+        assert len(rows) == 1 + 5 * len(expected)
+        metrics = ("price", "charge", "eta", "opt", "ratio")
+        for i, s in enumerate(expected):
+            block = rows[1 + 5 * i : 6 + 5 * i]
+            assert [r[3] for r in block] == list(metrics)
+            for row, metric in zip(block, metrics):
+                assert row[:3] == [s.date, s.policy, str(s.slot)]
+                assert float(row[4]) == getattr(s, metric)
+
+    def test_write_report_same_bytes_for_dataclass_and_dict_rows(self, corpus_cfg, corpus_data):
+        spec = spec_from_calibration(corpus_cfg, corpus_data.calibration)
+        ep = corpus_data.episodes[0]
+        for policy in ("fixed", "naive"):  # naive has no target ratio: a None cell
+            row, slots = run_episode(corpus_cfg, spec, ep.trace, policy, ep.date)
+            for rows in ([row], slots):
+                for fmt in ("csv", "json"):
+                    outputs = []
+                    for form in (rows, rows_to_dicts(rows), [asdict(r) for r in rows]):
+                        fh = io.StringIO()
+                        write_report(form, fmt, fh)
+                        outputs.append(fh.getvalue())
+                    assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_report_stdout_equals_out_file(self, corpus_path, tmp_path, capsys, fmt):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import lattice_optimum
 from evcharge.core import validate_spec
@@ -123,6 +124,16 @@ class TestOfflineStep:
         assert len(state.kept) == 2
         assert state.opt_value == pytest.approx(2.0 + 3.0)
 
+    def test_fill_table_grows_only_with_the_kept_set(self):
+        # a capacity far beyond the horizon tabulates only the fills in use
+        spec = validate_spec(1, 8, 5, 10**6)
+        state = new_offline_state(spec)
+        for p in [4.0, 6.0, 2.0]:
+            state = offline_step(state, p)
+        assert state.fill.fills == [1.0, 1.0]
+        assert state.fill.unmet == [1e6, 1e6 - 1, 1e6 - 2]
+        assert state.opt_value == 2.0 + 4.0 + 5 * (1e6 - 2)
+
     def test_no_limit_tracker(self):
         spec = validate_spec(1, 8, 4, 2)
         state = new_offline_state(spec)
@@ -152,3 +163,25 @@ def test_value_is_permutation_invariant():
     for perm in itertools.permutations(base):
         value, _ = opt_rate_limited(spec, list(perm))
         assert value == pytest.approx(ref, rel=1e-12)
+
+
+@given(
+    prices=st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0]), min_size=1, max_size=12),
+    alpha=st.sampled_from([2.0, 3.0, 4.5]),
+    m=st.integers(1, 16),
+    n=st.integers(1, 4),
+)
+@example(prices=[2.0, 1.5, 2.0], alpha=3.0, m=1, n=2)  # c < 1
+@example(prices=[2.0, 4.0, 1.0, 1.0], alpha=3.0, m=4, n=2)  # whole c
+@example(prices=[1.0, 2.5, 1.0], alpha=3.0, m=15, n=4)  # ceil(c) > T
+def test_streamed_optimum_matches_batch_and_lattice(prices, alpha, m, n):
+    # coarse grid: ties, prices at alpha and above it
+    spec = validate_spec(1, 5, alpha, Fraction(m, n))
+    state = new_offline_state(spec)
+    for t, price in enumerate(prices):
+        state = offline_step(state, price)
+        batch, _ = opt_rate_limited(spec, prices[: t + 1])
+        assert state.opt_value == batch  # bit-exact
+        assert state.opt_value == pytest.approx(
+            lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9
+        )
