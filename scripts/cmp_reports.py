@@ -4,10 +4,11 @@
     python3 scripts/cmp_reports.py REF
 
 Exports REF's tree into a temporary directory (git archive), writes each
-benchmark workload's seeded corpus once, runs the workload's CLI command
-(from perfbench/workloads.py) with both trees' sources, and compares every
-report file byte for byte.  Exits 1 when any file differs, is missing on
-one side, or a command fails.
+benchmark workload's seeded corpus once per seed, runs the workload's CLI
+command (from perfbench/workloads.py) with both trees' sources, and
+compares every report file byte for byte.  It also compares the stdout of
+`adversary`, with and without --rate-limited.  Exits 1 when any output
+differs, is missing on one side, or a command fails.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from evcharge.harness.synthetic import write_corpus  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
-SEED = 1
+SEEDS = (1, 2)
+ADVERSARY = {
+    "no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--steps", "1000"],
+    "rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                     "--capacity", "3", "--steps", "200", "--rate-limited"],
+}
 
 
 def export_tree(ref: str, dest: Path) -> None:
@@ -34,10 +40,37 @@ def export_tree(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_command(src: Path, argv: list[str]) -> None:
+def run_command(src: Path, argv: list[str]) -> bytes:
+    """The command's stdout."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv, env=env,
+                          check=True, stdout=subprocess.PIPE).stdout
+
+
+def compare_workload(tmp: Path, trees: dict, name: str, workload, seed: int) -> int:
+    """Run one workload on one seed's corpus with both trees; the number of
+    report files that differ (a failed command counts as one)."""
+    corpus = tmp / f"{name}-{seed}.csv"
+    write_corpus(str(corpus), workload.model, workload.days, seed)
+    outs = {side: tmp / f"{name}-{seed}" / side for side in trees}
+    try:
+        for side, src in trees.items():
+            run_command(src, workload.argv(str(corpus), str(outs[side])))
+    except subprocess.CalledProcessError as exc:
+        print(f"{name} seed {seed}: command failed: {exc}")
+        return 1
+    differ = 0
+    for fname in sorted({p.name for out in outs.values() for p in out.iterdir()}):
+        a, b = outs["ref"] / fname, outs["new"] / fname
+        if not (a.is_file() and b.is_file()):
+            verdict = "MISSING on one side"
+        elif filecmp.cmp(a, b, shallow=False):
+            verdict = f"identical ({a.stat().st_size} bytes)"
+        else:
+            verdict = "DIFFERS"
+        differ += not verdict.startswith("identical")
+        print(f"{name} seed {seed}: {fname}: {verdict}")
+    return differ
 
 
 def main() -> int:
@@ -52,29 +85,21 @@ def main() -> int:
         old_tree.mkdir()
         export_tree(ref, old_tree)
         trees = {"ref": old_tree / "src", "new": ROOT / "src"}
-        for name, workload in WORKLOADS.items():
-            corpus = tmp / f"{name}.csv"
-            write_corpus(str(corpus), workload.model, workload.days, SEED)
-            outs = {side: tmp / name / side for side in trees}
+        for seed in SEEDS:
+            for name, workload in WORKLOADS.items():
+                differ += compare_workload(tmp, trees, name, workload, seed)
+        for name, argv in ADVERSARY.items():
             try:
-                for side, src in trees.items():
-                    run_command(src, workload.argv(str(corpus), str(outs[side])))
+                outs = {side: run_command(src, argv) for side, src in trees.items()}
             except subprocess.CalledProcessError as exc:
-                print(f"{name}: command failed: {exc}")
+                print(f"adversary {name}: command failed: {exc}")
                 differ += 1
                 continue
-            files = sorted({p.name for out in outs.values() for p in out.iterdir()})
-            for fname in files:
-                a, b = outs["ref"] / fname, outs["new"] / fname
-                if not (a.is_file() and b.is_file()):
-                    verdict = "MISSING on one side"
-                elif filecmp.cmp(a, b, shallow=False):
-                    verdict = f"identical ({a.stat().st_size} bytes)"
-                else:
-                    verdict = "DIFFERS"
-                differ += not verdict.startswith("identical")
-                print(f"{name}: {fname}: {verdict}")
-    print("all report files identical" if not differ else f"{differ} report file(s) differ")
+            same = outs["ref"] == outs["new"]
+            differ += not same
+            print(f"adversary {name}: stdout: "
+                  + (f"identical ({len(outs['ref'])} bytes)" if same else "DIFFERS"))
+    print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0
 
 

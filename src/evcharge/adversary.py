@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
@@ -49,6 +47,8 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> AdversaryTr
     p_start = min(alpha / pi, p_max)
     if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
         return AdversaryTrace(PriceTrace((p_min,)), pi, 1)
+
+    import numpy as np  # here, so that importing the CLI does not load numpy
 
     span = math.log((alpha - p_min) / (alpha - p_start))
     # cap keeps the tightest level spacing at twice the gap floor so float

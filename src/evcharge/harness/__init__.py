@@ -5,6 +5,5 @@ from .ingest import Calibration, EmptyAfterTrim, Episode, IngestResult, ParseErr
 from .report import emit_report, load_rows, rows_to_dicts, write_report
 from .runner import EpisodeRow, SlotRow, run_episode, spec_from_calibration
 from .sweeps import compare_policies, sweep_alpha, sweep_rate_limit
-from .synthetic import synthetic_prices, write_corpus
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 
 from ..adversary import worst_case_no_limit, worst_case_rate_limited
 from ..core import InternalConsistencyError, ValidationError, validate_spec
@@ -146,10 +147,12 @@ def _cmd_simulate(args) -> int:
         fh.write("\n")
     emit_report(summary, "csv", os.path.join(cfg.out_dir, "summary.csv"))
     emit_report(summary, "json", os.path.join(cfg.out_dir, "summary.json"))
-    long_rows = [
-        {"date": s.date, "policy": s.policy, "slot": s.slot, "metric": m, "value": getattr(s, m)}
-        for s in slot_rows for m in ("price", "charge", "eta", "opt", "ratio")
-    ]
+    metrics = ("price", "charge", "eta", "opt", "ratio")
+    values = attrgetter(*metrics)
+    long_rows = (  # streamed to the writer, one row per slot and metric
+        {"date": s.date, "policy": s.policy, "slot": s.slot, "metric": m, "value": v}
+        for s in slot_rows for m, v in zip(metrics, values(s))
+    )
     emit_report(long_rows, "csv", os.path.join(cfg.out_dir, "slots.csv"))
     emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(cfg.out_dir, "compare.csv"))
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")

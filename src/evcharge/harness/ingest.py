@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
-import numpy as np
-
 from ..core import EvChargeError, PriceTrace, ValidationError
 from .config import ExperimentConfig, _parse_hhmm, episode_slot_count, open_text
 
@@ -73,6 +71,25 @@ def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float
     return rows
 
 
+def trimmed_quantile(xs: list[float], q: float) -> float:
+    """The q-quantile of ascending xs, bit for bit numpy's default (linear)
+    method: interpolate between the neighbours of virtual index (n-1)*q,
+    from the upper one when the weight is at least 1/2.  Past the last
+    index numpy interpolates the last value with itself at weight vi + 1,
+    which is that value except that -0.0 may come back as 0.0."""
+    n = len(xs)
+    vi = (n - 1) * q
+    if vi >= n - 1:
+        a = b = xs[-1]
+        t = vi + 1
+    else:
+        lo = math.floor(vi)
+        a, b = xs[lo], xs[lo + 1]
+        t = vi - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     """Read timestamp,price rows; calibrate the band on trimmed quantiles;
     slice complete charging windows into episodes.
@@ -84,9 +101,14 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     rows = _parse_rows(path, cfg.tz_offset_minutes)
     if not rows:
         raise EmptyAfterTrim(f"{path}: no data rows")
-    prices = np.array([p for _, p in rows], dtype=float)
-    p_min = float(np.quantile(prices, cfg.trim))
-    p_max = float(np.quantile(prices, 1.0 - cfg.trim))
+    prices = sorted(p for _, p in rows)
+    p_min = trimmed_quantile(prices, cfg.trim)
+    p_max = trimmed_quantile(prices, 1.0 - cfg.trim)
+    if p_min <= 0:
+        raise ValidationError(
+            f"{path}: calibrated price band is non-positive: p_min = {p_min!r} "
+            f"(quantile {cfg.trim!r}), p_max = {p_max!r} (quantile {1.0 - cfg.trim!r})"
+        )
 
     by_time = {ts: p for ts, p in rows}  # duplicate timestamps: last wins
     start = _parse_hhmm(cfg.window_start)

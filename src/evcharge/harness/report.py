@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from ..core import ValidationError
 from .config import open_text
@@ -18,31 +20,41 @@ FORMATS = ("csv", "json")
 
 
 def rows_to_dicts(rows) -> list[dict]:
-    """One flat dict per row; dict rows are passed through, not copied."""
-    return [{f.name: getattr(row, f.name) for f in fields(row)} if is_dataclass(row) else row
-            for row in rows]
+    """One flat dict per row; dict rows are passed through, not copied.
 
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    Every row of a report has the kind of the first one."""
+    rows = list(rows)
+    if not rows or not is_dataclass(rows[0]):
+        return rows
+    names = [f.name for f in fields(rows[0])]
+    return [{name: getattr(row, name) for name in names} for row in rows]
 
 
 def write_report(rows, fmt: str, fh) -> None:
-    """Write rows (dataclasses or dicts) to an open text stream as csv or json."""
+    """Write rows (dataclasses or dicts) to an open text stream as csv or json.
+
+    In csv, None is an empty cell and a float is written with str, which
+    equals repr for a float, so every value round-trips exactly."""
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
-    dicts = rows_to_dicts(rows)
     if fmt == "json":
-        json.dump(dicts, fh, indent=1)
+        json.dump(rows_to_dicts(rows), fh, indent=1)
         fh.write("\n")
-    elif dicts:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(dicts[0].keys())
-        writer.writerow(header)
-        for d in dicts:
-            writer.writerow([_csv_cell(d[k]) for k in header])
+        return
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    if is_dataclass(first):
+        header, getter = [f.name for f in fields(first)], attrgetter
+    else:
+        header, getter = list(first), itemgetter
+    # a getter of one name returns the bare value and of none raises, so
+    # those headers take the cells one by one
+    cells = getter(*header) if len(header) > 1 else lambda row: [getter(k)(row) for k in header]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(cells, chain((first,), rows)))
 
 
 def emit_report(rows, fmt: str, path: str) -> str:

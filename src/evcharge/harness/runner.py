@@ -37,7 +37,9 @@ class EpisodeRow:
     charged_kwh: float
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen __init__ sets every field through object.__setattr__,
+# and one row is built per slot.  Nothing mutates it.
+@dataclass(slots=True)
 class SlotRow:
     date: str
     policy: str

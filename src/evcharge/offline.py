@@ -74,8 +74,9 @@ class OfflineState:
 
     kept holds the (price, slot) pairs of the cheapest slots priced below
     alpha, at most ceil(capacity) of them, ascending; ties keep the earlier
-    slot.  The capped value is recomputed from kept with the episode's
-    FillTable each step, so it equals opt_rate_limited's bit for bit.
+    slot.  The capped value is computed from kept with the episode's
+    FillTable whenever kept changes, so it equals opt_rate_limited's bit
+    for bit.
     """
 
     spec: ProblemSpec
@@ -102,21 +103,26 @@ def new_offline_state(spec: ProblemSpec) -> OfflineState:
 
 
 def offline_step(state: OfflineState, price: float) -> OfflineState:
-    """Advance the prefix by one slot."""
+    """Advance the prefix by one slot.
+
+    The capped value is recomputed only when the slot enters kept: priced
+    below alpha, and kept not yet full or the slot cheaper than its last
+    pair.  Otherwise kept, and so the value, is unchanged."""
     spec, fill = state.spec, state.fill
     slot = state.t  # 0-based index of the incoming slot
-    kept = state.kept
-    if price < spec.alpha:
+    kept, opt_value = state.kept, state.opt_value
+    if price < spec.alpha and (len(kept) < fill.keep or (price, slot) < kept[-1]):
         buf = list(kept)
         insort(buf, (price, slot))
         if len(buf) > fill.keep:
             buf.pop()  # evict the most expensive, latest on price ties
         kept = tuple(buf)
+        opt_value = fill.value(spec.alpha, kept)
     return OfflineState(
         spec=spec,
         t=slot + 1,
         running_min=min(state.running_min, price),
         kept=kept,
-        opt_value=fill.value(spec.alpha, kept),
+        opt_value=opt_value,
         fill=fill,
     )

@@ -1,12 +1,19 @@
 """Experiment harness: config, ingestion, episode scoring, sweeps, CLI."""
 
 import csv
+import hashlib
 import io
 import json
+import math
+import os
+import struct
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import evcharge.harness.cli as cli
 import evcharge.harness.sweeps as sweeps
@@ -17,7 +24,7 @@ from evcharge.harness.config import (
     episode_slot_count,
     parse_config_text,
 )
-from evcharge.harness.ingest import EmptyAfterTrim, ParseError, ingest_prices
+from evcharge.harness.ingest import EmptyAfterTrim, ParseError, ingest_prices, trimmed_quantile
 from evcharge.harness.report import emit_report, load_rows, rows_to_dicts, write_report
 from evcharge.harness.runner import run_episode, slot_energy_kwh, spec_from_calibration
 from evcharge.harness.sweeps import compare_policies, sweep_alpha, sweep_rate_limit
@@ -192,6 +199,60 @@ class TestIngest:
         with pytest.raises(EmptyAfterTrim):
             ingest_prices(str(path), ExperimentConfig(prices=str(path)))
 
+    def test_non_positive_band_names_file_and_quantiles(self, tmp_path, capsys):
+        # real-time markets publish negative prices; here a fifth of them
+        rows = [(f"2021-03-01 {17 + k // 12}:{5 * (k % 12):02d}", -1.0 if k % 5 == 0 else 2.0)
+                for k in range(36)]
+        path = _write_prices(tmp_path / "negative.csv", rows)
+        with pytest.raises(ValidationError) as info:
+            ingest_prices(path, ExperimentConfig(prices=path, trim=0.05))
+        message = str(info.value)
+        assert "negative.csv" in message and "non-positive" in message
+        assert "p_min = -1.0" in message and "p_max = 2.0" in message
+        assert cli.main(["simulate", "--prices", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "negative.csv" in err and "non-positive" in err
+        assert "Traceback" not in err
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _numpy_quantile(xs, q) -> float:
+    with np.errstate(all="ignore"):  # opposite-signed huge values overflow b - a
+        return float(np.quantile(xs, q))
+
+
+@st.composite
+def _sorted_samples(draw):
+    """1-300 finite floats drawn from a small pool, so values tie.  0.0 and
+    -0.0 compare equal, so numpy's partition may order them either way; a
+    sample holds zeros of one sign only."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    xs = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+    assume(len({math.copysign(1.0, x) for x in xs if x == 0}) <= 1)
+    return xs
+
+
+@given(xs=_sorted_samples(), trim=st.floats(0.0, 0.5, exclude_max=True))
+@example(xs=[3.0], trim=0.05)  # n = 1
+@example(xs=[1.0, 2.0, 2.0, 7.5], trim=0.0)  # the minimum and the maximum
+@example(xs=[float(k) for k in range(21)], trim=0.05)  # vi = 1 and 19 exactly
+@example(xs=[-1.0, -0.0], trim=0.0)  # numpy returns 0.0 past the last index
+def test_trimmed_quantile_matches_numpy_bit_for_bit(xs, trim):
+    for q in (trim, 1.0 - trim):
+        assert _same_bits(trimmed_quantile(xs, q), _numpy_quantile(xs, q)), (xs, q)
+
+
+def test_trimmed_quantile_edge_cases():
+    assert trimmed_quantile([3.0], 0.05) == 3.0 and trimmed_quantile([3.0], 0.95) == 3.0
+    grid = [float(k) for k in range(21)]
+    assert (trimmed_quantile(grid, 0.0), trimmed_quantile(grid, 1.0)) == (0.0, 20.0)
+    assert (trimmed_quantile(grid, 0.05), trimmed_quantile(grid, 0.95)) == (1.0, 19.0)
+    assert _same_bits(trimmed_quantile([-0.0], 1.0), -0.0)
+    assert _same_bits(trimmed_quantile([-1.0, -0.0], 1.0), 0.0)
+
 
 class TestRunEpisode:
     def test_idle_band_scores_ratio_one(self):
@@ -345,6 +406,40 @@ class TestReport:
         emit_report([], "csv", str(path))
         assert load_rows(str(path)) == []
 
+    def test_csv_bytes_equal_per_cell_formatting(self, corpus_cfg, corpus_data):
+        def per_cell(rows):  # reference: format every cell in Python, one row at a time
+            fh = io.StringIO()
+            writer = csv.writer(fh, lineterminator="\n")
+            dicts = rows_to_dicts(rows)
+            if dicts:
+                header = list(dicts[0].keys())
+                writer.writerow(header)
+                for d in dicts:
+                    writer.writerow(["" if d[k] is None else repr(d[k]) if isinstance(d[k], float)
+                                     else str(d[k]) for k in header])
+            return fh.getvalue()
+
+        spec = spec_from_calibration(corpus_cfg, corpus_data.calibration)
+        ep = corpus_data.episodes[0]
+        row, slots = run_episode(corpus_cfg, spec, ep.trace, "naive", ep.date)
+        cells = [None, 0, -7, True, False, 0.1 + 0.2, 1e-300, 5e-324, -0.0, 1e22,
+                 math.inf, -math.inf, "plain", "a,b", 'say "hi"', "two\nlines", ""]
+        reports = [
+            [{"key": i, "value": v, "note": None} for i, v in enumerate(cells)],
+            [{"only": v} for v in cells],  # one column: itemgetter gives a bare value
+            [{"only": None}],
+            [row],  # a dataclass with a None cell (naive has no target ratio)
+            slots,
+            [],
+        ]
+        for rows in reports:
+            fh = io.StringIO()
+            write_report(rows, "csv", fh)
+            assert fh.getvalue() == per_cell(rows), rows
+            fh = io.StringIO()
+            write_report(iter(rows), "csv", fh)  # any iterable, read once
+            assert fh.getvalue() == per_cell(rows), rows
+
     @pytest.mark.parametrize("name, text", [
         ("broken.json", '[{"a": 1},\n'),
         ("scalars.json", "[1, 2]\n"),
@@ -412,6 +507,29 @@ class TestCli:
             "adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--steps", "0",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("args, lines, digest", [
+        (["--steps", "200"], 201,
+         "7cb2c81ee48770fcb7588f6e7f3a828391d95423291203a78ca536389a32ba78"),
+        (["--capacity", "3", "--steps", "40", "--rate-limited"], 121,
+         "e96b05c935237d5448444c4a648d19626e01d1247c45d94574a2495c81dfde60"),
+        (["--capacity", "3/2", "--pi", "1.5", "--steps", "1000"], 1001,
+         "94a3e3d6cc6af2596f620e1a299656ada054fdca62420271679a0a15277023b8"),
+    ])
+    def test_adversary_output_unchanged(self, capsys, args, lines, digest):
+        # digests of the output of the version that imported numpy at module level
+        assert cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5"] + args) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_cli_import_loads_no_numpy(self):
+        src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), "..", ".."))
+        probe = "import sys, evcharge.harness.cli; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_simulate_writes_reports_deterministically(self, corpus_path, tmp_path):
         outputs = []
