@@ -6,9 +6,12 @@
 Exports REF's tree into a temporary directory (git archive), writes each
 benchmark workload's seeded corpus once per seed, runs the workload's CLI
 command (from perfbench/workloads.py) with both trees' sources, and
-compares every report file byte for byte.  It also compares the stdout of
-`adversary`, with and without --rate-limited.  Exits 1 when any output
-differs, is missing on one side, or a command fails.
+compares every report file byte for byte.  On each seed's simulate corpus
+it also runs `simulate` over every policy kind but `int` at capacities 7/2
+(`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), paths
+no workload takes.  It also compares the stdout of `adversary`, with and
+without --rate-limited.  Exits 1 when any output differs, is missing on
+one side, or a command fails.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +31,8 @@ from evcharge.harness.synthetic import write_corpus  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
+POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
+POLICY_CAPACITIES = {"7-2": "7/2", "1-2": "1/2"}
 ADVERSARY = {
     "no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--steps", "1000"],
     "rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
@@ -47,17 +53,15 @@ def run_command(src: Path, argv: list[str]) -> bytes:
                           check=True, stdout=subprocess.PIPE).stdout
 
 
-def compare_workload(tmp: Path, trees: dict, name: str, workload, seed: int) -> int:
-    """Run one workload on one seed's corpus with both trees; the number of
-    report files that differ (a failed command counts as one)."""
-    corpus = tmp / f"{name}-{seed}.csv"
-    write_corpus(str(corpus), workload.model, workload.days, seed)
-    outs = {side: tmp / f"{name}-{seed}" / side for side in trees}
+def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
+    """Run `argv(out_dir)` with both trees; the number of report files that
+    differ (a failed command counts as one)."""
+    outs = {side: tmp / label.replace(" ", "-") / side for side in trees}
     try:
         for side, src in trees.items():
-            run_command(src, workload.argv(str(corpus), str(outs[side])))
+            run_command(src, argv(str(outs[side])))
     except subprocess.CalledProcessError as exc:
-        print(f"{name} seed {seed}: command failed: {exc}")
+        print(f"{label}: command failed: {exc}")
         return 1
     differ = 0
     for fname in sorted({p.name for out in outs.values() for p in out.iterdir()}):
@@ -69,8 +73,13 @@ def compare_workload(tmp: Path, trees: dict, name: str, workload, seed: int) -> 
         else:
             verdict = "DIFFERS"
         differ += not verdict.startswith("identical")
-        print(f"{name} seed {seed}: {fname}: {verdict}")
+        print(f"{label}: {fname}: {verdict}")
     return differ
+
+
+def policy_paths_argv(corpus: str, capacity: str):
+    return lambda out: ["simulate", "--prices", corpus, "--policies", POLICY_PATHS,
+                        "--capacity", capacity, "--out", out]
 
 
 def main() -> int:
@@ -87,7 +96,14 @@ def main() -> int:
         trees = {"ref": old_tree / "src", "new": ROOT / "src"}
         for seed in SEEDS:
             for name, workload in WORKLOADS.items():
-                differ += compare_workload(tmp, trees, name, workload, seed)
+                corpus = str(tmp / f"{name}-{seed}.csv")
+                write_corpus(corpus, workload.model, workload.days, seed)
+                differ += compare_command(tmp, trees, f"{name} seed {seed}",
+                                          partial(workload.argv, corpus))
+            corpus = str(tmp / f"simulate-regime-{seed}.csv")  # the regime corpus, written above
+            for tag, capacity in POLICY_CAPACITIES.items():
+                differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
+                                          policy_paths_argv(corpus, capacity))
         for name, argv in ADVERSARY.items():
             try:
                 outs = {side: run_command(src, argv) for side, src in trees.items()}

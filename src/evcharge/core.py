@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 FEASIBILITY_TOL = 1e-9
 
@@ -82,8 +83,9 @@ class ProblemSpec:
         """Price fluctuation ratio p_max / p_min."""
         return self.p_max / self.p_min
 
-    @property
+    @cached_property
     def capacity_f(self) -> float:
+        # cached outside the fields: equality, hash and repr see only `capacity`
         return float(self.capacity)
 
 

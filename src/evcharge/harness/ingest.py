@@ -59,7 +59,14 @@ def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float
                 ts = datetime.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-            if ts.tzinfo is not None:
+            aware = ts.tzinfo is not None
+            if rows and aware != rows_aware:
+                raise ParseError(
+                    f"{path}:{lineno}: timestamp {row[0]!r} has {'a' if aware else 'no'} UTC "
+                    f"offset, unlike the first data row's; use one kind throughout the file"
+                )
+            rows_aware = aware
+            if aware:
                 ts = ts.astimezone(local).replace(tzinfo=None)
             try:
                 price = float(row[1])
@@ -101,7 +108,8 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     rows = _parse_rows(path, cfg.tz_offset_minutes)
     if not rows:
         raise EmptyAfterTrim(f"{path}: no data rows")
-    prices = sorted(p for _, p in rows)
+    by_time = {ts: p for ts, p in rows}  # duplicate timestamps: last wins
+    prices = sorted(by_time.values())
     p_min = trimmed_quantile(prices, cfg.trim)
     p_max = trimmed_quantile(prices, 1.0 - cfg.trim)
     if p_min <= 0:
@@ -110,7 +118,6 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
             f"(quantile {cfg.trim!r}), p_max = {p_max!r} (quantile {1.0 - cfg.trim!r})"
         )
 
-    by_time = {ts: p for ts, p in rows}  # duplicate timestamps: last wins
     start = _parse_hhmm(cfg.window_start)
     n_slots = episode_slot_count(cfg)
     step = timedelta(minutes=cfg.slot_minutes)

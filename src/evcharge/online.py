@@ -10,9 +10,9 @@ as a guard, and treat any material clamp as a bug.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
@@ -87,62 +87,52 @@ class FixedRatioPolicy(Policy):
         return v
 
 
-class AdaptivePolicy(Policy):
-    """Re-solve the tightest sustainable target at each new price minimum."""
+class AdaptivePolicy(FixedRatioPolicy):
+    """Re-solve the tightest sustainable target at each new price minimum,
+    then charge to it by the fixed policy's rule; `pi` is None until the
+    first new minimum below alpha."""
 
     def __init__(self, spec: ProblemSpec):
+        super().__init__(spec, None)
         self.name = "adaptive"
         self.spec = spec
-        self.eta = spec.alpha * spec.capacity_f
-        self.charged = 0.0
-        self.running_min = math.inf
-        self.pi_t: float | None = None
+        self.running_min = spec.alpha
 
     def step(self, price, lookahead=()):
-        spec = self.spec
-        if price >= spec.alpha or price >= self.running_min:
+        if price >= self.running_min:
             # No new minimum below alpha: charging now can only be matched
             # or beaten later, so skip.
-            return PolicyStep(0.0, self.pi_t)
-        pi_t = solve_pi_t(AdaptiveRatioContext(self.charged, self.eta), spec, price)
-        gap = spec.alpha - price
-        excess = self.eta - price * spec.capacity_f * pi_t
-        v = excess / gap if excess > 0.0 else 0.0
-        self.eta -= gap * v
-        self.charged += v
+            return PolicyStep(0.0, self.pi)
+        self.pi = solve_pi_t(AdaptiveRatioContext(self.charged, self.eta), self.spec, price)
+        self.opt = price * self.capacity
         self.running_min = price
-        self.pi_t = pi_t
-        return PolicyStep(v, pi_t)
+        return PolicyStep(self._charge_to_target(price, math.inf), self.pi)
 
 
 class DistributorPolicy(Policy):
     """Capacity split into sub-problems, each running the fixed policy.
 
-    mu[i] is the price sub-problem i last accepted (alpha before any).  A
-    price below the highest held one goes to the `fanout` sub-problems
-    holding the highest prices (ties to the lowest index) that it beats.
+    `held` is a heap of (-mu, i), where mu is the price sub-problem i last
+    accepted (alpha before any).  A price goes to the `fanout` sub-problems
+    holding the highest prices above it, ties to the lowest index, and they
+    are charged in that order.
     """
 
     def __init__(self, name: str, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
         self.name = name
         self.pi = pi
         self.fanout = fanout
-        self.mu = [spec.alpha] * count
+        self.held = [(-spec.alpha, i) for i in range(count)]  # sorted, so a heap
         self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
 
     def step(self, price, lookahead=()):
-        mu = self.mu
-        top = max(mu)
-        if price >= top:
-            return PolicyStep(0.0, self.pi)
-        if self.fanout == 1:
-            chosen = [mu.index(top)]
-        else:
-            ranked = sorted(range(len(mu)), key=lambda i: (-mu[i], i))[: self.fanout]
-            chosen = [i for i in ranked if mu[i] > price]
+        held = self.held
+        chosen = []
+        while len(chosen) < self.fanout and -held[0][0] > price:
+            chosen.append(heapq.heappop(held)[1])
         total = 0.0
         for i in chosen:
-            mu[i] = price
+            heapq.heappush(held, (-price, i))
             total += self.subs[i].assign(price)
         return PolicyStep(total, self.pi)
 
@@ -206,20 +196,17 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
         return FixedRatioPolicy(spec, pi)
     if name == "adaptive":
         return AdaptivePolicy(spec)
-    if name == "int":
-        # one unit sub-problem per slot of integer capacity
-        if n != 1:
+    if name in ("int", "rat"):
+        if name == "int" and n != 1:
             raise ValidationError(
                 f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"
             )
-        return DistributorPolicy("int", spec, pi, m, 1.0, 1)
-    if name == "rat":
         # m sub-problems of 1/n, each price fanning out to up to n of them;
         # with m <= n a single sub-problem of the full capacity stands in,
         # which reproduces the unlimited-rate policy exactly
         if m <= n:
-            return DistributorPolicy("rat", spec, pi, 1, spec.capacity_f, 1)
-        return DistributorPolicy("rat", spec, pi, m, float(Fraction(1, n)), n)
+            return DistributorPolicy(name, spec, pi, 1, spec.capacity_f, 1)
+        return DistributorPolicy(name, spec, pi, m, 1 / n, n)
     if name.startswith("rhc:"):
         raw = name.split(":", 1)[1]
         try:

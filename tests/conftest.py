@@ -63,6 +63,14 @@ def sub_opt_sum(policy) -> float:
     return math.fsum(s.opt for s in policy.subs)
 
 
+def held_prices(policy) -> list[float]:
+    """A distributor's held prices by sub-problem index, read off its heap."""
+    mu = [0.0] * len(policy.held)
+    for neg, i in policy.held:
+        mu[i] = -neg
+    return mu
+
+
 def random_prices(rng: np.random.Generator, spec: ProblemSpec, T: int) -> list[float]:
     """Mixed-shape price path inside the spec band: iid, descending, or piecewise."""
     lo, hi = spec.p_min, spec.p_max

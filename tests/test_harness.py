@@ -178,6 +178,33 @@ class TestIngest:
         result = ingest_prices(path, cfg)
         assert result.episodes[0].trace.slots == (3.0, 4.0)
 
+    def test_overwritten_duplicate_does_not_feed_calibration(self, tmp_path):
+        # the 17:00 row that the timeline drops holds the extreme price
+        rows = [
+            ("2021-03-01 17:00", "100.0"),
+            ("2021-03-01 17:00", "3.0"),
+            ("2021-03-01 17:05", "4.0"),
+        ]
+        path = _write_prices(tmp_path / "dups.csv", rows)
+        cfg = ExperimentConfig(prices=path, window_start="17:00", window_end="17:10", trim=0.0)
+        result = ingest_prices(path, cfg)
+        assert (result.calibration.p_min, result.calibration.p_max) == (3.0, 4.0)
+        assert result.calibration.n_rows == 3
+        assert result.episodes[0].trace.slots == (3.0, 4.0)
+
+    @pytest.mark.parametrize("first, second", [
+        ("2021-03-01 17:00:00", "2021-03-01 17:05:00+00:00"),
+        ("2021-03-01 17:00:00+00:00", "2021-03-01 17:05:00"),
+    ])
+    def test_mixed_timestamp_kinds_are_a_parse_error(self, tmp_path, capsys, first, second):
+        rows = [(first, "2.0"), (first.replace("17:00", "17:10"), "2.5"), (second, "3.0")]
+        path = _write_prices(tmp_path / "mixed.csv", rows)
+        with pytest.raises(ParseError, match=r"mixed\.csv:4: .*first data row"):
+            ingest_prices(path, ExperimentConfig(prices=path))
+        assert cli.main(["simulate", "--prices", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "mixed.csv:4" in err and "Traceback" not in err
+
     def test_malformed_inputs_raise_parse_errors(self, tmp_path):
         cases = [
             ("head.csv", "time,price\n2021-03-01 17:00,2\n"),

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     drive,
     eta_path,
+    held_prices,
     opt_no_limit_path,
     random_prices,
     spec_of,
@@ -17,9 +19,15 @@ from conftest import (
 )
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import new_offline_state, offline_step
-from evcharge.online import RATIO_POLICIES, make_policy, naive_threshold_step, rhc_step
+from evcharge.online import (
+    RATIO_POLICIES,
+    FixedRatioPolicy,
+    make_policy,
+    naive_threshold_step,
+    rhc_step,
+)
 from evcharge.adversary import worst_case_no_limit
-from evcharge.ratio import solve_pi_star
+from evcharge.ratio import AdaptiveRatioContext, solve_pi_star, solve_pi_t
 
 
 class TestFixedStep:
@@ -101,13 +109,13 @@ class TestIntStep:
         spec = spec_of(1, 8, 10, 2)
         policy = make_policy("int", spec)
         policy.step(5.0)
-        assert policy.mu == [5.0, 10.0]
+        assert held_prices(policy) == [5.0, 10.0]
         policy.step(3.0)
-        assert policy.mu == [5.0, 3.0]
+        assert held_prices(policy) == [5.0, 3.0]
         out = policy.step(7.0)
-        assert out.charge == 0.0 and policy.mu == [5.0, 3.0]
+        assert out.charge == 0.0 and held_prices(policy) == [5.0, 3.0]
         policy.step(2.0)
-        assert policy.mu == [2.0, 3.0]
+        assert held_prices(policy) == [2.0, 3.0]
 
     def test_fresh_subproblems_fill_in_order(self):
         spec = spec_of(1, 8, 10, 3)
@@ -116,7 +124,7 @@ class TestIntStep:
         # lands on an untouched one until all of them are in play
         for p, expect in [(4.0, [4.0, 10.0, 10.0]), (3.0, [4.0, 3.0, 10.0]), (3.5, [4.0, 3.0, 3.5])]:
             policy.step(p)
-            assert policy.mu == expect
+            assert held_prices(policy) == expect
 
     def test_price_equal_to_max_held_is_discarded(self):
         spec = spec_of(1, 8, 10, 2)
@@ -125,7 +133,7 @@ class TestIntStep:
         policy.step(3.0)
         out = policy.step(4.0)
         assert out.charge == 0.0
-        assert policy.mu == [4.0, 3.0]
+        assert held_prices(policy) == [4.0, 3.0]
 
     def test_rejects_fractional_capacity(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
@@ -145,15 +153,15 @@ class TestRatStep:
         spec = spec_of(1, 8, 10, Fraction(3, 2))
         pi = solve_pi_star(spec).pi_star
         policy = make_policy("rat", spec)
-        assert policy.mu == [10.0, 10.0, 10.0]
+        assert held_prices(policy) == [10.0, 10.0, 10.0]
         assert policy.subs[0].capacity == pytest.approx(0.5)
         out = policy.step(4.0)
-        assert policy.mu == [4.0, 4.0, 10.0]
+        assert held_prices(policy) == [4.0, 4.0, 10.0]
         # 4.0 sits above alpha / pi, so the assigned pair only lowers thresholds
         assert out.charge == 0.0
         out = policy.step(3.0)
         # 3.0 beats the fresh subproblem and one of the pair holding 4.0
-        assert policy.mu == [3.0, 4.0, 3.0]
+        assert held_prices(policy) == [3.0, 4.0, 3.0]
         per_sub = (spec.alpha * 0.5 - 3.0 * 0.5 * pi) / (spec.alpha - 3.0)
         assert out.charge == pytest.approx(2 * per_sub, rel=1e-12)
         assert out.charge > 0.0
@@ -174,7 +182,7 @@ class TestRatStep:
             b = make_policy("rat", spec, pi=pi)
             for p in prices:
                 assert a.step(p).charge == b.step(p).charge
-                assert a.mu == b.mu
+                assert held_prices(a) == held_prices(b)
 
     def test_small_capacity_equals_unlimited_policy(self):
         # with at most one slot's worth of need the cap never binds
@@ -192,11 +200,11 @@ class TestRatStep:
         rng = np.random.default_rng(41)
         spec = spec_of(1, 5, 7, Fraction(5, 2))
         policy = make_policy("rat", spec)
-        prev = list(policy.mu)
+        prev = held_prices(policy)
         for p in random_prices(rng, spec, 80):
             policy.step(p)
-            assert all(new <= old for new, old in zip(policy.mu, prev))
-            prev = list(policy.mu)
+            assert all(new <= old for new, old in zip(held_prices(policy), prev))
+            prev = held_prices(policy)
 
 
 class TestDecomposition:
@@ -231,7 +239,7 @@ class TestDecomposition:
             offline = offline_step(offline, p)
             kept = sorted(price for price, _ in offline.kept)
             padding = [spec.alpha] * (3 - len(kept))
-            assert sorted(policy.mu) == pytest.approx(kept + padding)
+            assert sorted(held_prices(policy)) == pytest.approx(kept + padding)
 
 
 def test_inserting_non_minimum_prices_changes_nothing():
@@ -277,6 +285,113 @@ def test_ratio_guarantee_and_feasibility_random_suite():
             # cost-so-far never exceeds the target times the tracked optimum
             for eta, opt in zip(eta_path(spec, prices, steps), opts):
                 assert eta <= pi * opt + 1e-6
+
+
+@st.composite
+def _rate_limited_case(draw):
+    """A capacity m/n with n <= 7 and m <= 48 (so both m <= n and m > n
+    occur), a random band and alpha, and 1-60 prices on a 9-point grid
+    across the band: ties, repeats, and prices at or above alpha."""
+    m, n = draw(st.integers(1, 48)), draw(st.integers(1, 7))
+    p_min = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    theta = draw(st.floats(1.1, 8.0))
+    alpha = p_min * draw(st.floats(1.05, 1.5 * theta))
+    spec = validate_spec(p_min, p_min * theta, alpha, Fraction(m, n))
+    grid = [p_min + (spec.p_max - p_min) * k / 8 for k in range(9)]
+    return spec, draw(st.lists(st.sampled_from(grid), min_size=1, max_size=60))
+
+
+def _distributor_names(spec):
+    return ["rat"] + (["int"] if spec.capacity.denominator == 1 else [])
+
+
+class _ListDistributor:
+    """Reference distributor: held prices in a list indexed by sub-problem,
+    picked by a max scan for a fan-out of one and a full sort otherwise,
+    with `int` and `rat` built apart."""
+
+    def __init__(self, name, spec, pi):
+        m, n = spec.capacity.numerator, spec.capacity.denominator
+        if name == "int":
+            count, sub_capacity, self.fanout = m, 1.0, 1
+        elif m <= n:
+            count, sub_capacity, self.fanout = 1, spec.capacity_f, 1
+        else:
+            count, sub_capacity, self.fanout = m, float(Fraction(1, n)), n
+        self.mu = [spec.alpha] * count
+        self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
+
+    def step(self, price):
+        mu = self.mu
+        top = max(mu)
+        if price >= top:
+            return 0.0
+        if self.fanout == 1:
+            chosen = [mu.index(top)]
+        else:
+            ranked = sorted(range(len(mu)), key=lambda i: (-mu[i], i))[: self.fanout]
+            chosen = [i for i in ranked if mu[i] > price]
+        total = 0.0
+        for i in chosen:
+            mu[i] = price
+            total += self.subs[i].assign(price)
+        return total
+
+
+def _reference_adaptive(spec, prices):
+    """(charge, target_ratio) per slot of the adaptive policy, its charge
+    to the re-solved target written out in full."""
+    eta, charged, running_min, pi_t = spec.alpha * spec.capacity_f, 0.0, math.inf, None
+    for price in prices:
+        v = 0.0
+        if not (price >= spec.alpha or price >= running_min):
+            pi_t = solve_pi_t(AdaptiveRatioContext(charged, eta), spec, price)
+            gap = spec.alpha - price
+            excess = eta - price * spec.capacity_f * pi_t
+            v = excess / gap if excess > 0.0 else 0.0
+            eta -= gap * v
+            charged += v
+            running_min = price
+        yield v, pi_t
+
+
+def _sub_state(policy):
+    return [(s.eta, s.opt, s.charged) for s in policy.subs]
+
+
+@given(case=_rate_limited_case())
+def test_distributor_and_adaptive_match_references_bit_for_bit(case):
+    spec, prices = case
+    pi = solve_pi_star(spec).pi_star
+    for name in _distributor_names(spec):
+        policy, ref = make_policy(name, spec, pi=pi), _ListDistributor(name, spec, pi)
+        for p in prices:
+            assert policy.step(p).charge == ref.step(p)
+            assert held_prices(policy) == ref.mu
+            assert _sub_state(policy) == _sub_state(ref)
+    adaptive = make_policy("adaptive", spec)
+    for p, (charge, target) in zip(prices, _reference_adaptive(spec, prices)):
+        out = adaptive.step(p)
+        assert (out.charge, out.target_ratio) == (charge, target)
+
+
+@given(case=_rate_limited_case())
+def test_rate_limited_guarantee_on_random_traces(case):
+    # the bound is against the streamed rate-limited optimum, not the
+    # policy's own sub-problem optima
+    spec, prices = case
+    pi = solve_pi_star(spec).pi_star
+    for name in _distributor_names(spec):
+        policy, offline = make_policy(name, spec), new_offline_state(spec)
+        eta, total = spec.alpha * spec.capacity_f, 0.0
+        for p in prices:
+            v = policy.step(p).charge
+            offline = offline_step(offline, p)
+            eta -= (spec.alpha - p) * v
+            total += v
+            assert 0.0 <= v <= 1.0 + 1e-9
+            assert total <= spec.capacity_f + 1e-9
+            assert eta <= pi * offline.opt_value * (1 + 1e-12), (name, eta, offline.opt_value)
 
 
 class TestRhc:
