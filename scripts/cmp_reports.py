@@ -10,8 +10,9 @@ compares every report file byte for byte.  On each seed's simulate corpus
 it also runs `simulate` over every policy kind but `int` at capacities 7/2
 (`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), paths
 no workload takes.  It also compares the stdout of `adversary`, with and
-without --rate-limited.  Exits 1 when any output differs, is missing on
-one side, or a command fails.
+without --rate-limited, and of `solve-ratio` on each branch of the
+solver.  Exits 1 when any output differs, is missing on one side, or a
+command fails.
 """
 
 from __future__ import annotations
@@ -33,10 +34,19 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
 POLICY_CAPACITIES = {"7-2": "7/2", "1-2": "1/2"}
-ADVERSARY = {
-    "no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--steps", "1000"],
-    "rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
-                     "--capacity", "3", "--steps", "200", "--rate-limited"],
+STDOUT_COMMANDS = {
+    "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                           "--steps", "1000"],
+    "adversary rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                               "--capacity", "3", "--steps", "200", "--rate-limited"],
+    "solve-ratio closed-form": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "20",
+                                "--capacity", "3/2"],
+    "solve-ratio root": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "2",
+                         "--capacity", "24"],
+    "solve-ratio alpha-at-p-min": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "1",
+                                   "--capacity", "24"],
+    "solve-ratio flat-band": ["solve-ratio", "--p-min", "3", "--p-max", "3", "--alpha", "10",
+                              "--capacity", "24"],
 }
 
 
@@ -104,16 +114,16 @@ def main() -> int:
             for tag, capacity in POLICY_CAPACITIES.items():
                 differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
                                           policy_paths_argv(corpus, capacity))
-        for name, argv in ADVERSARY.items():
+        for name, argv in STDOUT_COMMANDS.items():
             try:
                 outs = {side: run_command(src, argv) for side, src in trees.items()}
             except subprocess.CalledProcessError as exc:
-                print(f"adversary {name}: command failed: {exc}")
+                print(f"{name}: command failed: {exc}")
                 differ += 1
                 continue
             same = outs["ref"] == outs["new"]
             differ += not same
-            print(f"adversary {name}: stdout: "
+            print(f"{name}: stdout: "
                   + (f"identical ({len(outs['ref'])} bytes)" if same else "DIFFERS"))
     print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-FEASIBILITY_TOL = 1e-9
-
 # Denominator cap used when a capacity arrives as a float (real-valued
 # inputs are snapped to a nearby rational before any slot arithmetic).
 MAX_CAPACITY_DENOMINATOR = 10_000
@@ -41,18 +39,6 @@ class AlphaBelowPMin(ValidationError):
 
 
 class ZeroCapacity(ValidationError):
-    pass
-
-
-class LengthMismatch(ValidationError):
-    pass
-
-
-class InfeasibleSchedule(ValidationError):
-    pass
-
-
-class PriceOutOfRange(ValidationError):
     pass
 
 
@@ -106,7 +92,8 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     Capacity accepts int, Fraction, "m/n" strings, or floats (floats are
     snapped to a rational with denominator <= 10**4).  alpha below p_min is
     rejected: the optimum there is to never charge, which makes every
-    ratio question vacuous.
+    ratio question vacuous.  So is a spec whose alpha * c or p_max * c
+    overflows a float.
     """
     p_min = float(p_min)
     p_max = float(p_max)
@@ -120,6 +107,14 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     cap = _as_fraction(capacity)
     if cap <= 0:
         raise ZeroCapacity(f"capacity must be positive, got {cap}")
+    try:
+        c = float(cap)
+    except OverflowError:
+        c = math.inf
+    for name, price in (("alpha", alpha), ("p_max", p_max)):
+        # the largest cost and dissatisfaction an episode can accrue
+        if not math.isfinite(price * c):
+            raise ValidationError(f"{name} * capacity overflows a float: {name}={price}, capacity={cap}")
     if slot_minutes <= 0:
         raise ValidationError(f"slot_minutes must be positive, got {slot_minutes}")
     return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap, slot_minutes=int(slot_minutes))
@@ -137,62 +132,3 @@ class PriceTrace:
 
     def __iter__(self):
         return iter(self.slots)
-
-
-def validate_trace(spec: ProblemSpec, prices) -> PriceTrace:
-    """Wrap prices after checking they sit inside the spec's band."""
-    slots = tuple(float(p) for p in prices)
-    lo = spec.p_min - 1e-12
-    hi = spec.p_max + 1e-12
-    for i, p in enumerate(slots):
-        if not (lo <= p <= hi):
-            raise PriceOutOfRange(f"slot {i}: price {p} outside [{spec.p_min}, {spec.p_max}]")
-    return PriceTrace(slots)
-
-
-@dataclass(frozen=True)
-class ChargingSchedule:
-    """Per-slot charge amounts in normalized units (1.0 = slot maximum)."""
-
-    v: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.v)
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    charging_cost: float
-    dissatisfaction: float
-    total: float
-
-
-def check_feasible(spec: ProblemSpec, schedule: ChargingSchedule, rate_limited: bool = True) -> bool:
-    """True when charges are nonnegative, within capacity, and (optionally)
-    within the per-slot cap of 1."""
-    tol = FEASIBILITY_TOL
-    if any(x < -tol for x in schedule.v):
-        return False
-    if rate_limited and any(x > 1.0 + tol for x in schedule.v):
-        return False
-    return schedule.total <= spec.capacity_f + tol
-
-
-def evaluate_objective(spec: ProblemSpec, trace: PriceTrace, schedule: ChargingSchedule) -> ObjectiveValue:
-    """Charging cost plus dissatisfaction for a completed window.
-
-    Only capacity feasibility is enforced here; callers evaluating
-    rate-unlimited schedules pass amounts above 1 freely.
-    """
-    if trace.T != len(schedule.v):
-        raise LengthMismatch(f"trace has {trace.T} slots, schedule has {len(schedule.v)}")
-    if any(x < -FEASIBILITY_TOL for x in schedule.v):
-        raise InfeasibleSchedule("negative charge amount")
-    charged = schedule.total
-    cap = spec.capacity_f
-    if charged > cap + FEASIBILITY_TOL:
-        raise InfeasibleSchedule(f"total charge {charged} exceeds capacity {cap}")
-    cost = math.fsum(p * x for p, x in zip(trace.slots, schedule.v))
-    diss = max(0.0, spec.alpha * (cap - charged))
-    return ObjectiveValue(charging_cost=cost, dissatisfaction=diss, total=cost + diss)

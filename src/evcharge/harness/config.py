@@ -25,7 +25,6 @@ class ExperimentConfig:
     policies: tuple[str, ...] = ("fixed", "adaptive", "int", "rhc:0", "naive")
     alpha_grid: tuple[float, ...] = (1.0, 2.0, 4.0, 7.0, 10.0, 14.0, 20.0)
     rate_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5)
-    seed: int = 0
     charger_kw: float = 8.8
     tz_offset_minutes: int = 0
     bucket: str = "season"            # season | month | all
@@ -123,6 +122,10 @@ def episode_slot_count(cfg: ExperimentConfig) -> int:
 def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if not 0.0 <= cfg.trim < 0.5:
         raise ValidationError(f"trim must be in [0, 0.5), got {cfg.trim}")
+    if not cfg.policies:
+        raise ValidationError("policies: empty list")
+    if not abs(cfg.tz_offset_minutes) < 24 * 60:
+        raise ValidationError(f"tz_offset_minutes must be within a day, got {cfg.tz_offset_minutes}")
     if cfg.out_of_range not in ("clamp", "drop"):
         raise ValidationError(f"out_of_range must be clamp or drop, got {cfg.out_of_range!r}")
     if cfg.bucket not in ("season", "month", "all"):

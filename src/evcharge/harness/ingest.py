@@ -23,7 +23,6 @@ class EmptyAfterTrim(ValidationError):
 class Calibration:
     p_min: float
     p_max: float
-    trim: float
     n_rows: int
     n_clamped: int
 
@@ -148,7 +147,7 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
             clamped.append(q)
         episodes.append(Episode(date=day.isoformat(), trace=PriceTrace(tuple(clamped))))
 
-    calib = Calibration(p_min=p_min, p_max=p_max, trim=cfg.trim, n_rows=len(rows), n_clamped=n_clamped)
+    calib = Calibration(p_min=p_min, p_max=p_max, n_rows=len(rows), n_clamped=n_clamped)
     return IngestResult(
         calibration=calib,
         episodes=tuple(episodes),

@@ -12,15 +12,12 @@ from ..core import (
     validate_spec,
 )
 from ..offline import new_offline_state, offline_step
-from ..online import RATIO_POLICIES, make_policy
+from ..online import NO_LIMIT_POLICIES, RATIO_POLICIES, make_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import Calibration
 
 RATIO_GUARD_TOL = 1e-6
-# Policies that honour the per-slot cap are scored against the capped
-# optimum; the unlimited-rate policies are scored against the uncapped one.
-_NO_LIMIT_POLICIES = ("fixed", "adaptive", "never")
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,6 @@ def spec_from_calibration(cfg: ExperimentConfig, calib: Calibration) -> ProblemS
     return validate_spec(calib.p_min, calib.p_max, alpha, cfg.capacity, cfg.slot_minutes)
 
 
-def is_rate_limited_policy(name: str) -> bool:
-    return name not in _NO_LIMIT_POLICIES
-
-
 def slot_energy_kwh(cfg: ExperimentConfig) -> float:
     """kWh delivered by one slot at full rate; converts normalized units."""
     return cfg.charger_kw * cfg.slot_minutes / 60.0
@@ -84,7 +77,7 @@ def run_episode(
     runner = make_policy(policy, spec)
     guard = policy in RATIO_POLICIES
     target = solve_pi_star(spec).pi_star if guard else None
-    rate_limited = is_rate_limited_policy(policy)
+    rate_limited = policy not in NO_LIMIT_POLICIES
 
     offline = new_offline_state(spec)
     alpha, cap = spec.alpha, spec.capacity_f

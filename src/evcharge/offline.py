@@ -1,11 +1,12 @@
-"""Offline optima for a price prefix, in batch and streaming form.
+"""Offline optima for a price prefix.
 
 Without a per-slot cap the optimum charges the whole capacity at the
-cheapest price seen (or abstains when dissatisfaction is cheaper).  With
-the cap, the optimum fills the cheapest slots priced below alpha at full
-rate, plus one fractional slot when capacity is not a whole number of
-slots; everything else is paid as dissatisfaction.  Both forms read the
-fill amounts from a FillTable, so stream and batch are bit-identical.
+cheapest price seen (or abstains when dissatisfaction is cheaper); the
+streaming tracker carries it.  With the cap, the optimum fills the
+cheapest slots priced below alpha at full rate, plus one fractional slot
+when capacity is not a whole number of slots; everything else is paid as
+dissatisfaction.  The capped optimum comes in batch and streaming form,
+both reading the fill amounts from a FillTable, so they are bit-identical.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ChargingSchedule, PriceTrace, ProblemSpec
-
-
-def opt_no_limit(spec: ProblemSpec, prices) -> float:
-    """Optimal cost-plus-dissatisfaction when any rate is allowed."""
-    slots = list(prices)
-    if not slots:
-        raise ValueError("empty price prefix")
-    return min(min(slots), spec.alpha) * spec.capacity_f
+from .core import ProblemSpec
 
 
 class FillTable:
@@ -54,8 +47,8 @@ class FillTable:
         return math.fsum(terms)
 
 
-def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, ChargingSchedule]:
-    """Optimal value and a schedule achieving it under the per-slot cap of 1."""
+def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
+    """Optimal value and per-slot charges achieving it under the per-slot cap of 1."""
     slots = list(prices)
     if not slots:
         raise ValueError("empty price prefix")
@@ -65,7 +58,7 @@ def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, ChargingSchedule
     v = [0.0] * len(slots)
     for (_, slot), q in zip(kept, fill.fills):
         v[slot] = q
-    return value, ChargingSchedule(tuple(v))
+    return value, tuple(v)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
-from .ratio import AdaptiveRatioContext, solve_pi_star, solve_pi_t
+from .ratio import solve_pi_star, solve_pi_t
 
 SUB_CLAMP_TOL = 1e-9
 
@@ -103,7 +103,7 @@ class AdaptivePolicy(FixedRatioPolicy):
             # No new minimum below alpha: charging now can only be matched
             # or beaten later, so skip.
             return PolicyStep(0.0, self.pi)
-        self.pi = solve_pi_t(AdaptiveRatioContext(self.charged, self.eta), self.spec, price)
+        self.pi = solve_pi_t(self.spec, price, self.charged, self.eta)
         self.opt = price * self.capacity
         self.running_min = price
         return PolicyStep(self._charge_to_target(price, math.inf), self.pi)
@@ -185,6 +185,9 @@ class BaselinePolicy(Policy):
 
 
 RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")
+# Policies that honour the per-slot cap are scored against the capped
+# optimum; the unlimited-rate policies are scored against the uncapped one.
+NO_LIMIT_POLICIES = ("fixed", "adaptive", "never")
 
 
 def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy:

@@ -30,7 +30,8 @@ PI_LOWER_BRACKET = 1.0 + 1e-12
 
 
 class NoBracket(ValidationError):
-    """The defining equation has no root (degenerate price band)."""
+    """The defining equation has no root that a float holds: a degenerate
+    price band, or alpha too close to p_min."""
 
 
 class DegenerateAtPiOne(ValidationError):
@@ -161,6 +162,9 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
             # Worst-case total at unit capacity minus the unit capacity.
             return pi * log_price_ratio(alpha, alpha / pi, p_min) - 1.0
 
+        if bound <= PI_LOWER_BRACKET:
+            raise NoBracket(f"alpha={alpha} is too close to p_min={p_min}: the target "
+                            f"bracket [{PI_LOWER_BRACKET}, {bound}] is empty")
         hi = bound
         for _ in range(8):
             if excess(hi) <= 0.0:
@@ -170,6 +174,11 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
             raise NoBracket("upper bracket failed to cap the target equation")
         pi = _bisect_decreasing(excess, PI_LOWER_BRACKET, hi)
         if abs(excess(pi)) > ROOT_RESIDUAL_TOL:
+            # near alpha = p_min the equation is too steep for a float pi
+            ulp_step = excess(math.nextafter(pi, 0.0)) - excess(math.nextafter(pi, math.inf))
+            if ulp_step > ROOT_RESIDUAL_TOL:
+                raise NoBracket(f"alpha={alpha} is too close to p_min={p_min}: one ulp of "
+                                f"the target moves its equation by {ulp_step}")
             raise InternalConsistencyError(f"target bisection residual {excess(pi)}")
         branch = "root"
 
@@ -177,30 +186,9 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
     return RatioSolution(alpha_star, pi, branch, bound, residual)
 
 
-@dataclass(frozen=True)
-class AdaptiveRatioContext:
-    """Mid-episode state the per-slot target depends on."""
-
-    cumulative_charge: float
-    eta_prev: float
-
-
-def max_total_charge_from(
-    ctx: AdaptiveRatioContext, spec: ProblemSpec, pi_t: float, price: float
-) -> float:
-    """Worst-case final total when committing to target pi_t at `price`.
-
-    Counts charge already banked, the forced top-up at the current price,
-    and the worst-case accumulation over any further price descent.
-    """
-    alpha, c = spec.alpha, spec.capacity_f
-    forced = (ctx.eta_prev - price * c * pi_t) / (alpha - price)
-    tail = c * pi_t * log_price_ratio(alpha, price, spec.p_min)
-    return ctx.cumulative_charge + forced + tail
-
-
-def solve_pi_t(ctx: AdaptiveRatioContext, spec: ProblemSpec, price: float) -> float:
-    """Tightest target sustainable from here on, given history in ctx.
+def solve_pi_t(spec: ProblemSpec, price: float, charged: float, eta: float) -> float:
+    """Tightest target sustainable from here on, given the charge banked so
+    far and eta, the cost-so-far as if the window ended before this slot.
 
     Valid only at prices below alpha that set a new running minimum; the
     linear equation it solves has a strictly negative slope in pi there,
@@ -218,5 +206,5 @@ def solve_pi_t(ctx: AdaptiveRatioContext, spec: ProblemSpec, price: float) -> fl
     denom = c * (log_price_ratio(alpha, price, spec.p_min) - price / gap)
     if denom >= 0.0:
         raise DenominatorSignViolation(f"nonnegative slope {denom} at price {price}")
-    numer = c - ctx.cumulative_charge - ctx.eta_prev / gap
+    numer = c - charged - eta / gap
     return numer / denom

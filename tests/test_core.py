@@ -1,27 +1,25 @@
-"""Instance validation, objective evaluation, and feasibility checks."""
+"""Instance validation, and the objective and feasibility rules as the
+episode runner applies them to a given schedule."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import evcharge.harness.runner as runner
 from evcharge.core import (
     AlphaBelowPMin,
     BoundsInverted,
-    ChargingSchedule,
-    InfeasibleSchedule,
-    LengthMismatch,
+    InternalConsistencyError,
     NonPositivePrice,
-    PriceOutOfRange,
     PriceTrace,
+    ValidationError,
     ZeroCapacity,
-    check_feasible,
-    evaluate_objective,
     validate_spec,
-    validate_trace,
 )
+from evcharge.harness.config import ExperimentConfig
+from evcharge.online import Policy, PolicyStep
 
 
 class TestValidateSpec:
@@ -65,38 +63,47 @@ class TestValidateSpec:
     def test_alpha_equal_p_min_allowed(self):
         assert validate_spec(1, 5, 1, 1).alpha == 1.0
 
+    def test_overflowing_totals_rejected(self):
+        # alpha * c and p_max * c bound every cost an episode accrues
+        for args, key in (((1, 5, 1e308, 24), "alpha"), ((1, 1e308, 5, 24), "p_max"),
+                          ((1, 5, 5, "1e400"), "alpha")):
+            with pytest.raises(ValidationError, match=key):
+                validate_spec(*args)
+        assert validate_spec(1, 5, 1e306, 24).alpha == 1e306
 
-class TestValidateTrace:
-    def test_in_band(self):
-        spec = validate_spec(1, 5, 5, 1)
-        trace = validate_trace(spec, [1.0, 3.3, 5.0])
-        assert trace.T == 3
 
-    def test_out_of_band(self):
-        spec = validate_spec(1, 5, 5, 1)
-        with pytest.raises(PriceOutOfRange):
-            validate_trace(spec, [1.0, 5.5])
-        with pytest.raises(PriceOutOfRange):
-            validate_trace(spec, [0.9])
+class _Replay(Policy):
+    """Places a given schedule, one charge per slot."""
 
-    def test_band_edge_tolerance(self):
-        spec = validate_spec(1, 5, 5, 1)
-        validate_trace(spec, [1.0 - 1e-13, 5.0 + 1e-13])
+    def __init__(self, charges):
+        self.charges = iter(charges)
+
+    def step(self, price, lookahead=()):
+        return PolicyStep(next(self.charges), None)
+
+
+def _score(spec, prices, charges, policy="naive"):
+    """run_episode's row for `charges` replayed under `policy`'s name: a name
+    from online.NO_LIMIT_POLICIES lifts the per-slot cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "make_policy", lambda name, spec: _Replay(charges))
+        row, _ = runner.run_episode(ExperimentConfig(), spec, PriceTrace(tuple(prices)), policy)
+    return row
 
 
 class TestEvaluateObjective:
     def test_pure_dissatisfaction(self):
         spec = validate_spec(1, 5, 5, 2)
-        out = evaluate_objective(spec, PriceTrace((4.0, 4.0, 4.0)), ChargingSchedule((0.0, 0.0, 0.0)))
+        out = _score(spec, (4.0, 4.0, 4.0), (0.0, 0.0, 0.0))
         assert out.charging_cost == 0.0
-        assert out.total == pytest.approx(10.0)
+        assert out.objective == pytest.approx(10.0)
 
     def test_single_full_charge(self):
         spec = validate_spec(1, 5, 5, 1)
-        out = evaluate_objective(spec, PriceTrace((3.0,)), ChargingSchedule((1.0,)))
+        out = _score(spec, (3.0,), (1.0,))
         assert out.charging_cost == pytest.approx(3.0)
         assert out.dissatisfaction == 0.0
-        assert out.total == pytest.approx(3.0)
+        assert out.objective == pytest.approx(3.0)
 
     def test_partial_schedule_against_enumeration(self):
         # oracle: enumerate every 0/1 schedule with at most 2 charged slots
@@ -105,39 +112,36 @@ class TestEvaluateObjective:
         values = {}
         for v in itertools.product([0.0, 1.0], repeat=4):
             if sum(v) <= 2:
-                values[v] = evaluate_objective(spec, PriceTrace(prices), ChargingSchedule(v)).total
+                values[v] = _score(spec, prices, v).objective
         assert values[(0.0, 1.0, 0.0, 1.0)] == pytest.approx(5.0)
         assert min(values.values()) == pytest.approx(4.5)
         assert min(values, key=values.get) == (0.0, 0.0, 0.0, 1.0)
 
-    def test_length_mismatch(self):
-        spec = validate_spec(1, 5, 5, 1)
-        with pytest.raises(LengthMismatch):
-            evaluate_objective(spec, PriceTrace((3.0, 3.0)), ChargingSchedule((1.0,)))
-
     def test_infeasible_schedules(self):
         spec = validate_spec(1, 5, 5, 1)
-        with pytest.raises(InfeasibleSchedule):
-            evaluate_objective(spec, PriceTrace((3.0,)), ChargingSchedule((-0.5,)))
-        with pytest.raises(InfeasibleSchedule):
-            evaluate_objective(spec, PriceTrace((3.0, 3.0)), ChargingSchedule((1.0, 0.5)))
+        with pytest.raises(InternalConsistencyError, match="out of range"):
+            _score(spec, (3.0,), (-0.5,))
+        with pytest.raises(InternalConsistencyError, match="over capacity"):
+            _score(spec, (3.0, 3.0), (1.0, 0.5))
 
 
 class TestCheckFeasible:
     def test_split_charge(self):
         spec = validate_spec(1, 5, 5, 1)
-        assert check_feasible(spec, ChargingSchedule((0.5, 0.5)))
+        assert _score(spec, (3.0, 3.0), (0.5, 0.5)).charged_units == 1.0
 
     def test_rate_cap(self):
         spec = validate_spec(1, 5, 5, 2)
-        assert not check_feasible(spec, ChargingSchedule((1.2,)), rate_limited=True)
-        assert check_feasible(spec, ChargingSchedule((1.2,)), rate_limited=False)
+        with pytest.raises(InternalConsistencyError, match="out of range"):
+            _score(spec, (3.0,), (1.2,), policy="naive")
+        assert _score(spec, (3.0,), (1.2,), policy="never").charged_units == 1.2
 
     def test_capacity_tolerance(self):
         spec = validate_spec(1, 5, 5, 24)
         v = tuple([1.0] * 23 + [1.0 + 1e-12])
-        assert check_feasible(spec, ChargingSchedule(v))
-        assert not check_feasible(spec, ChargingSchedule(tuple([1.0] * 25)))
+        assert _score(spec, (3.0,) * 24, v).dissatisfaction == 0.0
+        with pytest.raises(InternalConsistencyError, match="over capacity"):
+            _score(spec, (3.0,) * 25, (1.0,) * 25)
 
 
 prices_list = st.lists(st.floats(1.0, 5.0, allow_nan=False), min_size=1, max_size=30)
@@ -149,29 +153,27 @@ def test_objective_matches_independent_accumulation(prices, raw):
     v = raw.draw(
         st.lists(st.floats(0.0, 1.0), min_size=len(prices), max_size=len(prices))
     )
-    out = evaluate_objective(spec, PriceTrace(tuple(prices)), ChargingSchedule(tuple(v)))
+    out = _score(spec, prices, v)
     # second opinion: reversed-order plain sums
     cost2 = sum(p * x for p, x in zip(reversed(prices), reversed(v)))
     total2 = cost2 + 5.0 * (len(prices) - sum(reversed(v)))
-    assert out.total == pytest.approx(total2, rel=1e-12, abs=1e-12)
+    assert out.objective == pytest.approx(total2, rel=1e-12, abs=1e-12)
 
 
 @given(prices=prices_list)
 def test_dissatisfaction_zero_iff_full(prices):
     spec = validate_spec(1, 5, 5, len(prices))
-    full = evaluate_objective(spec, PriceTrace(tuple(prices)), ChargingSchedule((1.0,) * len(prices)))
+    full = _score(spec, prices, (1.0,) * len(prices))
     assert full.dissatisfaction == pytest.approx(0.0, abs=1e-9)
-    partial = evaluate_objective(
-        spec, PriceTrace(tuple(prices)), ChargingSchedule((0.5,) + (1.0,) * (len(prices) - 1))
-    )
+    partial = _score(spec, prices, (0.5,) + (1.0,) * (len(prices) - 1))
     assert partial.dissatisfaction > 0.0
 
 
 def test_objective_slope_follows_price_vs_alpha():
     # raising v(t) helps exactly when p(t) is below alpha
     spec = validate_spec(1, 5, 3, 2)
-    trace = PriceTrace((2.0, 4.0))
-    base = evaluate_objective(spec, trace, ChargingSchedule((0.5, 0.5))).total
-    cheaper = evaluate_objective(spec, trace, ChargingSchedule((0.6, 0.5))).total
-    dearer = evaluate_objective(spec, trace, ChargingSchedule((0.5, 0.6))).total
+    prices = (2.0, 4.0)
+    base = _score(spec, prices, (0.5, 0.5)).objective
+    cheaper = _score(spec, prices, (0.6, 0.5)).objective
+    dearer = _score(spec, prices, (0.5, 0.6)).objective
     assert cheaper < base < dearer

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,18 +67,17 @@ class TestConfig:
             capacity = 3/2   # ninety minutes
             policies = fixed, adaptive
             alpha_grid = 1, 2, 4
-            seed = 9
             """
         )
         assert cfg.alpha_factor == 4.0
         assert cfg.capacity == "3/2"
         assert cfg.policies == ("fixed", "adaptive")
         assert cfg.alpha_grid == (1.0, 2.0, 4.0)
-        assert cfg.seed == 9
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown key"):
-            parse_config_text("charger_kv = 11")
+        for text in ("charger_kv = 11", "seed = 0"):
+            with pytest.raises(ValidationError, match="unknown key"):
+                parse_config_text(text)
 
     def test_line_without_assignment_rejected(self):
         with pytest.raises(ValidationError, match="expected key = value"):
@@ -356,6 +356,30 @@ class TestRunEpisode:
         assert slot_energy_kwh(ExperimentConfig()) == pytest.approx(8.8 / 12, rel=1e-12)
 
 
+@given(
+    policy=st.sampled_from(["fixed", "adaptive", "int", "rhc:3", "naive", "never"]),
+    prices=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=40),
+    m=st.integers(1, 30),
+    n=st.integers(1, 4),
+    alpha=st.one_of(st.just(1.0), st.floats(1.001, 20.0)),
+)
+def test_run_episode_scores_the_one_objective(policy, prices, m, n, alpha):
+    # charging cost plus alpha times the unmet need, recomputed from the
+    # slot rows with reversed-order plain sums
+    spec = validate_spec(1, 5, alpha, Fraction(m, n))
+    if policy == "int" and spec.capacity.denominator != 1:
+        policy = "rat"
+    row, slots = run_episode(ExperimentConfig(), spec, PriceTrace(tuple(prices)), policy)
+    c = spec.capacity_f
+    cost = sum(s.price * s.charge for s in reversed(slots))
+    diss = max(0.0, alpha * (c - sum(s.charge for s in reversed(slots))))
+    tol = {"rel": 1e-12, "abs": 1e-12 * alpha * c}
+    assert row.charging_cost == pytest.approx(cost, **tol)
+    assert row.dissatisfaction == pytest.approx(diss, **tol)
+    assert row.objective == pytest.approx(cost + diss, **tol)
+    assert row.objective == pytest.approx(slots[-1].eta, **tol)
+
+
 class TestSweeps:
     def test_alpha_sweep_monotone_in_urgency(self, corpus_cfg, corpus_data):
         cfg = replace(corpus_cfg, alpha_grid=(1.0, 2.0, 4.0, 7.0, 10.0))
@@ -516,6 +540,12 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_solve_ratio_alpha_just_above_p_min_exits_one(self, capsys):
+        code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "1.0000000000000002"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "alpha=" in err and "p_min=" in err
+
     def test_adversary_writes_descending_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = cli.main([
@@ -652,6 +682,23 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, key", [
+        (["--alpha", "1e308"], "alpha"),  # alpha * capacity overflows
+        (["--config", "tz_offset_minutes = 100000"], "tz_offset_minutes"),
+        (["--config", "policies ="], "policies"),
+    ])
+    def test_bad_settings_exit_one_naming_the_key(self, corpus_path, tmp_path, capsys, setting, key):
+        if setting[0] == "--config":
+            config = tmp_path / "bad.cfg"
+            config.write_text(setting[1] + "\n", encoding="utf-8")
+            setting = ["--config", str(config)]
+        out = tmp_path / "out"
+        code = cli.main(["simulate"] + setting + ["--prices", corpus_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, text", [
         ("broken.json", "{"),

@@ -13,23 +13,29 @@ from evcharge.core import validate_spec
 from evcharge.offline import (
     new_offline_state,
     offline_step,
-    opt_no_limit,
     opt_rate_limited,
 )
+
+
+def _streamed(spec, prices):
+    state = new_offline_state(spec)
+    for p in prices:
+        state = offline_step(state, p)
+    return state
 
 
 class TestOptNoLimit:
     def test_min_below_alpha(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert opt_no_limit(spec, [5, 3, 7]) == pytest.approx(6.0)
+        assert _streamed(spec, [5, 3, 7]).opt_no_limit_value == pytest.approx(6.0)
 
     def test_dissatisfaction_only(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert opt_no_limit(spec, [5]) == pytest.approx(8.0)
+        assert _streamed(spec, [5]).opt_no_limit_value == pytest.approx(8.0)
 
     def test_realistic_prefix(self):
         spec = validate_spec(1.3, 5.902, 2.6, 24)
-        assert opt_no_limit(spec, [2.0, 1.3]) == pytest.approx(31.2)
+        assert _streamed(spec, [2.0, 1.3]).opt_no_limit_value == pytest.approx(31.2)
 
 
 class TestOptRateLimited:
@@ -37,43 +43,43 @@ class TestOptRateLimited:
         spec = validate_spec(1, 8, 10, 2)
         value, sched = opt_rate_limited(spec, [5, 3, 7, 2])
         assert value == pytest.approx(5.0)
-        assert sched.v == (0.0, 1.0, 0.0, 1.0)
+        assert sched == (0.0, 1.0, 0.0, 1.0)
 
     def test_expensive_slots_skipped(self):
         spec = validate_spec(1, 8, 2.5, 2)
         value, sched = opt_rate_limited(spec, [5, 3, 7, 2])
         assert value == pytest.approx(4.5)
-        assert sched.v == (0.0, 0.0, 0.0, 1.0)
+        assert sched == (0.0, 0.0, 0.0, 1.0)
 
     def test_all_cheapest(self):
         spec = validate_spec(1, 5, 3, 3)
         value, sched = opt_rate_limited(spec, [1.0, 1.0, 1.0])
         assert value == pytest.approx(3.0)
-        assert sched.total == pytest.approx(3.0)
+        assert math.fsum(sched) == pytest.approx(3.0)
 
     def test_fractional_capacity_marginal_slot(self):
         spec = validate_spec(1, 8, 10, Fraction(3, 2))
         value, sched = opt_rate_limited(spec, [5, 3, 7, 2])
         # cheapest slot filled, next-cheapest takes the half unit
-        assert sched.v == (0.0, 0.5, 0.0, 1.0)
+        assert sched == (0.0, 0.5, 0.0, 1.0)
         assert value == pytest.approx(2 + 1.5)
 
     def test_capacity_above_horizon(self):
         spec = validate_spec(1, 8, 10, 6)
         value, sched = opt_rate_limited(spec, [5, 3])
-        assert sched.v == (1.0, 1.0)
+        assert sched == (1.0, 1.0)
         assert value == pytest.approx(5 + 3 + 10 * 4)
 
     def test_price_tie_keeps_earliest_slot(self):
         spec = validate_spec(1, 8, 10, 1)
         _, sched = opt_rate_limited(spec, [3.0, 3.0, 3.0])
-        assert sched.v == (1.0, 0.0, 0.0)
+        assert sched == (1.0, 0.0, 0.0)
 
     def test_price_at_alpha_excluded(self):
         # charging at exactly alpha is value-neutral; the schedule skips it
         spec = validate_spec(1, 8, 3, 1)
         value, sched = opt_rate_limited(spec, [3.0, 5.0])
-        assert sched.total == 0.0
+        assert math.fsum(sched) == 0.0
         assert value == pytest.approx(3.0)
 
 

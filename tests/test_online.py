@@ -27,7 +27,7 @@ from evcharge.online import (
     rhc_step,
 )
 from evcharge.adversary import worst_case_no_limit
-from evcharge.ratio import AdaptiveRatioContext, solve_pi_star, solve_pi_t
+from evcharge.ratio import solve_pi_star, solve_pi_t
 
 
 class TestFixedStep:
@@ -345,7 +345,7 @@ def _reference_adaptive(spec, prices):
     for price in prices:
         v = 0.0
         if not (price >= spec.alpha or price >= running_min):
-            pi_t = solve_pi_t(AdaptiveRatioContext(charged, eta), spec, price)
+            pi_t = solve_pi_t(spec, price, charged, eta)
             gap = spec.alpha - price
             excess = eta - price * spec.capacity_f * pi_t
             v = excess / gap if excess > 0.0 else 0.0

@@ -9,17 +9,27 @@ from conftest import decreasing_prices, spec_of
 from evcharge.core import ValidationError, validate_spec
 from evcharge.online import make_policy
 from evcharge.ratio import (
-    AdaptiveRatioContext,
     DegenerateAtPiOne,
     NoBracket,
     max_total_charge,
-    max_total_charge_from,
     pi_star_upper_bound,
     solve_alpha_star,
     solve_pi_star,
     solve_pi_t,
 )
 from evcharge.adversary import worst_case_no_limit
+
+
+def max_total_charge_from(spec, pi_t, price, charged, eta):
+    """Worst-case final total when committing to target pi_t at `price`.
+
+    Counts charge already banked, the forced top-up at the current price,
+    and the worst-case accumulation over any further price descent.
+    """
+    alpha, c = spec.alpha, spec.capacity_f
+    forced = (eta - price * c * pi_t) / (alpha - price)
+    tail = c * pi_t * math.log((alpha - spec.p_min) / (alpha - price))
+    return charged + forced + tail
 
 
 class TestMaxTotalCharge:
@@ -135,6 +145,13 @@ class TestSolvePiStar:
         assert sol.branch == "degenerate"
         assert sol.pi_star == 1.0
 
+    @pytest.mark.parametrize("alpha", [1 + 10.0**-k for k in range(6, 16)] + [math.nextafter(1.0, 2.0)])
+    def test_alpha_just_above_floor_has_no_float_root(self, alpha):
+        # pi* lies in (1, alpha), where one ulp of pi moves the target
+        # equation past ROOT_RESIDUAL_TOL, or below PI_LOWER_BRACKET
+        with pytest.raises(NoBracket, match=r"alpha=.* p_min=1\.0"):
+            solve_pi_star(spec_of(1, 5, alpha, 1))
+
     def test_flat_band_degenerates(self):
         sol = solve_pi_star(spec_of(3, 3, 10, 1))
         assert sol.branch == "degenerate"
@@ -176,8 +193,7 @@ class TestSolvePiT:
         # dissatisfaction price at the cap, first price at the floor:
         # the target collapses to 1 and the full battery charges at once
         spec = spec_of(1, 5, 5, 1)
-        ctx = AdaptiveRatioContext(0.0, 5.0)
-        pi_1 = solve_pi_t(ctx, spec, 1.0)
+        pi_1 = solve_pi_t(spec, 1.0, 0.0, 5.0)
         assert pi_1 == 1.0
         v = (5.0 - 1.0 * 1.0 * pi_1) / (5.0 - 1.0)
         assert v == 1.0
@@ -186,13 +202,13 @@ class TestSolvePiT:
         for spec in (spec_of(1, 5, 5, 1), spec_of(1, 5, 20, 1)):
             sol = solve_pi_star(spec)
             start = min(spec.alpha / sol.pi_star, spec.p_max)
-            ctx = AdaptiveRatioContext(0.0, spec.alpha * spec.capacity_f)
-            assert solve_pi_t(ctx, spec, start) == pytest.approx(sol.pi_star, abs=1e-6)
+            eta = spec.alpha * spec.capacity_f
+            assert solve_pi_t(spec, start, 0.0, eta) == pytest.approx(sol.pi_star, abs=1e-6)
 
     def test_requires_price_below_alpha(self):
         spec = spec_of(1, 5, 3, 1)
         with pytest.raises(ValidationError):
-            solve_pi_t(AdaptiveRatioContext(0.0, 3.0), spec, 3.0)
+            solve_pi_t(spec, 3.0, 0.0, 3.0)
 
     def test_non_increasing_when_each_step_can_act(self):
         # along falling prices, each recomputed target stays at or below the
@@ -207,7 +223,7 @@ class TestSolvePiT:
             charged, eta = 0.0, spec.alpha * spec.capacity_f
             prev = math.inf
             for p in prices:
-                pi_t = solve_pi_t(AdaptiveRatioContext(charged, eta), spec, p)
+                pi_t = solve_pi_t(spec, p, charged, eta)
                 assert pi_t <= prev + 1e-9
                 assert pi_t <= sol.pi_star + 1e-9
                 prev = pi_t
@@ -222,10 +238,9 @@ class TestSolvePiT:
         spec = spec_of(1.133665, 8.867559, 2.267329, 24)
         sol = solve_pi_star(spec)
         eta0 = spec.alpha * spec.capacity_f
-        ctx = AdaptiveRatioContext(0.0, eta0)
-        pi_1 = solve_pi_t(ctx, spec, 2.207759)
+        pi_1 = solve_pi_t(spec, 2.207759, 0.0, eta0)
         assert eta0 - 2.207759 * spec.capacity_f * pi_1 < 0  # cannot act
-        pi_2 = solve_pi_t(ctx, spec, 1.763360)
+        pi_2 = solve_pi_t(spec, 1.763360, 0.0, eta0)
         assert pi_2 > pi_1
         assert pi_2 <= sol.pi_star + 1e-9
 
@@ -233,17 +248,16 @@ class TestSolvePiT:
 class TestMaxTotalChargeFrom:
     def test_fresh_context_matches_global_formula(self):
         spec = spec_of(1, 5, 5, 2)
-        ctx = AdaptiveRatioContext(0.0, spec.alpha * spec.capacity_f)
+        eta = spec.alpha * spec.capacity_f
         for pi in (1.2, 1.5, 1.8928, 2.2):
             start = min(spec.alpha / pi, spec.p_max)
-            assert max_total_charge_from(ctx, spec, pi, start) == pytest.approx(
+            assert max_total_charge_from(spec, pi, start, 0.0, eta) == pytest.approx(
                 max_total_charge(spec, pi), rel=1e-9
             )
 
     def test_solved_target_fills_exactly(self):
         spec = spec_of(1, 5, 5, 2)
-        ctx = AdaptiveRatioContext(0.3, 7.5)
-        pi_t = solve_pi_t(ctx, spec, 2.0)
+        pi_t = solve_pi_t(spec, 2.0, 0.3, 7.5)
         cap = spec.capacity_f
-        assert max_total_charge_from(ctx, spec, pi_t, 2.0) == pytest.approx(cap, rel=1e-9)
-        assert max_total_charge_from(ctx, spec, pi_t + 0.1, 2.0) < cap
+        assert max_total_charge_from(spec, pi_t, 2.0, 0.3, 7.5) == pytest.approx(cap, rel=1e-9)
+        assert max_total_charge_from(spec, pi_t + 0.1, 2.0, 0.3, 7.5) < cap
