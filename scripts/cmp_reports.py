@@ -8,8 +8,9 @@ benchmark workload's seeded corpus once per seed, runs the workload's CLI
 command (from perfbench/workloads.py) with both trees' sources, and
 compares every report file byte for byte.  On each seed's simulate corpus
 it also runs `simulate` over every policy kind but `int` at capacities 7/2
-(`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), paths
-no workload takes.  It also compares the stdout of `adversary`, with and
+(`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), and
+`sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
+the unlimited-rate optimum: paths no workload takes.  It also compares the stdout of `adversary`, with and
 without --rate-limited, and of `solve-ratio` on each branch of the
 solver.  Exits 1 when any output differs, is missing on one side, or a
 command fails.
@@ -34,6 +35,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
 POLICY_CAPACITIES = {"7-2": "7/2", "1-2": "1/2"}
+NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -114,6 +116,9 @@ def main() -> int:
             for tag, capacity in POLICY_CAPACITIES.items():
                 differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
                                           policy_paths_argv(corpus, capacity))
+            differ += compare_command(tmp, trees, f"sweep-rate-no-limit seed {seed}",
+                                      lambda out: ["sweep", "--prices", corpus, "--rate-grid",
+                                                   NO_LIMIT_RATE_GRID, "--out", out])
         for name, argv in STDOUT_COMMANDS.items():
             try:
                 outs = {side: run_command(src, argv) for side, src in trees.items()}

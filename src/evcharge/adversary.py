@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
+from .offline import opt_no_limit_stream
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
@@ -31,7 +32,6 @@ TRUNCATION_SLACK = 1e-12
 @dataclass(frozen=True)
 class AdversaryTrace:
     prices: PriceTrace
-    achieved_ratio_target: float
     steps: int
 
 
@@ -46,7 +46,7 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> AdversaryTr
         raise DegenerateSpec("alpha == p_min: never charging is optimal, no descent exists")
     p_start = min(alpha / pi, p_max)
     if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
-        return AdversaryTrace(PriceTrace((p_min,)), pi, 1)
+        return AdversaryTrace(PriceTrace((p_min,)), 1)
 
     import numpy as np  # here, so that importing the CLI does not load numpy
 
@@ -61,7 +61,7 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> AdversaryTr
     prices[-1] = p_min
     if np.any(np.diff(prices) > -MIN_LEVEL_GAP):
         raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
-    return AdversaryTrace(PriceTrace(tuple(prices.tolist())), pi, n)
+    return AdversaryTrace(PriceTrace(tuple(prices.tolist())), n)
 
 
 def worst_case_rate_limited(spec: ProblemSpec, steps: int) -> AdversaryTrace:
@@ -75,7 +75,7 @@ def worst_case_rate_limited(spec: ProblemSpec, steps: int) -> AdversaryTrace:
     pi = solve_pi_star(spec).pi_star
     levels = worst_case_no_limit(spec, pi, steps)
     repeated = tuple(p for p in levels.prices for _ in range(c))
-    return AdversaryTrace(PriceTrace(repeated), pi, len(repeated))
+    return AdversaryTrace(PriceTrace(repeated), len(repeated))
 
 
 def adaptive_adversary(
@@ -90,22 +90,17 @@ def adaptive_adversary(
     pi_star = solve_pi_star(spec).pi_star
     plan = worst_case_no_limit(spec, pi_star, steps).prices.slots
     reference = FixedRatioPolicy(spec, pi_star)
-    c = spec.capacity_f
 
     cum_policy = 0.0
     cum_ref = 0.0
-    eta = spec.alpha * c
-    played = 0
-    for t, price in enumerate(plan):
-        look = plan[t + 1 : t + 1 + policy.lookahead_needed]
+    eta = spec.alpha * spec.capacity_f
+    for played, (price, opt) in enumerate(zip(plan, opt_no_limit_stream(spec, plan)), 1):
+        look = plan[played : played + policy.lookahead_needed]
         out = policy.step(price, look)
         cum_policy += out.charge
         cum_ref += reference.step(price).charge
         eta -= (spec.alpha - price) * out.charge
-        played = t + 1
         if cum_policy < cum_ref - TRUNCATION_SLACK:
             break
-    opt = min(plan[played - 1], spec.alpha) * c
-    ratio = eta / opt
-    trace = AdversaryTrace(PriceTrace(plan[:played]), pi_star, played)
-    return trace, ratio
+    trace = AdversaryTrace(PriceTrace(plan[:played]), played)
+    return trace, eta / opt

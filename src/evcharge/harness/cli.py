@@ -16,7 +16,7 @@ from ..adversary import worst_case_no_limit, worst_case_rate_limited
 from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
-from .ingest import ParseError, ingest_prices
+from .ingest import IngestResult, ParseError, ingest_prices
 from .report import emit_report, load_rows, write_report
 from .runner import spec_from_calibration
 from .sweeps import compare_rows, run_policies, sweep_alpha, sweep_rate_limit
@@ -119,13 +119,18 @@ def _cmd_adversary(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
+def _ingest(command: str, cfg: ExperimentConfig) -> IngestResult:
     if cfg.prices is None:
-        raise ValidationError("simulate needs --prices or a config with a prices path")
+        raise ValidationError(f"{command} needs --prices or a config with a prices path")
     data = ingest_prices(cfg.prices, cfg)
     if not data.episodes:
         raise ValidationError(f"{cfg.prices}: no complete episodes")
+    return data
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_cfg(args)
+    data = _ingest("simulate", cfg)
     spec = spec_from_calibration(cfg, data.calibration)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -163,12 +168,11 @@ def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     if args.alpha_grid is not None:
         cfg = apply_overrides(cfg, alpha_grid=_coerce("alpha_grid", args.alpha_grid))
-        rows = sweep_alpha(cfg)
-        name = "sweep_alpha"
+        sweep, name = sweep_alpha, "sweep_alpha"
     else:
         cfg = apply_overrides(cfg, rate_grid=_coerce("rate_grid", args.rate_grid))
-        rows = sweep_rate_limit(cfg)
-        name = "sweep_rate"
+        sweep, name = sweep_rate_limit, "sweep_rate"
+    rows = sweep(cfg, _ingest("sweep", cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     emit_report(rows, "csv", os.path.join(cfg.out_dir, f"{name}.csv"))
     emit_report(rows, "json", os.path.join(cfg.out_dir, f"{name}.json"))

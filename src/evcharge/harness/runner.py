@@ -11,7 +11,7 @@ from ..core import (
     ProblemSpec,
     validate_spec,
 )
-from ..offline import new_offline_state, offline_step
+from ..offline import opt_no_limit_stream, opt_rate_limited_stream
 from ..online import NO_LIMIT_POLICIES, RATIO_POLICIES, make_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
@@ -77,26 +77,26 @@ def run_episode(
     runner = make_policy(policy, spec)
     guard = policy in RATIO_POLICIES
     target = solve_pi_star(spec).pi_star if guard else None
-    rate_limited = policy not in NO_LIMIT_POLICIES
+    prices = trace.slots
+    if policy in NO_LIMIT_POLICIES:
+        opts, rate_cap = opt_no_limit_stream(spec, prices), math.inf
+    else:
+        opts, rate_cap = opt_rate_limited_stream(spec, prices), 1.0 + 1e-9
 
-    offline = new_offline_state(spec)
     alpha, cap = spec.alpha, spec.capacity_f
     eta = alpha * cap
     charged = 0.0
     cost_terms: list[float] = []
     slots: list[SlotRow] = []
-    prices = trace.slots
-    for t, price in enumerate(prices):
+    for t, (price, opt) in enumerate(zip(prices, opts)):
         look = prices[t + 1 : t + 1 + runner.lookahead_needed]
         out = runner.step(price, look)
         v = out.charge
-        if v < -1e-12 or (rate_limited and v > 1.0 + 1e-9):
+        if v < -1e-12 or v > rate_cap:
             raise InternalConsistencyError(f"{policy}: slot charge {v} out of range at t={t}")
         charged += v
         eta -= (alpha - price) * v
         cost_terms.append(price * v)
-        offline = offline_step(offline, price)
-        opt = offline.opt_value if rate_limited else offline.opt_no_limit_value
         ratio = eta / opt
         if guard and ratio > target + RATIO_GUARD_TOL:
             raise InternalConsistencyError(

@@ -10,7 +10,7 @@ from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, valid
 from ..offline import opt_rate_limited
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
-from .ingest import IngestResult, ingest_prices
+from .ingest import IngestResult
 from .runner import EpisodeRow, SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
 
 _SEASONS = {
@@ -49,25 +49,15 @@ class CompareRow:
     mean_charged_fraction: float
 
 
-def _ingested(cfg: ExperimentConfig) -> IngestResult:
-    if cfg.prices is None:
-        raise ValidationError("config has no prices path")
-    result = ingest_prices(cfg.prices, cfg)
-    if not result.episodes:
-        raise ValidationError(f"{cfg.prices}: no complete episodes to simulate")
-    return result
-
-
 def _distributor_policy(capacity: Fraction) -> str:
     if capacity <= 1:
         return "fixed"
     return "int" if capacity.denominator == 1 else "rat"
 
 
-def sweep_alpha(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> list[AlphaSweepRow]:
+def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow]:
     """Re-solve the target and re-run the capacity-splitting policy for each
     dissatisfaction price in the grid (as multiples of calibrated p_min)."""
-    data = ingested or _ingested(cfg)
     calib = data.calibration
     rows = []
     for factor in cfg.alpha_grid:
@@ -91,14 +81,13 @@ def sweep_alpha(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> 
     return rows
 
 
-def sweep_rate_limit(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> list[RateSweepRow]:
+def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSweepRow]:
     """Rescale the per-slot cap and compare policy and optimum objectives.
 
     A rate factor f multiplies the physical per-slot maximum, so capacity
     in normalized units becomes capacity / f; objectives are scaled back by
     f to stay comparable across the grid (fixed total energy need).
     """
-    data = ingested or _ingested(cfg)
     calib = data.calibration
     base = spec_from_calibration(cfg, calib)
     energy = slot_energy_kwh(cfg)
@@ -169,9 +158,8 @@ def compare_rows(rows: list[EpisodeRow], bucket_mode: str) -> list[CompareRow]:
     return out
 
 
-def compare_policies(cfg: ExperimentConfig, ingested: IngestResult | None = None) -> list[CompareRow]:
+def compare_policies(cfg: ExperimentConfig, data: IngestResult) -> list[CompareRow]:
     """Mean per-policy scores grouped by a date bucket."""
-    data = ingested or _ingested(cfg)
     spec = spec_from_calibration(cfg, data.calibration)
     summary, _ = run_policies(cfg, spec, data, collect_slots=False)
     return compare_rows(summary, cfg.bucket)

@@ -1,10 +1,10 @@
 """Offline optima for a price prefix.
 
 Without a per-slot cap the optimum charges the whole capacity at the
-cheapest price seen (or abstains when dissatisfaction is cheaper); the
-streaming tracker carries it.  With the cap, the optimum fills the
-cheapest slots priced below alpha at full rate, plus one fractional slot
-when capacity is not a whole number of slots; everything else is paid as
+cheapest price seen (or abstains when dissatisfaction is cheaper), one
+value per prefix.  With the cap, the optimum fills the cheapest slots
+priced below alpha at full rate, plus one fractional slot when capacity
+is not a whole number of slots; everything else is paid as
 dissatisfaction.  The capped optimum comes in batch and streaming form,
 both reading the fill amounts from a FillTable, so they are bit-identical.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...
 
 @dataclass(frozen=True)
 class OfflineState:
-    """Streaming tracker for both optima over a growing prefix.
+    """Streaming tracker for the capped optimum over a growing prefix.
 
     kept holds the (price, slot) pairs of the cheapest slots priced below
     alpha, at most ceil(capacity) of them, ascending; ties keep the earlier
@@ -74,21 +75,15 @@ class OfflineState:
 
     spec: ProblemSpec
     t: int
-    running_min: float
     kept: tuple[tuple[float, int], ...]
     opt_value: float
     fill: FillTable = field(compare=False, repr=False)
-
-    @property
-    def opt_no_limit_value(self) -> float:
-        return min(self.running_min, self.spec.alpha) * self.spec.capacity_f
 
 
 def new_offline_state(spec: ProblemSpec) -> OfflineState:
     return OfflineState(
         spec=spec,
         t=0,
-        running_min=math.inf,
         kept=(),
         opt_value=spec.alpha * spec.capacity_f,
         fill=FillTable(spec.capacity),
@@ -114,8 +109,25 @@ def offline_step(state: OfflineState, price: float) -> OfflineState:
     return OfflineState(
         spec=spec,
         t=slot + 1,
-        running_min=min(state.running_min, price),
         kept=kept,
         opt_value=opt_value,
         fill=fill,
     )
+
+
+def opt_rate_limited_stream(spec: ProblemSpec, prices) -> Iterator[float]:
+    """opt_rate_limited's value for each prefix of prices, streamed."""
+    state = new_offline_state(spec)
+    for price in prices:
+        state = offline_step(state, price)
+        yield state.opt_value
+
+
+def opt_no_limit_stream(spec: ProblemSpec, prices) -> Iterator[float]:
+    """The uncapped optimum of each prefix of prices.  Rounding price * c is
+    monotone in price, so each value is min(cheapest, alpha) * c exactly."""
+    c = spec.capacity_f
+    opt = spec.alpha * c
+    for price in prices:
+        opt = min(opt, price * c)
+        yield opt

@@ -146,18 +146,12 @@ def rhc_step(remaining: float, window: tuple[float, ...], spec: ProblemSpec) -> 
     """
     if not window:
         raise ValidationError("empty lookahead window")
-    if remaining <= 0.0:
+    # the cheaper later slots, each at full rate, come before the first
+    # (which wins price ties); what they leave goes to the first slot
+    left = remaining - sum(1 for p in window[1:] if p < window[0])
+    if left <= 0.0:
         return 0.0
-    first = 0.0
-    left = remaining
-    for idx in sorted(range(len(window)), key=lambda i: (window[i], i)):
-        take = 1.0 if left >= 1.0 else left
-        left -= take
-        if idx == 0:
-            first = take
-        if left <= 0.0:
-            break
-    return first
+    return 1.0 if left >= 1.0 else left
 
 
 def naive_threshold_step(remaining: float, price: float, spec: ProblemSpec) -> float:

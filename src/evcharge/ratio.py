@@ -110,6 +110,12 @@ def solve_alpha_star(spec: ProblemSpec) -> float:
         raise NoBracket("could not bracket the threshold price")
     root = _bisect_decreasing(g, lo, hi)
     if abs(g(root)) > ROOT_RESIDUAL_TOL:
+        # on a nearly flat band the root lies below lo, or one ulp of the
+        # threshold moves the equation past the tolerance
+        ulp_step = g(math.nextafter(root, 0.0)) - g(math.nextafter(root, math.inf))
+        if g(lo) < 0.0 or ulp_step > ROOT_RESIDUAL_TOL:
+            raise NoBracket(f"p_max={p_max} is too close to p_min={p_min}: no float "
+                            f"threshold meets the residual tolerance {ROOT_RESIDUAL_TOL}")
         raise InternalConsistencyError(f"threshold bisection residual {g(root)}")
     return root
 

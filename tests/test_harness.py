@@ -30,7 +30,11 @@ from evcharge.harness.report import emit_report, load_rows, rows_to_dicts, write
 from evcharge.harness.runner import run_episode, slot_energy_kwh, spec_from_calibration
 from evcharge.harness.sweeps import compare_policies, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
+from evcharge.offline import opt_rate_limited
+from evcharge.online import NO_LIMIT_POLICIES
 from evcharge.ratio import solve_pi_star
+
+from conftest import opt_no_limit_path
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +384,26 @@ def test_run_episode_scores_the_one_objective(policy, prices, m, n, alpha):
     assert row.objective == pytest.approx(slots[-1].eta, **tol)
 
 
+@given(
+    policy=st.sampled_from(["fixed", "adaptive", "int", "rhc:3", "naive", "never"]),
+    prices=st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0]), min_size=1, max_size=30),
+    m=st.integers(1, 16),
+    n=st.integers(1, 4),
+    alpha=st.sampled_from([1.0, 2.0, 2.5, 4.5, 6.0]),
+)
+def test_run_episode_scores_against_the_policys_optimum(policy, prices, m, n, alpha):
+    # a coarse price grid, so prices tie each other and alpha
+    spec = validate_spec(1, 5, alpha, Fraction(m, n))
+    if policy == "int" and spec.capacity.denominator != 1:
+        policy = "rat"
+    _, slots = run_episode(ExperimentConfig(), spec, PriceTrace(tuple(prices)), policy)
+    if policy in NO_LIMIT_POLICIES:
+        expected = opt_no_limit_path(spec, prices)
+    else:
+        expected = [opt_rate_limited(spec, prices[: t + 1])[0] for t in range(len(prices))]
+    assert [s.opt for s in slots] == expected
+
+
 class TestSweeps:
     def test_alpha_sweep_monotone_in_urgency(self, corpus_cfg, corpus_data):
         cfg = replace(corpus_cfg, alpha_grid=(1.0, 2.0, 4.0, 7.0, 10.0))
@@ -634,6 +658,27 @@ class TestCli:
 
     def test_simulate_without_prices_exits_one(self, capsys):
         assert cli.main(["simulate"]) == 1
+
+    def test_sweep_without_prices_exits_one(self, capsys):
+        assert cli.main(["sweep", "--alpha-grid", "1,2"]) == 1
+        assert "needs --prices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--alpha-grid", "1,2"],
+                                         ["sweep", "--rate-grid", "1"]])
+    def test_no_complete_episode_exits_one(self, capsys, tmp_path, command):
+        # three slots of the 17:00-08:00 window, which needs 180
+        rows = [("2021-03-01 17:00", 2.0), ("2021-03-01 17:05", 3.0), ("2021-03-01 17:10", 4.0)]
+        path = _write_prices(tmp_path / "short.csv", rows)
+        assert cli.main(command + ["--prices", path, "--out", str(tmp_path / "out")]) == 1
+        assert "short.csv: no complete episodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_max", ["1.0000001", "1.00000001", "1.000000001", "1.0000000001",
+                                       "1.00000000001", "1.000000000001", "1.0000000000001"])
+    def test_solve_ratio_nearly_flat_band_exits_one(self, capsys, p_max):
+        code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", p_max, "--alpha", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "p_max=" in err and "p_min=" in err
 
     def test_simulate_missing_file_exits_two(self, capsys, tmp_path):
         assert cli.main(["simulate", "--prices", str(tmp_path / "ghost.csv")]) == 2

@@ -13,29 +13,29 @@ from evcharge.core import validate_spec
 from evcharge.offline import (
     new_offline_state,
     offline_step,
+    opt_no_limit_stream,
     opt_rate_limited,
 )
 
 
-def _streamed(spec, prices):
-    state = new_offline_state(spec)
-    for p in prices:
-        state = offline_step(state, p)
-    return state
+def _no_limit_opt(spec, prices):
+    """The uncapped optimum of the whole prefix: the stream's last value."""
+    *_, last = opt_no_limit_stream(spec, prices)
+    return last
 
 
 class TestOptNoLimit:
     def test_min_below_alpha(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert _streamed(spec, [5, 3, 7]).opt_no_limit_value == pytest.approx(6.0)
+        assert _no_limit_opt(spec, [5, 3, 7]) == pytest.approx(6.0)
 
     def test_dissatisfaction_only(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert _streamed(spec, [5]).opt_no_limit_value == pytest.approx(8.0)
+        assert _no_limit_opt(spec, [5]) == pytest.approx(8.0)
 
     def test_realistic_prefix(self):
         spec = validate_spec(1.3, 5.902, 2.6, 24)
-        assert _streamed(spec, [2.0, 1.3]).opt_no_limit_value == pytest.approx(31.2)
+        assert _no_limit_opt(spec, [2.0, 1.3]) == pytest.approx(31.2)
 
 
 class TestOptRateLimited:
@@ -142,11 +142,7 @@ class TestOfflineStep:
 
     def test_no_limit_tracker(self):
         spec = validate_spec(1, 8, 4, 2)
-        state = new_offline_state(spec)
-        for p in [5.0, 3.0, 7.0]:
-            state = offline_step(state, p)
-        assert state.opt_no_limit_value == pytest.approx(6.0)
-        assert state.running_min == 3.0
+        assert _no_limit_opt(spec, [5.0, 3.0, 7.0]) == pytest.approx(6.0)
 
 
 def test_greedy_matches_lattice_dp_small():

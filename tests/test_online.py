@@ -394,7 +394,34 @@ def test_rate_limited_guarantee_on_random_traces(case):
             assert eta <= pi * offline.opt_value * (1 + 1e-12), (name, eta, offline.opt_value)
 
 
+def _rhc_step_by_fill(remaining, window):
+    """The receding-horizon rule spelled out: fill the window's slots at
+    full rate, cheapest first and earlier on ties, until the need is met,
+    and return the first slot's share."""
+    if remaining <= 0.0:
+        return 0.0
+    first = 0.0
+    left = remaining
+    for idx in sorted(range(len(window)), key=lambda i: (window[i], i)):
+        take = 1.0 if left >= 1.0 else left
+        left -= take
+        if idx == 0:
+            first = take
+        if left <= 0.0:
+            break
+    return first
+
+
 class TestRhc:
+    @given(
+        remaining=st.one_of(st.integers(0, 10).map(float), st.floats(-1.0, 10.0),
+                            st.sampled_from([0.25, 1.5, 2.75, 23.5, 1e6 + 0.5])),
+        window=st.lists(st.sampled_from([1.0, 2.0, 2.5, 3.0, 5.0]), min_size=1, max_size=8),
+    )
+    def test_matches_fill_reference(self, remaining, window):
+        spec = spec_of(1, 5, 5, 1)
+        assert rhc_step(remaining, tuple(window), spec) == _rhc_step_by_fill(remaining, window)
+
     def test_zero_lookahead_is_max_rate(self):
         spec = spec_of(1, 5, 5, 2)
         assert rhc_step(2.0, (5.0,), spec) == 1.0
