@@ -10,8 +10,9 @@ compares every report file byte for byte.  On each seed's simulate corpus
 it also runs `simulate` over every policy kind but `int` at capacities 7/2
 (`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
-the unlimited-rate optimum: paths no workload takes.  It also compares the stdout of `adversary`, with and
-without --rate-limited, and of `solve-ratio` on each branch of the
+the unlimited-rate optimum: paths no workload takes.  It also compares
+the stdout of `adversary`, without --rate-limited and with it at whole
+capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
 solver.  Exits 1 when any output differs, is missing on one side, or a
 command fails.
 """
@@ -41,6 +42,10 @@ STDOUT_COMMANDS = {
                            "--steps", "1000"],
     "adversary rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                                "--capacity", "3", "--steps", "200", "--rate-limited"],
+    "adversary rate-limited c=24": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                                    "--capacity", "24", "--steps", "50", "--rate-limited"],
+    "adversary rate-limited c=1": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                                   "--capacity", "1", "--rate-limited"],
     "solve-ratio closed-form": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "20",
                                 "--capacity", "3/2"],
     "solve-ratio root": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "2",

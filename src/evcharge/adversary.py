@@ -4,7 +4,9 @@ The hardest feasible input for a target-pi policy is a strictly
 decreasing price path: it starts where charging first becomes forced
 (min(alpha/pi, p_max)) and descends to p_min with the gaps to alpha
 shrinking geometrically, which makes the policy's forced charges equal
-across steps and drives its total toward the worst-case supremum.
+across steps and drives its total toward the worst-case supremum.  Under
+the per-slot rate limit the same path is played with each level repeated
+ceil(c) times.
 
 The adaptive adversary turns that path into a lower-bound certificate
 for any other policy: it replays the path against both the candidate
@@ -16,7 +18,6 @@ as bad as the reference target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
 from .offline import opt_no_limit_stream
@@ -29,24 +30,18 @@ MIN_LEVEL_GAP = 1e-12
 TRUNCATION_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class AdversaryTrace:
-    prices: PriceTrace
-    steps: int
-
-
-def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> AdversaryTrace:
+def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     """Strictly decreasing price path that exhausts a target-pi policy."""
     if steps < 1:
         raise ValidationError(f"need at least one step, got {steps}")
-    if pi < 1.0 - 1e-12:
-        raise ValidationError(f"ratio target must be >= 1, got {pi}")
+    if not (math.isfinite(pi) and pi >= 1.0 - 1e-12):
+        raise ValidationError(f"ratio target must be finite and >= 1, got {pi}")
     alpha, p_min, p_max = spec.alpha, spec.p_min, spec.p_max
     if alpha == p_min:
         raise DegenerateSpec("alpha == p_min: never charging is optimal, no descent exists")
     p_start = min(alpha / pi, p_max)
     if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
-        return AdversaryTrace(PriceTrace((p_min,)), 1)
+        return PriceTrace((p_min,))
 
     import numpy as np  # here, so that importing the CLI does not load numpy
 
@@ -61,26 +56,18 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> AdversaryTr
     prices[-1] = p_min
     if np.any(np.diff(prices) > -MIN_LEVEL_GAP):
         raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
-    return AdversaryTrace(PriceTrace(tuple(prices.tolist())), n)
+    return PriceTrace(tuple(prices.tolist()))
 
 
-def worst_case_rate_limited(spec: ProblemSpec, steps: int) -> AdversaryTrace:
-    """Each descent level repeated capacity times, so every sub-problem of a
-    capacity-splitting policy sees the full descent."""
-    if spec.capacity.denominator != 1:
-        raise ValidationError(
-            f"rate-limited worst case needs an integer capacity, got {spec.capacity}"
-        )
-    c = int(spec.capacity)
-    pi = solve_pi_star(spec).pi_star
-    levels = worst_case_no_limit(spec, pi, steps)
-    repeated = tuple(p for p in levels.prices for _ in range(c))
-    return AdversaryTrace(PriceTrace(repeated), len(repeated))
+def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
+    """The target-pi descent with each level repeated ceil(capacity) times,
+    so every sub-problem of a capacity-splitting policy sees the full
+    descent, the last (fractional) one included."""
+    repeat = math.ceil(spec.capacity)
+    return PriceTrace(tuple(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat)))
 
 
-def adaptive_adversary(
-    policy: Policy, spec: ProblemSpec, steps: int
-) -> tuple[AdversaryTrace, float]:
+def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[PriceTrace, float]:
     """Duel `policy` against the reference on the worst-case descent.
 
     Returns the (possibly truncated) trace actually played and the
@@ -88,7 +75,7 @@ def adaptive_adversary(
     certified lower bound up to the descent's discretization.
     """
     pi_star = solve_pi_star(spec).pi_star
-    plan = worst_case_no_limit(spec, pi_star, steps).prices.slots
+    plan = worst_case_no_limit(spec, pi_star, steps).slots
     reference = FixedRatioPolicy(spec, pi_star)
 
     cum_policy = 0.0
@@ -102,5 +89,4 @@ def adaptive_adversary(
         eta -= (spec.alpha - price) * out.charge
         if cum_policy < cum_ref - TRUNCATION_SLACK:
             break
-    trace = AdversaryTrace(PriceTrace(plan[:played]), played)
-    return trace, eta / opt
+    return PriceTrace(plan[:played]), eta / opt

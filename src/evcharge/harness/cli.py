@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--pi", type=float, default=None, help="ratio target (default: solved)")
     adv.add_argument("--steps", type=int, default=1000)
     adv.add_argument("--rate-limited", action="store_true",
-                     help="repeat each level capacity times (integer capacity)")
+                     help="repeat each level ceil(capacity) times")
     adv.add_argument("--out", default=None, help="output CSV (default stdout)")
 
     sim = commands.add_parser("simulate", help="run policies over ingested price episodes")
@@ -106,12 +106,10 @@ def _cmd_solve_ratio(args) -> int:
 
 def _cmd_adversary(args) -> int:
     spec = validate_spec(args.p_min, args.p_max, args.alpha, args.capacity)
-    if args.rate_limited:
-        trace = worst_case_rate_limited(spec, args.steps)
-    else:
-        pi = args.pi if args.pi is not None else solve_pi_star(spec).pi_star
-        trace = worst_case_no_limit(spec, pi, args.steps)
-    rows = [{"slot": i, "price": price} for i, price in enumerate(trace.prices)]
+    pi = args.pi if args.pi is not None else solve_pi_star(spec).pi_star
+    worst_case = worst_case_rate_limited if args.rate_limited else worst_case_no_limit
+    trace = worst_case(spec, pi, args.steps)
+    rows = [{"slot": i, "price": price} for i, price in enumerate(trace)]
     if args.out is None:
         write_report(rows, "csv", sys.stdout)
     else:

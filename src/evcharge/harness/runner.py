@@ -68,6 +68,8 @@ def run_episode(
 ) -> tuple[EpisodeRow, list[SlotRow]]:
     """Run one policy over one window and score it against the offline optimum.
 
+    Returns the episode's row and its per-slot rows; with collect_slots
+    False, only the last slot's row (whose opt is the whole window's).
     The four ratio policies are also guarded online: if their running cost
     ever exceeds the target times the optimum the run aborts, because that
     can only happen through an implementation bug.
@@ -104,6 +106,8 @@ def run_episode(
             )
         if collect_slots:
             slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
+    if not collect_slots:
+        slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
     if charged > cap + 1e-9:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 

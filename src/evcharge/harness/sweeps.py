@@ -7,7 +7,6 @@ from fractions import Fraction
 from statistics import fmean
 
 from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, validate_spec
-from ..offline import opt_rate_limited
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
@@ -93,7 +92,10 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
     energy = slot_energy_kwh(cfg)
     rows = []
     for factor in cfg.rate_grid:
-        f = Fraction(str(factor)).limit_denominator(MAX_CAPACITY_DENOMINATOR)
+        f = Fraction(str(factor))
+        if f.denominator > MAX_CAPACITY_DENOMINATOR:
+            raise ValidationError(f"rate factor {factor} is {f}, whose denominator is above "
+                                  f"{MAX_CAPACITY_DENOMINATOR}")
         if f <= 0:
             raise ValidationError(f"rate factor must be positive, got {factor}")
         capacity = base.capacity / f
@@ -103,9 +105,9 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
         alg_vals = []
         opt_vals = []
         for ep in data.episodes:
-            row, _ = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
+            row, (last,) = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
             alg_vals.append(row.objective * scale)
-            opt_vals.append(opt_rate_limited(spec, ep.trace.slots)[0] * scale)
+            opt_vals.append(last.opt * scale)
         rows.append(
             RateSweepRow(
                 rate_factor=factor,

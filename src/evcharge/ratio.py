@@ -131,7 +131,9 @@ class RatioSolution:
 
     branch is "closed_form" above the alpha threshold, "root" below it,
     and "degenerate" when the instance forces pi_star = 1 outright
-    (alpha == p_min, or a flat price band).  residual is |V(pi_star) - c|;
+    (alpha == p_min, or a flat price band).  alpha_star is None on a flat
+    band, and at alpha == p_min on a band too narrow for a float
+    threshold.  residual is |V(pi_star) - c|;
     it is only meaningful outside the degenerate branch, where V is
     identically zero or trivially equal to capacity.
     """
@@ -156,7 +158,11 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
         return RatioSolution(None, 1.0, "degenerate", bound, residual)
     if alpha == p_min:
         # Charging is never strictly worthwhile; the policy stays idle.
-        return RatioSolution(solve_alpha_star(spec), 1.0, "degenerate", bound, c)
+        try:
+            alpha_star = solve_alpha_star(spec)
+        except NoBracket:
+            alpha_star = None
+        return RatioSolution(alpha_star, 1.0, "degenerate", bound, c)
 
     alpha_star = solve_alpha_star(spec)
     if alpha > alpha_star:

@@ -99,16 +99,16 @@ def policy_suite():
     # the adversarial descents, replayed under the same checks
     spec2 = spec_of(1, 5, 5, 2)
     pi2 = solve_pi_star(spec2).pi_star
-    descent = worst_case_no_limit(spec2, pi2, 10_000).prices.slots
+    descent = worst_case_no_limit(spec2, pi2, 10_000).slots
     run(make_policy("fixed", spec2), descent, spec2, pi2, False)
     run(make_policy("adaptive", spec2), descent, spec2, pi2, False)
-    repeated = worst_case_rate_limited(spec2, 5_000).prices.slots
+    repeated = worst_case_rate_limited(spec2, pi2, 5_000).slots
     run(make_policy("int", spec2), repeated, spec2, pi2, True)
     spec_r = spec_of(1, 5, 5, Fraction(5, 2))
     run(make_policy("rat", spec_r), descent, spec_r, pi2, True)
     spec20 = spec_of(1, 5, 20, 1)
     pi20 = solve_pi_star(spec20).pi_star
-    flat = worst_case_no_limit(spec20, pi20, 10_000).prices.slots
+    flat = worst_case_no_limit(spec20, pi20, 10_000).slots
     run(make_policy("fixed", spec20), flat, spec20, pi20, False)
     run(make_policy("adaptive", spec20), flat, spec20, pi20, False)
 
@@ -155,7 +155,7 @@ def test_03_worst_case_formula_matches_simulation():
             hi = max(1.06, 0.95 * alpha / p_min)
             pi = float(rng.uniform(1.05, hi))
             formula = max_total_charge(spec, pi)
-            trace = worst_case_no_limit(spec, pi, 100_000).prices.slots
+            trace = worst_case_no_limit(spec, pi, 100_000).slots
             runner = make_policy("fixed", spec, pi=pi)
             total = math.fsum(runner.step(p).charge for p in trace)
             assert abs(total - formula) <= 1e-3, (p_min, p_max, alpha, pi)
@@ -179,7 +179,7 @@ def test_06_worst_case_construction_is_tight():
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
         runner = make_policy("fixed", spec)
-        descent = worst_case_no_limit(spec, pi, 10_000).prices.slots
+        descent = worst_case_no_limit(spec, pi, 10_000).slots
         steps = [runner.step(p) for p in descent]
         final_ratio = eta_path(spec, descent, steps)[-1] / opt_no_limit_path(spec, descent)[-1]
         assert pi * 0.99 <= final_ratio <= pi + 1e-6

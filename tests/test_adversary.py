@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from evcharge.adversary import (
     adaptive_adversary,
     worst_case_no_limit,
     worst_case_rate_limited,
 )
-from evcharge.core import DegenerateSpec, ValidationError
+from evcharge.core import DegenerateSpec, ValidationError, validate_spec
+from evcharge.offline import opt_rate_limited
 from evcharge.online import make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
-from conftest import spec_of
+from conftest import drive, eta_path, spec_of
 
 
 class TestWorstCaseNoLimit:
@@ -24,17 +26,17 @@ class TestWorstCaseNoLimit:
         spec = spec_of(1, 5, 5, 1)
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 2)
-        assert trace.steps == 2
-        assert trace.prices.slots[0] == spec.alpha / pi
-        assert trace.prices.slots[0] == pytest.approx(2.641640451282391, rel=1e-12)
-        assert trace.prices.slots[-1] == spec.p_min
+        assert trace.T == 2
+        assert trace.slots[0] == spec.alpha / pi
+        assert trace.slots[0] == pytest.approx(2.641640451282391, rel=1e-12)
+        assert trace.slots[-1] == spec.p_min
 
     def test_strictly_decreasing_inside_band(self):
         spec = spec_of(1, 5, 5, 1)
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 10_000)
-        prices = np.asarray(trace.prices.slots)
-        assert trace.steps == 10_000
+        prices = np.asarray(trace.slots)
+        assert trace.T == 10_000
         assert (np.diff(prices) < 0).all()
         assert prices[0] == spec.alpha / pi
         assert prices[-1] == spec.p_min
@@ -44,13 +46,13 @@ class TestWorstCaseNoLimit:
         # a lenient target would force charging above the band; clamp to p_max
         spec = spec_of(1, 5, 20, 1)
         trace = worst_case_no_limit(spec, 1.0, 100)
-        assert trace.prices.slots[0] == spec.p_max
+        assert trace.slots[0] == spec.p_max
 
     def test_degenerate_target_collapses_to_floor(self):
         spec = spec_of(1, 5, 5, 1)
         trace = worst_case_no_limit(spec, spec.alpha / spec.p_min, 50)
-        assert trace.prices.slots == (spec.p_min,)
-        assert trace.steps == 1
+        assert trace.slots == (spec.p_min,)
+        assert trace.T == 1
 
     def test_alpha_at_floor_has_no_descent(self):
         spec = spec_of(2, 5, 2, 1)
@@ -61,15 +63,16 @@ class TestWorstCaseNoLimit:
         spec = spec_of(1, 5, 5, 1)
         with pytest.raises(ValidationError):
             worst_case_no_limit(spec, 1.5, 0)
-        with pytest.raises(ValidationError):
-            worst_case_no_limit(spec, 0.5, 10)
+        for pi in (0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                worst_case_no_limit(spec, pi, 10)
 
     def test_narrow_descent_caps_step_count(self):
         # start barely above the floor: only so many distinct levels fit
         spec = spec_of(1, 5, 5, 1)
         trace = worst_case_no_limit(spec, spec.alpha / (1 + 1e-9), 10**6)
-        assert 1 < trace.steps < 10**6
-        prices = np.asarray(trace.prices.slots)
+        assert 1 < trace.T < 10**6
+        prices = np.asarray(trace.slots)
         assert (np.diff(prices) < 0).all()
         assert prices[0] == 1 + 1e-9
         assert prices[-1] == spec.p_min
@@ -78,19 +81,48 @@ class TestWorstCaseNoLimit:
 class TestWorstCaseRateLimited:
     def test_levels_repeat_capacity_times(self):
         spec = spec_of(1, 5, 5, 2)
-        trace = worst_case_rate_limited(spec, 3)
-        prices = trace.prices.slots
+        pi = solve_pi_star(spec).pi_star
+        trace = worst_case_rate_limited(spec, pi, 3)
+        prices = trace.slots
         assert len(prices) == 6
         assert prices[0::2] == prices[1::2]
         levels = prices[0::2]
         assert all(a > b for a, b in zip(levels, levels[1:]))
-        base = worst_case_no_limit(spec, solve_pi_star(spec).pi_star, 3)
-        assert levels == base.prices.slots
+        base = worst_case_no_limit(spec, pi, 3)
+        assert levels == base.slots
 
-    def test_fractional_capacity_rejected(self):
-        spec = spec_of(1, 5, 5, Fraction(3, 2))
-        with pytest.raises(ValidationError):
-            worst_case_rate_limited(spec, 3)
+    def test_fractional_capacity_repeats_levels_ceil_times(self):
+        # the last, fractional sub-problem needs the full descent too
+        for capacity, repeat in ((Fraction(3, 2), 2), (Fraction(1, 2), 1)):
+            spec = spec_of(1, 5, 5, capacity)
+            pi = solve_pi_star(spec).pi_star
+            levels = worst_case_no_limit(spec, pi, 3).slots
+            trace = worst_case_rate_limited(spec, pi, 3)
+            assert trace.T == 3 * repeat
+            assert all(trace.slots[k::repeat] == levels for k in range(repeat))
+
+
+@st.composite
+def _fractional_spec(draw):
+    """c = m/n with n <= 7 and m <= 60, a random band, and alpha from just
+    above p_min to 4 p_max, which reaches both branches of the target solver."""
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 7))
+    p_min = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    theta = draw(st.floats(1.1, 8.0))
+    alpha = p_min * draw(st.floats(1.05, 4.0 * theta))
+    return validate_spec(p_min, p_min * theta, alpha, Fraction(m, n))
+
+
+@given(spec=_fractional_spec(), steps=st.integers(1, 200))
+def test_repeated_descent_holds_rat_at_target_against_capped_optimum(spec, steps):
+    # rat ends at pi* times the capped optimum: below it only by the
+    # descent's discretization, above it only by float noise.  Descents
+    # with fewer levels than ceil(c) fall far short without the repeats.
+    pi = solve_pi_star(spec).pi_star
+    prices = worst_case_rate_limited(spec, pi, steps).slots
+    eta = eta_path(spec, prices, drive("rat", spec, prices))[-1]
+    ratio = eta / opt_rate_limited(spec, prices)[0]
+    assert pi * (1 - 1e-3) <= ratio <= pi * (1 + 1e-12)
 
 
 class TestDescentExhaustsTarget:
@@ -104,7 +136,7 @@ class TestDescentExhaustsTarget:
         for n in (2, 10, 50, 100, 1000, 10_000):
             runner = make_policy("fixed", spec, pi=pi)
             trace = worst_case_no_limit(spec, pi, n)
-            totals.append(math.fsum(runner.step(p).charge for p in trace.prices.slots))
+            totals.append(math.fsum(runner.step(p).charge for p in trace.slots))
         assert totals[0] == pytest.approx(0.7768091842729072, rel=1e-12)
         assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
         assert all(t <= ceiling + 1e-9 for t in totals)
@@ -116,14 +148,14 @@ class TestAdaptiveAdversary:
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
         trace, ratio = adaptive_adversary(make_policy("fixed", spec), spec, 10_000)
-        assert trace.steps == 10_000
+        assert trace.T == 10_000
         assert ratio == pytest.approx(pi, rel=1e-12)
 
     def test_adaptive_policy_survives_full_descent(self):
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
         trace, ratio = adaptive_adversary(make_policy("adaptive", spec), spec, 10_000)
-        assert trace.steps == 10_000
+        assert trace.T == 10_000
         assert ratio == pytest.approx(1.8926896328916403, rel=1e-9)
         assert ratio <= pi + 1e-12
 
@@ -134,7 +166,7 @@ class TestAdaptiveAdversary:
         pi = solve_pi_star(spec).pi_star
         for name in ("int", "rat"):
             trace, ratio = adaptive_adversary(make_policy(name, spec), spec, 10_000)
-            assert trace.steps == 2
+            assert trace.T == 2
             assert ratio == pytest.approx(1.8928079088213046, rel=1e-9)
             assert ratio >= pi - 0.02
 
@@ -143,7 +175,7 @@ class TestAdaptiveAdversary:
         pi = solve_pi_star(spec).pi_star
         for name in ("rhc:5", "never"):
             trace, ratio = adaptive_adversary(make_policy(name, spec), spec, 10_000)
-            assert trace.steps == 2
+            assert trace.T == 2
             assert ratio == pytest.approx(1.8928525547342374, rel=1e-9)
             assert ratio >= pi - 0.02
 
@@ -154,7 +186,7 @@ class TestAdaptiveAdversary:
         pi = solve_pi_star(spec).pi_star
         for name in ("rhc:0", "naive"):
             trace, ratio = adaptive_adversary(make_policy(name, spec), spec, 10_000)
-            assert trace.steps == 10_000
+            assert trace.T == 10_000
             assert ratio == pytest.approx(2.64157814402592, rel=1e-9)
             assert ratio > pi + 0.7
 
@@ -170,5 +202,5 @@ class TestAdaptiveAdversary:
         # and an idle policy is pinned to alpha/p_max on the spot
         spec = spec_of(1, 5, 20, 1)
         trace, ratio = adaptive_adversary(make_policy("never", spec), spec, 100)
-        assert trace.steps == 1
+        assert trace.T == 1
         assert ratio == spec.alpha / spec.p_max == 4.0

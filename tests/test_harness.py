@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ class TestRunEpisode:
         cfg = ExperimentConfig()
         spec = validate_spec(1, 5, 5, "2")
         pi = solve_pi_star(spec).pi_star
-        trace = worst_case_no_limit(spec, pi, 500).prices
+        trace = worst_case_no_limit(spec, pi, 500)
         row, slots = run_episode(cfg, spec, trace, "fixed", "2021-03-01")
         assert all(abs(s.ratio - pi) <= 0.01 * pi for s in slots)
         assert row.ratio == pytest.approx(pi, rel=1e-9)
@@ -341,6 +342,15 @@ class TestRunEpisode:
         assert row.ratio <= solve_pi_star(spec).pi_star + 1e-6
         assert row.ratio == slots[-1].ratio
         assert [s.slot for s in slots] == [0, 1, 2, 3]
+
+    def test_without_slots_returns_the_last_row(self):
+        cfg = ExperimentConfig()
+        spec = validate_spec(1, 5, 5, "7/2")
+        trace = PriceTrace((4.0, 3.0, 5.0, 2.0, 1.5))
+        for policy in ("fixed", "rat"):
+            row, slots = run_episode(cfg, spec, trace, policy, "2021-03-01")
+            assert run_episode(cfg, spec, trace, policy, "2021-03-01", collect_slots=False) == (
+                row, slots[-1:])
 
     def test_zero_slot_episode_rejected(self):
         spec = validate_spec(1, 5, 5, "1")
@@ -428,6 +438,22 @@ class TestSweeps:
         assert all(a >= b - 1e-9 for a, b in zip(algs, algs[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(opts, opts[1:]))
         assert all(a >= o - 1e-9 for a, o in zip(algs, opts))
+
+    def test_rate_sweep_reads_the_batch_optimum(self, corpus_cfg, corpus_data):
+        # capacities above 1 (int, rat: the capped stream) and at or below
+        # it (fixed: the uncapped stream, equal there to the capped value)
+        cfg = replace(corpus_cfg, rate_grid=(0.5, 1.25, 24.0, 48.0))
+        rows = sweep_rate_limit(cfg, corpus_data)
+        assert [(r.capacity, r.policy) for r in rows] == [
+            ("48", "int"), ("96/5", "rat"), ("1", "fixed"), ("1/2", "fixed")]
+        calib = corpus_data.calibration
+        alpha = spec_from_calibration(cfg, calib).alpha
+        for row in rows:
+            spec = validate_spec(calib.p_min, calib.p_max, alpha, row.capacity, cfg.slot_minutes)
+            scale = row.rate_factor * slot_energy_kwh(cfg)
+            expected = fmean(opt_rate_limited(spec, ep.trace.slots)[0] * scale
+                             for ep in corpus_data.episodes)
+            assert row.mean_opt_objective == expected
 
     def test_compare_orders_policies_on_falling_prices(self, corpus_cfg, corpus_data):
         calib = corpus_data.calibration
@@ -589,6 +615,26 @@ class TestCli:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("capacity, repeat", [("3", 3), ("5/2", 3)])
+    def test_adversary_rate_limited_honours_pi(self, capsys, capacity, repeat):
+        argv = ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--pi", "2.5",
+                "--steps", "40", "--capacity", capacity]
+        assert cli.main(argv) == 0
+        levels = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cli.main(argv + ["--rate-limited"]) == 0
+        repeated = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert float(levels[0]) == 5 / 2.5  # the --pi target's forcing price
+        assert repeated == [p for p in levels for _ in range(repeat)]
+
+    @pytest.mark.parametrize("mode", [[], ["--rate-limited"]])
+    @pytest.mark.parametrize("pi", ["nan", "inf"])
+    def test_adversary_non_finite_pi_exits_one(self, capsys, mode, pi):
+        code = cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                         "--pi", pi] + mode)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("args, lines, digest", [
         (["--steps", "200"], 201,
          "7cb2c81ee48770fcb7588f6e7f3a828391d95423291203a78ca536389a32ba78"),
@@ -679,6 +725,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "p_max=" in err and "p_min=" in err
+
+    @pytest.mark.parametrize("p_max", ["1.0000001", "1.000000001", "1.00000000001",
+                                       "1.0000000000001"])
+    def test_solve_ratio_alpha_at_p_min_on_nearly_flat_band(self, capsys, p_max):
+        # the target is 1 by definition, whether or not the band has a
+        # float threshold alpha_star
+        code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", p_max, "--alpha", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["pi_star"] == 1.0
+        assert payload["branch"] == "degenerate"
+
+    @pytest.mark.parametrize("grid, factor", [("0.0001,0.00006", "6e-05"), ("1e-05", "1e-05")])
+    def test_rate_factor_past_the_denominator_bound_exits_one(self, corpus_path, tmp_path, capsys,
+                                                              grid, factor):
+        # snapping the factor would run one capacity and scale by another
+        code = cli.main(["sweep", "--prices", corpus_path, "--rate-grid", grid,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"rate factor {factor} " in err and "denominator" in err
 
     def test_simulate_missing_file_exits_two(self, capsys, tmp_path):
         assert cli.main(["simulate", "--prices", str(tmp_path / "ghost.csv")]) == 2

@@ -187,3 +187,17 @@ def test_streamed_optimum_matches_batch_and_lattice(prices, alpha, m, n):
         assert state.opt_value == pytest.approx(
             lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9
         )
+
+
+@given(
+    prices=st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.5, 10.0)),
+                    min_size=1, max_size=30),
+    alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]),
+    capacity=st.integers(1, 7).flatmap(lambda n: st.builds(Fraction, st.integers(1, n), st.just(n))),
+)
+@example(prices=[3.0, 4.0], alpha=2.0, capacity=Fraction(1, 3))  # nothing below alpha
+def test_optima_agree_bit_for_bit_at_capacity_up_to_one(prices, alpha, capacity):
+    # at c <= 1 one slot takes the whole need: fills[0] is float(c) and the
+    # unmet term is alpha * 0.0, so the cap never binds
+    spec = validate_spec(0.5, 10.0, alpha, capacity)
+    assert _no_limit_opt(spec, prices) == opt_rate_limited(spec, prices)[0]

@@ -87,8 +87,8 @@ class TestAdaptiveStep:
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 10_000)
-        fixed = drive("fixed", spec, trace.prices)
-        adaptive = drive("adaptive", spec, trace.prices)
+        fixed = drive("fixed", spec, trace)
+        adaptive = drive("adaptive", spec, trace)
         worst = max(abs(f.charge - a.charge) for f, a in zip(fixed, adaptive))
         assert worst <= 1e-6
 

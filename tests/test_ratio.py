@@ -89,7 +89,7 @@ class TestMaxTotalCharge:
             spec = validate_spec(p_min, p_max, alpha, c)
             trace = worst_case_no_limit(spec, pi, 100_000)
             runner = make_policy("fixed", spec, pi=pi)
-            total = math.fsum(runner.step(p).charge for p in trace.prices)
+            total = math.fsum(runner.step(p).charge for p in trace)
             assert total == pytest.approx(max_total_charge(spec, pi), abs=1e-3)
 
 
