@@ -10,16 +10,15 @@ import argparse
 import json
 import os
 import sys
-from operator import attrgetter
 
 from ..adversary import worst_case_no_limit, worst_case_rate_limited
 from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import IngestResult, ParseError, ingest_prices
-from .report import emit_report, load_rows, write_report
+from .report import emit_report, load_rows, write_report, write_simulate_reports
 from .runner import spec_from_calibration
-from .sweeps import compare_rows, run_policies, sweep_alpha, sweep_rate_limit
+from .sweeps import run_policies, sweep_alpha, sweep_rate_limit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -133,31 +132,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     summary, slot_rows = run_policies(cfg, spec, data)
-
-    meta = {
-        "p_min": data.calibration.p_min,
-        "p_max": data.calibration.p_max,
-        "alpha": spec.alpha,
-        "capacity": str(spec.capacity),
-        "pi_star": solve_pi_star(spec).pi_star,
-        "episodes": len(data.episodes),
-        "dropped_incomplete": data.dropped_incomplete,
-        "dropped_out_of_range": data.dropped_out_of_range,
-        "n_clamped": data.calibration.n_clamped,
-    }
-    with open(os.path.join(cfg.out_dir, "calibration.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
-    emit_report(summary, "csv", os.path.join(cfg.out_dir, "summary.csv"))
-    emit_report(summary, "json", os.path.join(cfg.out_dir, "summary.json"))
-    metrics = ("price", "charge", "eta", "opt", "ratio")
-    values = attrgetter(*metrics)
-    long_rows = (  # streamed to the writer, one row per slot and metric
-        {"date": s.date, "policy": s.policy, "slot": s.slot, "metric": m, "value": v}
-        for s in slot_rows for m, v in zip(metrics, values(s))
-    )
-    emit_report(long_rows, "csv", os.path.join(cfg.out_dir, "slots.csv"))
-    emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(cfg.out_dir, "compare.csv"))
+    write_simulate_reports(cfg, spec, data, summary, slot_rows)
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
     return EXIT_OK
 

@@ -124,6 +124,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError(f"trim must be in [0, 0.5), got {cfg.trim}")
     if not cfg.policies:
         raise ValidationError("policies: empty list")
+    for i, name in enumerate(cfg.policies):
+        if name in cfg.policies[:i]:
+            raise ValidationError(f"policies: {name!r} is listed twice")
     if not abs(cfg.tz_offset_minutes) < 24 * 60:
         raise ValidationError(f"tz_offset_minutes must be within a day, got {cfg.tz_offset_minutes}")
     if cfg.out_of_range not in ("clamp", "drop"):

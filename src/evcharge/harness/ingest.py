@@ -41,11 +41,22 @@ class IngestResult:
     dropped_out_of_range: int
 
 
+def csv_lines(reader, path: str):
+    """The rows of a csv reader over path; a line the csv module rejects
+    (such as a field past csv.field_size_limit()) raises ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # a DictReader's own line_num stops at the last row it returned
+        line = getattr(reader, "reader", reader).line_num
+        raise ParseError(f"{path}:{line}: {exc}") from None
+
+
 def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float]]:
     local = timezone(timedelta(minutes=tz_offset_minutes))
     rows: list[tuple[datetime, float]] = []
     with open_text(path, ParseError) as fh:
-        reader = csv.reader(fh)
+        reader = csv_lines(csv.reader(fh), path)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
             raise ParseError(f"{path}: expected header 'timestamp,price', got {header}")
@@ -66,7 +77,12 @@ def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float
                 )
             rows_aware = aware
             if aware:
-                ts = ts.astimezone(local).replace(tzinfo=None)
+                try:
+                    ts = ts.astimezone(local).replace(tzinfo=None)
+                except OverflowError:
+                    raise ParseError(
+                        f"{path}:{lineno}: timestamp {row[0]!r} is out of range in local time"
+                    ) from None
             try:
                 price = float(row[1])
             except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON emission for flat rows: dataclasses or dicts.
+"""Deterministic CSV/JSON emission for flat rows (dataclasses or dicts),
+and the set of reports `simulate` writes.
 
 Floats are written with repr so files round-trip exactly and two runs of
 the same experiment produce byte-identical reports.
@@ -7,14 +8,19 @@ the same experiment produce byte-identical reports.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import fields, is_dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 
-from ..core import ValidationError
-from .config import open_text
-from .ingest import ParseError
+from ..core import ProblemSpec, ValidationError
+from ..ratio import solve_pi_star
+from .config import ExperimentConfig, open_text
+from .ingest import IngestResult, ParseError, csv_lines
+from .runner import EpisodeRow, SlotRow
+from .sweeps import compare_rows
 
 FORMATS = ("csv", "json")
 
@@ -66,6 +72,57 @@ def emit_report(rows, fmt: str, path: str) -> str:
     return path
 
 
+def write_slot_table(slot_rows, fh) -> None:
+    """Write slot rows as the long csv table date,policy,slot,metric,value,
+    one line per slot and metric (price, charge, eta, opt, ratio): the
+    bytes write_report writes for those lines as dicts.
+
+    Each run of rows with equal (date, policy) is one fh.write.  The csv
+    writer quotes the run's date,policy prefix once; the other cells need
+    no quoting, because an int or a float repr holds no delimiter, quote or
+    line break, and csv writes a float with str, which equals repr."""
+    cells = io.StringIO()
+    writer = csv.writer(cells, lineterminator="\n")  # write_report's dialect
+    head = "date,policy,slot,metric,value\n"
+    for (date, policy), run in groupby(slot_rows, attrgetter("date", "policy")):
+        cells.seek(0)
+        cells.truncate()
+        writer.writerow((date, policy, ""))
+        p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
+        fh.write(head + "".join([
+            f"{p}{s.slot},price,{s.price!r}\n{p}{s.slot},charge,{s.charge!r}\n"
+            f"{p}{s.slot},eta,{s.eta!r}\n{p}{s.slot},opt,{s.opt!r}\n{p}{s.slot},ratio,{s.ratio!r}\n"
+            for s in run
+        ]))
+        head = ""
+
+
+def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,
+                           summary: list[EpisodeRow], slot_rows: list[SlotRow]) -> None:
+    """Write simulate's reports into cfg.out_dir: calibration.json,
+    summary.csv and .json, the long slots.csv and compare.csv."""
+    meta = {
+        "p_min": data.calibration.p_min,
+        "p_max": data.calibration.p_max,
+        "alpha": spec.alpha,
+        "capacity": str(spec.capacity),
+        "pi_star": solve_pi_star(spec).pi_star,
+        "episodes": len(data.episodes),
+        "dropped_incomplete": data.dropped_incomplete,
+        "dropped_out_of_range": data.dropped_out_of_range,
+        "n_clamped": data.calibration.n_clamped,
+    }
+    out = cfg.out_dir
+    with open(os.path.join(out, "calibration.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(meta, fh, indent=1)
+        fh.write("\n")
+    emit_report(summary, "csv", os.path.join(out, "summary.csv"))
+    emit_report(summary, "json", os.path.join(out, "summary.json"))
+    with open(os.path.join(out, "slots.csv"), "w", encoding="utf-8", newline="") as fh:
+        write_slot_table(slot_rows, fh)
+    emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(out, "compare.csv"))
+
+
 def _csv_value(cell: str):
     if cell == "":
         return None
@@ -87,6 +144,8 @@ def load_rows(path: str) -> list[dict]:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
             if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
                 raise ParseError(f"{path}: expected a JSON array of row objects")
             if any(row.keys() != data[0].keys() for row in data):
@@ -94,7 +153,7 @@ def load_rows(path: str) -> list[dict]:
             return data
         rows = []
         reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv_lines(reader, path):
             if None in row or None in row.values():
                 raise ParseError(
                     f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} cells"

@@ -209,10 +209,15 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
         try:
             horizon = int(raw)
         except ValueError:
-            raise ValidationError(f"bad lookahead horizon {raw!r} in policy {name!r}") from None
+            horizon = None
+        # the name is the report label, so one horizon has one spelling
+        if horizon is None or raw != str(horizon):
+            raise ValidationError(
+                f"bad lookahead horizon {raw!r} in policy {name!r}: expected a plain decimal integer"
+            )
         if horizon < 0:
             raise ValidationError(f"lookahead horizon must be >= 0, got {horizon}")
-        return BaselinePolicy(f"rhc:{horizon}", spec, partial(rhc_step, spec=spec), horizon)
+        return BaselinePolicy(name, spec, partial(rhc_step, spec=spec), horizon)
     if name == "naive":
         return BaselinePolicy("naive", spec, lambda left, window: naive_threshold_step(left, window[0], spec))
     if name == "never":

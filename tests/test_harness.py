@@ -26,9 +26,21 @@ from evcharge.harness.config import (
     episode_slot_count,
     parse_config_text,
 )
-from evcharge.harness.ingest import EmptyAfterTrim, ParseError, ingest_prices, trimmed_quantile
-from evcharge.harness.report import emit_report, load_rows, rows_to_dicts, write_report
-from evcharge.harness.runner import run_episode, slot_energy_kwh, spec_from_calibration
+from evcharge.harness.ingest import (
+    EmptyAfterTrim,
+    ParseError,
+    _parse_rows,
+    ingest_prices,
+    trimmed_quantile,
+)
+from evcharge.harness.report import (
+    emit_report,
+    load_rows,
+    rows_to_dicts,
+    write_report,
+    write_slot_table,
+)
+from evcharge.harness.runner import SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
 from evcharge.harness.sweeps import compare_policies, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
 from evcharge.offline import opt_rate_limited
@@ -555,6 +567,82 @@ class TestReport:
             load_rows(str(path))
 
 
+_CSV_TEXT = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " ", "é", "日付"]),
+    st.text(st.one_of(st.sampled_from(',"\n\r é'), st.characters(codec="utf-8")), max_size=8),
+)
+_REPORT_FLOATS = st.one_of(
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e16, 1e-05]),
+    st.floats(),
+)
+
+
+@st.composite
+def _slot_rows(draw):
+    """SlotRows in runs of a few (date, policy) keys, in any order."""
+    keys = draw(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT), min_size=1, max_size=4))
+    row = st.builds(lambda key, slot, *values: SlotRow(*key, slot, *values),
+                    st.sampled_from(keys), st.integers(), *[_REPORT_FLOATS] * 5)
+    return draw(st.lists(row, max_size=12))
+
+
+@given(rows=_slot_rows())
+@example(rows=[])  # no rows, no header: as write_report
+@example(rows=[SlotRow("a\nb", "", 0, -0.0, math.inf, math.nan, 5e-324, 1e16),
+               SlotRow("a\nb", "", 1, 1e-05, 0.1 + 0.2, -1.0, 1.0, 2.5),
+               SlotRow('say "x"', "rhc:0,naive", -3, 0.0, 0.0, 0.0, 0.0, 0.0)])
+def test_slot_table_bytes_equal_csv_writer(rows):
+    fh = io.StringIO()
+    write_slot_table(rows, fh)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    if rows:
+        writer.writerow(["date", "policy", "slot", "metric", "value"])
+    writer.writerows([s.date, s.policy, s.slot, metric, getattr(s, metric)]
+                     for s in rows for metric in ("price", "charge", "eta", "opt", "ratio"))
+    assert fh.getvalue().encode("utf-8") == ref.getvalue().encode("utf-8")
+
+
+_PARSER_TEXT = st.lists(st.one_of(
+    st.sampled_from([
+        "timestamp,price\n", "timestamp", "price", ",", '"', "\n", "\r\n", "\r", "\x00", " ",
+        "2021-03-01 17:00", "2021-03-01T17:05:00+01:00", "9999-12-31T23:59:00-01:00",
+        "0001-01-01T00:00:00+01:00", "1.5", "-2", "nan", "inf", "1e999", "é",
+        "[", "]", "{", "}", ":", "null", '"a"', "#", "=", "alpha = 3", "policies =",
+        "window_start = 25:00", "slot_minutes = 0", "trim = 0.7", "tz_offset_minutes = 1e3",
+    ]),
+    st.text(max_size=6),
+), max_size=12).map("".join)
+
+
+@pytest.fixture(scope="module")
+def parse_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse")
+
+
+@given(text=_PARSER_TEXT, tz=st.integers(-24 * 60 + 1, 24 * 60 - 1))
+@example(text="timestamp,price\n" + "x" * (csv.field_size_limit() + 1) + ",1\n", tz=0)
+@example(text="timestamp,price\n9999-12-31T23:59:00-01:00,1\n", tz=0)
+@example(text="timestamp,price\n0001-01-01T00:00:00+01:00,1\n", tz=0)
+@example(text="[" * 100_000, tz=0)  # deeper than the JSON decoder recurses
+def test_parsers_raise_only_parse_or_validation_errors(parse_dir, text, tz):
+    def written(name):
+        path = parse_dir / name
+        path.write_text(text, encoding="utf-8", newline="")
+        return str(path)
+
+    for parse in (
+        lambda: _parse_rows(written("prices.csv"), tz),
+        lambda: load_rows(written("rows.csv")),
+        lambda: load_rows(written("rows.json")),
+        lambda: parse_config_text(text),
+    ):
+        try:
+            parse()
+        except (ParseError, ValidationError):
+            pass
+
+
 class TestSynthetic:
     def test_models_are_seeded_and_banded(self):
         for model in ("log_uniform", "regime", "descending"):
@@ -835,6 +923,31 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "latin1.cfg" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, twice", [
+        (["--policies", "fixed,fixed,naive"], "fixed"),
+        (["--config", "policies = naive, rhc:0, fixed, naive"], "naive"),
+    ])
+    def test_repeated_policy_exits_one_naming_it(self, corpus_path, tmp_path, capsys, setting,
+                                                 twice):
+        if setting[0] == "--config":
+            config = tmp_path / "twice.cfg"
+            config.write_text(setting[1] + "\n", encoding="utf-8")
+            setting = ["--config", str(config)]
+        out = tmp_path / "out"
+        code = cli.main(["simulate"] + setting + ["--prices", corpus_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"policies: {twice!r} is listed twice" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["rhc:1_0", "rhc: 3", "rhc:03", "rhc:+3", "rhc:-0"])
+    def test_rhc_horizon_in_another_spelling_exits_one(self, corpus_path, tmp_path, capsys, policy):
+        code = cli.main(["simulate", "--prices", corpus_path, "--policies", f"fixed,{policy}",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and repr(policy) in err
 
     def test_simulate_slots_csv_layout(self, corpus_path, corpus_cfg, corpus_data, tmp_path):
         out = tmp_path / "sim"
