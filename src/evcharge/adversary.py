@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
-from .offline import opt_no_limit_stream
+from .offline import NoLimitOptimum
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
@@ -81,7 +81,9 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     cum_policy = 0.0
     cum_ref = 0.0
     eta = spec.alpha * spec.capacity_f
-    for played, (price, opt) in enumerate(zip(plan, opt_no_limit_stream(spec, plan)), 1):
+    optimum = NoLimitOptimum(spec)
+    for played, price in enumerate(plan, 1):
+        opt = optimum.step(price)
         look = plan[played : played + policy.lookahead_needed]
         out = policy.step(price, look)
         cum_policy += out.charge

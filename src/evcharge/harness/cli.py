@@ -129,9 +129,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     data = _ingest("simulate", cfg)
     spec = spec_from_calibration(cfg, data.calibration)
+    summary, slot_rows = run_policies(cfg, spec, data)  # a bad policy fails here
     os.makedirs(cfg.out_dir, exist_ok=True)
-
-    summary, slot_rows = run_policies(cfg, spec, data)
     write_simulate_reports(cfg, spec, data, summary, slot_rows)
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
     return EXIT_OK

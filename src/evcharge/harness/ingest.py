@@ -145,7 +145,10 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
         t0 = datetime.combine(day, start)
         raw = []
         for k in range(n_slots):
-            raw.append(by_time.get(t0 + k * step))
+            try:
+                raw.append(by_time.get(t0 + k * step))
+            except OverflowError:  # past year 9999: the later slots cannot exist
+                break
         present = [p for p in raw if p is not None]
         if not present:
             continue

@@ -11,7 +11,7 @@ from ..core import (
     ProblemSpec,
     validate_spec,
 )
-from ..offline import opt_no_limit_stream, opt_rate_limited_stream
+from ..offline import NoLimitOptimum, RateLimitedOptimum
 from ..online import NO_LIMIT_POLICIES, RATIO_POLICIES, make_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
@@ -81,18 +81,19 @@ def run_episode(
     target = solve_pi_star(spec).pi_star if guard else None
     prices = trace.slots
     if policy in NO_LIMIT_POLICIES:
-        opts, rate_cap = opt_no_limit_stream(spec, prices), math.inf
+        opt_step, rate_cap = NoLimitOptimum(spec).step, math.inf
     else:
-        opts, rate_cap = opt_rate_limited_stream(spec, prices), 1.0 + 1e-9
+        opt_step, rate_cap = RateLimitedOptimum(spec).step, 1.0 + 1e-9
 
     alpha, cap = spec.alpha, spec.capacity_f
     eta = alpha * cap
     charged = 0.0
     cost_terms: list[float] = []
     slots: list[SlotRow] = []
-    for t, (price, opt) in enumerate(zip(prices, opts)):
+    for t, price in enumerate(prices):
         look = prices[t + 1 : t + 1 + runner.lookahead_needed]
         out = runner.step(price, look)
+        opt = opt_step(price)
         v = out.charge
         if v < -1e-12 or v > rate_cap:
             raise InternalConsistencyError(f"{policy}: slot charge {v} out of range at t={t}")

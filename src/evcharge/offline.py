@@ -1,133 +1,134 @@
-"""Offline optima for a price prefix.
+"""Offline optima for a price prefix, one small mutable tracker per episode.
 
 Without a per-slot cap the optimum charges the whole capacity at the
-cheapest price seen (or abstains when dissatisfaction is cheaper), one
-value per prefix.  With the cap, the optimum fills the cheapest slots
-priced below alpha at full rate, plus one fractional slot when capacity
-is not a whole number of slots; everything else is paid as
-dissatisfaction.  The capped optimum comes in batch and streaming form,
-both reading the fill amounts from a FillTable, so they are bit-identical.
+cheapest price seen (or abstains when dissatisfaction is cheaper).  With
+the cap, the optimum fills the cheapest slots priced below alpha at full
+rate, plus one fractional slot when capacity is not a whole number of
+slots; everything else is paid as dissatisfaction.
+
+Both trackers are shaped like the policies: build one per episode and
+call step(price) once per slot; it returns the optimum of the prefix so
+far.  The batch opt_rate_limited feeds its prices through the capped
+tracker, so the capped value is computed in one place.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
+from bisect import bisect_right
+from typing import NamedTuple
 
 from .core import ProblemSpec
 
 
-class FillTable:
-    """The capped optimum's fill amounts for capacity c, as floats.
+class NoLimitOptimum:
+    """The uncapped optimum of each prefix, min(cheapest, alpha) * c.
+    Rounding price * c is monotone in price, so the running minimum of
+    the products is that value exactly."""
 
-    fills[k] = min(c - k, 1) is the charge of the (k+1)-th cheapest kept
-    slot and unmet[k] = max(c - k, 0) the need left after k fills, each an
-    exact integer over c's denominator until one correctly rounded division
-    (as float() of the Fraction).  Entries are added as the kept set grows,
-    never past keep = ceil(c), so a huge c costs no more than the horizon.
+    def __init__(self, spec: ProblemSpec):
+        self.capacity = spec.capacity_f
+        self.opt = spec.alpha * self.capacity
+
+    def step(self, price: float) -> float:
+        scaled = price * self.capacity
+        if scaled < self.opt:
+            self.opt = scaled
+        return self.opt
+
+
+class RateLimitedOptimum:
+    """The capped optimum of each prefix.
+
+    kept holds the prices of the cheapest slots priced below alpha, at
+    most ceil(c) of them, ascending, and slots the slot index of each, in
+    the same order.  Ties keep the earlier slot: the incoming slot is
+    always the latest, so it enters a full kept set only when strictly
+    cheaper than the last kept price, and it is placed after equal ones.
+
+    The value is recomputed only when kept changes.  With c = num/den the
+    first floor(c) kept prices are filled at rate 1, the one at rank
+    floor(c) (if kept reaches it) at the remainder's fraction, and the
+    need left unmet is paid at alpha; fsum rounds the sum once, so the
+    value does not depend on the order the slots arrived in.
     """
 
-    def __init__(self, capacity: Fraction):
-        self.num, self.den = capacity.numerator, capacity.denominator
-        self.keep = math.ceil(capacity)
-        self.fills: list[float] = []
-        self.unmet = [float(capacity)]
+    def __init__(self, spec: ProblemSpec):
+        c = spec.capacity
+        self.alpha = spec.alpha
+        self.num, self.den = c.numerator, c.denominator
+        self.whole = self.num // self.den
+        self.frac = (self.num - self.whole * self.den) / self.den
+        self.keep = math.ceil(c)
+        self.kept: list[float] = []
+        self.slots: list[int] = []
+        self.t = 0  # slots seen
+        self.opt = self.alpha * spec.capacity_f
 
-    def value(self, alpha: float, kept) -> float:
-        """fsum of price * fill over kept (ascending), plus alpha * unmet need.
-        First tabulates any fills kept reaches that are not yet in the table."""
-        for k in range(len(self.fills), len(kept)):
-            left = self.num - k * self.den  # (c - k) * den
-            self.fills.append(min(left, self.den) / self.den)
-            self.unmet.append(max(left - self.den, 0) / self.den)
-        terms = [price * q for (price, _), q in zip(kept, self.fills)]
-        terms.append(alpha * self.unmet[len(kept)])
+    def admit(self, price: float) -> bool:
+        """Take the next slot into kept if it belongs there; True when kept
+        changed (every admitted slot changes it)."""
+        slot = self.t
+        self.t = slot + 1
+        kept = self.kept
+        if not (price < self.alpha and (len(kept) < self.keep or price < kept[-1])):
+            return False
+        i = bisect_right(kept, price)
+        kept.insert(i, price)
+        self.slots.insert(i, slot)
+        if len(kept) > self.keep:
+            kept.pop()  # evict the most expensive, latest on price ties
+            self.slots.pop()
+        return True
+
+    def value(self) -> float:
+        """fsum of each kept price times its fill, plus alpha * unmet need."""
+        kept, whole = self.kept, self.whole
+        terms = kept[:whole]  # fill 1: price * 1.0 == price
+        if len(kept) > whole:
+            terms.append(kept[whole] * self.frac)
+        unmet = max(self.num - len(kept) * self.den, 0) / self.den
+        terms.append(self.alpha * unmet)
         return math.fsum(terms)
+
+    def step(self, price: float) -> float:
+        if self.admit(price):
+            self.opt = self.value()
+        return self.opt
 
 
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
-    """Optimal value and per-slot charges achieving it under the per-slot cap of 1."""
-    slots = list(prices)
-    if not slots:
+    """Optimal value and per-slot charges achieving it under the per-slot cap
+    of 1: the capped tracker's final value, and each kept slot's fill."""
+    tracker = RateLimitedOptimum(spec)
+    for price in prices:
+        tracker.admit(price)
+    if tracker.t == 0:
         raise ValueError("empty price prefix")
-    fill = FillTable(spec.capacity)
-    kept = sorted((p, i) for i, p in enumerate(slots) if p < spec.alpha)[: fill.keep]
-    value = fill.value(spec.alpha, kept)
-    v = [0.0] * len(slots)
-    for (_, slot), q in zip(kept, fill.fills):
-        v[slot] = q
-    return value, tuple(v)
+    v = [0.0] * tracker.t
+    for rank, slot in enumerate(tracker.slots):
+        v[slot] = 1.0 if rank < tracker.whole else tracker.frac
+    return tracker.value(), tuple(v)
 
 
-@dataclass(frozen=True)
-class OfflineState:
-    """Streaming tracker for the capped optimum over a growing prefix.
-
-    kept holds the (price, slot) pairs of the cheapest slots priced below
-    alpha, at most ceil(capacity) of them, ascending; ties keep the earlier
-    slot.  The capped value is computed from kept with the episode's
-    FillTable whenever kept changes, so it equals opt_rate_limited's bit
-    for bit.
-    """
-
-    spec: ProblemSpec
-    t: int
-    kept: tuple[tuple[float, int], ...]
+# Compatibility for perfbench/layers.replay_offline, which still streams
+# through these and counts the steps whose .kept differs from the last
+# one's.  Delete them when the benchmark moves to RateLimitedOptimum.step.
+class _OfflineSnapshot(NamedTuple):
+    tracker: RateLimitedOptimum
+    kept: tuple[float, ...]
     opt_value: float
-    fill: FillTable = field(compare=False, repr=False)
 
 
-def new_offline_state(spec: ProblemSpec) -> OfflineState:
-    return OfflineState(
-        spec=spec,
-        t=0,
-        kept=(),
-        opt_value=spec.alpha * spec.capacity_f,
-        fill=FillTable(spec.capacity),
-    )
+def new_offline_state(spec: ProblemSpec) -> _OfflineSnapshot:
+    tracker = RateLimitedOptimum(spec)
+    return _OfflineSnapshot(tracker, (), tracker.opt)
 
 
-def offline_step(state: OfflineState, price: float) -> OfflineState:
-    """Advance the prefix by one slot.
-
-    The capped value is recomputed only when the slot enters kept: priced
-    below alpha, and kept not yet full or the slot cheaper than its last
-    pair.  Otherwise kept, and so the value, is unchanged."""
-    spec, fill = state.spec, state.fill
-    slot = state.t  # 0-based index of the incoming slot
-    kept, opt_value = state.kept, state.opt_value
-    if price < spec.alpha and (len(kept) < fill.keep or (price, slot) < kept[-1]):
-        buf = list(kept)
-        insort(buf, (price, slot))
-        if len(buf) > fill.keep:
-            buf.pop()  # evict the most expensive, latest on price ties
-        kept = tuple(buf)
-        opt_value = fill.value(spec.alpha, kept)
-    return OfflineState(
-        spec=spec,
-        t=slot + 1,
-        kept=kept,
-        opt_value=opt_value,
-        fill=fill,
-    )
-
-
-def opt_rate_limited_stream(spec: ProblemSpec, prices) -> Iterator[float]:
-    """opt_rate_limited's value for each prefix of prices, streamed."""
-    state = new_offline_state(spec)
-    for price in prices:
-        state = offline_step(state, price)
-        yield state.opt_value
-
-
-def opt_no_limit_stream(spec: ProblemSpec, prices) -> Iterator[float]:
-    """The uncapped optimum of each prefix of prices.  Rounding price * c is
-    monotone in price, so each value is min(cheapest, alpha) * c exactly."""
-    c = spec.capacity_f
-    opt = spec.alpha * c
-    for price in prices:
-        opt = min(opt, price * c)
-        yield opt
+def offline_step(state: _OfflineSnapshot, price: float) -> _OfflineSnapshot:
+    """Step state's tracker; a new snapshot only when its kept set changed."""
+    tracker = state.tracker
+    if not tracker.admit(price):
+        return state
+    tracker.opt = tracker.value()
+    return _OfflineSnapshot(tracker, tuple(tracker.kept), tracker.opt)

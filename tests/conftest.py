@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings
@@ -56,6 +57,25 @@ def opt_no_limit_path(spec: ProblemSpec, prices) -> list[float]:
         low = min(low, p)
         out.append(min(low, spec.alpha) * spec.capacity_f)
     return out
+
+
+def capped_optimum_reference(spec: ProblemSpec, prices) -> tuple[float, list[float]]:
+    """Independent capped optimum of a price list, as (value, schedule).
+
+    Keeps the ceil(c) cheapest (price, slot) pairs priced below alpha,
+    earlier slot first on ties; the k-th (from 0) takes min(c - k, 1) and
+    the need left, max(c - kept, 0), is paid at alpha, each amount exact
+    in Fraction until one rounding to float.  One fsum adds every term.
+    """
+    c = spec.capacity
+    kept = sorted((p, i) for i, p in enumerate(prices) if p < spec.alpha)[: math.ceil(c)]
+    fills = [float(min(c - k, Fraction(1))) for k in range(len(kept))]
+    unmet = float(max(c - len(kept), Fraction(0)))
+    value = math.fsum([p * q for (p, _), q in zip(kept, fills)] + [spec.alpha * unmet])
+    schedule = [0.0] * len(prices)
+    for (_, slot), q in zip(kept, fills):
+        schedule[slot] = q
+    return value, schedule
 
 
 def sub_opt_sum(policy) -> float:

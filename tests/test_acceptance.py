@@ -24,7 +24,7 @@ from evcharge.harness.config import ExperimentConfig
 from evcharge.harness.ingest import ingest_prices
 from evcharge.harness.sweeps import sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import write_corpus
-from evcharge.offline import new_offline_state, offline_step, opt_rate_limited
+from evcharge.offline import RateLimitedOptimum, opt_rate_limited
 from evcharge.online import make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
@@ -206,13 +206,13 @@ def test_07_capacity_split_is_exact():
             alpha = p_min * float(rng.uniform(1.1, 10.0))
             spec = validate_spec(p_min, p_max, alpha, c)
             policy = make_policy("int", spec)
-            offline = new_offline_state(spec)
+            offline = RateLimitedOptimum(spec)
             eta = alpha * c
             for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
                 eta -= (alpha - p) * policy.step(p).charge
-                offline = offline_step(offline, p)
+                opt = offline.step(p)
                 assert abs(eta - math.fsum(s.eta for s in policy.subs)) <= 1e-12
-                assert abs(sub_opt_sum(policy) - offline.opt_value) <= 1e-12
+                assert abs(sub_opt_sum(policy) - opt) <= 1e-12
 
 
 def _lp_vertex_opt(spec, prices) -> float:

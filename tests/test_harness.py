@@ -806,6 +806,17 @@ class TestCli:
         assert cli.main(command + ["--prices", path, "--out", str(tmp_path / "out")]) == 1
         assert "short.csv: no complete episodes" in capsys.readouterr().err
 
+    def test_window_past_year_9999_is_incomplete(self, capsys, tmp_path):
+        # the window's later slots would fall after 9999-12-31: they cannot
+        # exist, so the window is dropped as incomplete
+        path = _write_prices(tmp_path / "last_day.csv",
+                             [("9999-12-31 17:00", 1.0), ("9999-12-31 17:05", 2.0)])
+        data = ingest_prices(path, ExperimentConfig(prices=path))
+        assert (data.episodes, data.dropped_incomplete) == ((), 1)
+        assert cli.main(["simulate", "--prices", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: no complete episodes\n"
+
     @pytest.mark.parametrize("p_max", ["1.0000001", "1.00000001", "1.000000001", "1.0000000001",
                                        "1.00000000001", "1.000000000001", "1.0000000000001"])
     def test_solve_ratio_nearly_flat_band_exits_one(self, capsys, p_max):
@@ -948,6 +959,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and repr(policy) in err
+
+    @pytest.mark.parametrize("policies, capacity", [
+        ("fixed,bogus", "24"), ("fixed,rhc:03", "24"), ("naive,int", "3/2"),
+    ])
+    def test_bad_policy_leaves_no_out_directory(self, corpus_path, tmp_path, capsys, policies,
+                                                capacity):
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--prices", corpus_path, "--policies", policies,
+                         "--capacity", capacity, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_simulate_slots_csv_layout(self, corpus_path, corpus_cfg, corpus_data, tmp_path):
         out = tmp_path / "sim"

@@ -2,26 +2,30 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import lattice_optimum
+from conftest import capped_optimum_reference, lattice_optimum
 from evcharge.core import validate_spec
 from evcharge.offline import (
+    NoLimitOptimum,
+    RateLimitedOptimum,
     new_offline_state,
     offline_step,
-    opt_no_limit_stream,
     opt_rate_limited,
 )
 
 
 def _no_limit_opt(spec, prices):
-    """The uncapped optimum of the whole prefix: the stream's last value."""
-    *_, last = opt_no_limit_stream(spec, prices)
-    return last
+    """The uncapped optimum of the whole prefix: the tracker's last value."""
+    tracker = NoLimitOptimum(spec)
+    for price in prices:
+        opt = tracker.step(price)
+    return opt
 
 
 class TestOptNoLimit:
@@ -86,16 +90,13 @@ class TestOptRateLimited:
 class TestOfflineStep:
     def test_stream_three_prices(self):
         spec = validate_spec(1, 8, 10, 2)
-        state = new_offline_state(spec)
-        assert state.opt_value == pytest.approx(20.0)
-        state = offline_step(state, 3.0)
-        assert state.opt_value == pytest.approx(13.0)
-        state = offline_step(state, 7.0)
-        assert sorted(p for p, _ in state.kept) == [3.0, 7.0]
-        assert state.opt_value == pytest.approx(10.0)
-        state = offline_step(state, 2.0)
-        assert sorted(p for p, _ in state.kept) == [2.0, 3.0]
-        assert state.opt_value == pytest.approx(5.0)
+        tracker = RateLimitedOptimum(spec)
+        assert tracker.opt == pytest.approx(20.0)
+        assert tracker.step(3.0) == pytest.approx(13.0)
+        assert tracker.step(7.0) == pytest.approx(10.0)
+        assert tracker.kept == [3.0, 7.0]
+        assert tracker.step(2.0) == pytest.approx(5.0)
+        assert tracker.kept == [2.0, 3.0]
 
     def test_streaming_equals_batch_exactly(self):
         rng = np.random.default_rng(42)
@@ -103,46 +104,73 @@ class TestOfflineStep:
         for _ in range(200):
             T = int(rng.integers(1, 51))
             prices = (rng.integers(1, 21, size=T) * 0.25).tolist()
-            state = new_offline_state(spec)
+            tracker = RateLimitedOptimum(spec)
             for t in range(T):
-                state = offline_step(state, prices[t])
                 batch, _ = opt_rate_limited(spec, prices[: t + 1])
-                assert state.opt_value == batch  # bit-exact, same summation
+                assert tracker.step(prices[t]) == batch  # bit-exact, same summation
 
     def test_opt_non_increasing_and_bounded(self):
         rng = np.random.default_rng(3)
         spec = validate_spec(1, 5, 4, 3)
         for _ in range(50):
             prices = rng.uniform(1, 5, size=40)
-            state = new_offline_state(spec)
+            tracker = RateLimitedOptimum(spec)
             prev = spec.alpha * spec.capacity_f
             for p in prices:
-                state = offline_step(state, float(p))
-                assert state.opt_value <= prev + 1e-12
-                prev = state.opt_value
-            assert state.opt_value <= spec.alpha * spec.capacity_f + 1e-12
+                opt = tracker.step(float(p))
+                assert opt <= prev + 1e-12
+                prev = opt
+            assert opt <= spec.alpha * spec.capacity_f + 1e-12
 
     def test_full_kept_set_is_plain_sum(self):
         spec = validate_spec(1, 8, 10, 2)
-        state = new_offline_state(spec)
+        tracker = RateLimitedOptimum(spec)
         for p in [4.0, 2.0, 3.0, 5.0]:
-            state = offline_step(state, p)
-        assert len(state.kept) == 2
-        assert state.opt_value == pytest.approx(2.0 + 3.0)
+            opt = tracker.step(p)
+        assert len(tracker.kept) == 2
+        assert opt == pytest.approx(2.0 + 3.0)
 
-    def test_fill_table_grows_only_with_the_kept_set(self):
-        # a capacity far beyond the horizon tabulates only the fills in use
+    def test_huge_capacity_allocates_nothing_per_unit(self):
+        # a capacity far beyond the horizon keeps only the slots seen; a
+        # list per unit of capacity would take megabytes
         spec = validate_spec(1, 8, 5, 10**6)
-        state = new_offline_state(spec)
-        for p in [4.0, 6.0, 2.0]:
-            state = offline_step(state, p)
-        assert state.fill.fills == [1.0, 1.0]
-        assert state.fill.unmet == [1e6, 1e6 - 1, 1e6 - 2]
-        assert state.opt_value == 2.0 + 4.0 + 5 * (1e6 - 2)
+        tracemalloc.start()
+        try:
+            tracker = RateLimitedOptimum(spec)
+            opts = [tracker.step(p) for p in [4.0, 6.0, 2.0]]
+            value, schedule = opt_rate_limited(spec, [4.0, 6.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert (tracker.kept, tracker.slots) == ([2.0, 4.0], [2, 0])
+        assert opts[-1] == value == 2.0 + 4.0 + 5 * (1e6 - 2)
+        assert schedule == (1.0, 0.0, 1.0)
 
     def test_no_limit_tracker(self):
         spec = validate_spec(1, 8, 4, 2)
         assert _no_limit_opt(spec, [5.0, 3.0, 7.0]) == pytest.approx(6.0)
+
+
+@given(
+    prices=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=40),
+    alpha=st.sampled_from([0.5, 2.0, 4.5, 7.5]),
+    m=st.integers(1, 60),
+    n=st.integers(1, 7),
+)
+@example(prices=[3.0, 1.0, 3.0, 1.0, 2.0], alpha=2.0, m=1, n=7)
+def test_compat_state_kept_changes_with_the_tracker(prices, alpha, m, n):
+    # the benchmark counts kept-set changes through the compatibility
+    # wrapper: its .kept must differ from the last exactly on those slots
+    spec = validate_spec(0.5, 10.0, alpha, Fraction(m, n))
+    state, tracker = new_offline_state(spec), RateLimitedOptimum(spec)
+    for price in prices:
+        before = (list(tracker.kept), list(tracker.slots))
+        nxt, opt = offline_step(state, price), tracker.step(price)
+        assert (nxt.kept != state.kept) == ((tracker.kept, tracker.slots) != before)
+        assert nxt.kept == tuple(tracker.kept)
+        assert nxt.opt_value == opt
+        state = nxt
 
 
 def test_greedy_matches_lattice_dp_small():
@@ -179,14 +207,52 @@ def test_value_is_permutation_invariant():
 def test_streamed_optimum_matches_batch_and_lattice(prices, alpha, m, n):
     # coarse grid: ties, prices at alpha and above it
     spec = validate_spec(1, 5, alpha, Fraction(m, n))
-    state = new_offline_state(spec)
+    tracker = RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
-        state = offline_step(state, price)
+        opt = tracker.step(price)
         batch, _ = opt_rate_limited(spec, prices[: t + 1])
-        assert state.opt_value == batch  # bit-exact
-        assert state.opt_value == pytest.approx(
-            lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9
-        )
+        assert opt == batch  # bit-exact
+        assert opt == pytest.approx(lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9)
+
+
+_TIED = [1.0, 1.5, 2.0, 3.0, 4.5]
+
+
+@st.composite
+def _capped_case(draw):
+    """A capacity m/n with n <= 7 and m <= 60 (c < 1 included) or 10**6,
+    far past any horizon; alpha inside or above the prices; 1-40 prices
+    from a small grid (ties) or anywhere in the band, at alpha or above it."""
+    capacity = draw(st.one_of(
+        st.builds(Fraction, st.integers(1, 60), st.integers(1, 7)),
+        st.just(Fraction(10**6)),
+    ))
+    alpha = draw(st.sampled_from([1.5, 3.0, 4.5, 10.0]))
+    spec = validate_spec(1.0, 10.0, alpha, capacity)
+    price = st.one_of(st.sampled_from(_TIED + [alpha]), st.floats(1.0, 10.0))
+    return spec, draw(st.lists(price, min_size=1, max_size=40))
+
+
+@given(case=_capped_case())
+@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(2, 7)), [2.0, 1.0, 1.0, 3.0]))  # c < 1
+@example(case=(validate_spec(1.0, 10.0, 4.5, 10**6), [4.5, 2.0, 2.0, 9.0]))  # c >> T
+@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(7, 2)), [1.5] * 6))  # ties past ceil(c)
+@example(case=(validate_spec(1.0, 10.0, 1.5, Fraction(5, 3)), [1.5, 4.5, 10.0]))  # all >= alpha
+def test_tracker_value_equals_reference_on_every_prefix(case):
+    spec, prices = case
+    tracker = RateLimitedOptimum(spec)
+    for t, price in enumerate(prices):
+        assert tracker.step(price) == capped_optimum_reference(spec, prices[: t + 1])[0]
+
+
+@given(case=_capped_case())
+@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(5, 2)), [2.0, 1.0, 2.0, 2.0]))
+def test_batch_schedule_equals_reference_fills(case):
+    spec, prices = case
+    value, schedule = opt_rate_limited(spec, prices)
+    ref_value, ref_schedule = capped_optimum_reference(spec, prices)
+    assert value == ref_value
+    assert list(schedule) == ref_schedule
 
 
 @given(

@@ -18,7 +18,7 @@ from conftest import (
     total_charge,
 )
 from evcharge.core import ValidationError, validate_spec
-from evcharge.offline import new_offline_state, offline_step
+from evcharge.offline import RateLimitedOptimum
 from evcharge.online import (
     RATIO_POLICIES,
     FixedRatioPolicy,
@@ -223,21 +223,20 @@ class TestDecomposition:
         for cap in (1, 2, 3, Fraction(3, 2), Fraction(7, 3)):
             spec = spec_of(1, 5, 4, cap)
             policy = make_policy("rat", spec)
-            offline = new_offline_state(spec)
+            offline = RateLimitedOptimum(spec)
             for p in random_prices(rng, spec, 60):
                 policy.step(p)
-                offline = offline_step(offline, p)
-                assert sub_opt_sum(policy) == pytest.approx(offline.opt_value, abs=1e-12)
+                assert sub_opt_sum(policy) == pytest.approx(offline.step(p), abs=1e-12)
 
     def test_held_prices_mirror_offline_kept_set(self):
         rng = np.random.default_rng(53)
         spec = spec_of(1, 5, 4, 3)
         policy = make_policy("int", spec)
-        offline = new_offline_state(spec)
+        offline = RateLimitedOptimum(spec)
         for p in random_prices(rng, spec, 40):
             policy.step(p)
-            offline = offline_step(offline, p)
-            kept = sorted(price for price, _ in offline.kept)
+            offline.step(p)
+            kept = list(offline.kept)
             padding = [spec.alpha] * (3 - len(kept))
             assert sorted(held_prices(policy)) == pytest.approx(kept + padding)
 
@@ -382,16 +381,16 @@ def test_rate_limited_guarantee_on_random_traces(case):
     spec, prices = case
     pi = solve_pi_star(spec).pi_star
     for name in _distributor_names(spec):
-        policy, offline = make_policy(name, spec), new_offline_state(spec)
+        policy, offline = make_policy(name, spec), RateLimitedOptimum(spec)
         eta, total = spec.alpha * spec.capacity_f, 0.0
         for p in prices:
             v = policy.step(p).charge
-            offline = offline_step(offline, p)
+            opt = offline.step(p)
             eta -= (spec.alpha - p) * v
             total += v
             assert 0.0 <= v <= 1.0 + 1e-9
             assert total <= spec.capacity_f + 1e-9
-            assert eta <= pi * offline.opt_value * (1 + 1e-12), (name, eta, offline.opt_value)
+            assert eta <= pi * opt * (1 + 1e-12), (name, eta, opt)
 
 
 def _rhc_step_by_fill(remaining, window):
