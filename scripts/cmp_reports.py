@@ -12,9 +12,10 @@ it also runs `simulate` over every policy kind but `int` at capacities 7/2
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum: paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
-capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
-solver.  Exits 1 when any output differs, is missing on one side, or a
-command fails.
+capacities 1, 3 and 24, of `solve-ratio` on each branch of the solver,
+and of `report` re-emitting each tree's simulate `summary.json` as csv
+and `summary.csv` as json.  Exits 1 when any output differs, is missing
+on one side, or a command fails.
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ def run_command(src: Path, argv: list[str]) -> bytes:
                           check=True, stdout=subprocess.PIPE).stdout
 
 
+def out_dir(tmp: Path, label: str, side: str) -> Path:
+    return tmp / label.replace(" ", "-") / side
+
+
 def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
     """Run `argv(out_dir)` with both trees; the number of report files that
     differ (a failed command counts as one)."""
-    outs = {side: tmp / label.replace(" ", "-") / side for side in trees}
+    outs = {side: out_dir(tmp, label, side) for side in trees}
     try:
         for side, src in trees.items():
             run_command(src, argv(str(outs[side])))
@@ -92,6 +97,24 @@ def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
         differ += not verdict.startswith("identical")
         print(f"{label}: {fname}: {verdict}")
     return differ
+
+
+def compare_stdout(trees: dict, label: str, argv) -> int:
+    """Run `argv(side)` with both trees; 1 if their stdout differs or a
+    command fails, else 0."""
+    try:
+        outs = {side: run_command(src, argv(side)) for side, src in trees.items()}
+    except subprocess.CalledProcessError as exc:
+        print(f"{label}: command failed: {exc}")
+        return 1
+    same = outs["ref"] == outs["new"]
+    print(f"{label}: stdout: " + (f"identical ({len(outs['ref'])} bytes)" if same else "DIFFERS"))
+    return not same
+
+
+def report_argv(tmp: Path, label: str, src: str, fmt: str):
+    """`report` re-emitting a file of the side's own `label` output."""
+    return lambda side: ["report", "--in", str(out_dir(tmp, label, side) / src), "--format", fmt]
 
 
 def policy_paths_argv(corpus: str, capacity: str):
@@ -117,6 +140,10 @@ def main() -> int:
                 write_corpus(corpus, workload.model, workload.days, seed)
                 differ += compare_command(tmp, trees, f"{name} seed {seed}",
                                           partial(workload.argv, corpus))
+            label = f"simulate-regime seed {seed}"  # the workload's output, written above
+            for src, fmt in (("summary.json", "csv"), ("summary.csv", "json")):
+                differ += compare_stdout(trees, f"{label} report {src} as {fmt}",
+                                         report_argv(tmp, label, src, fmt))
             corpus = str(tmp / f"simulate-regime-{seed}.csv")  # the regime corpus, written above
             for tag, capacity in POLICY_CAPACITIES.items():
                 differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
@@ -125,16 +152,7 @@ def main() -> int:
                                       lambda out: ["sweep", "--prices", corpus, "--rate-grid",
                                                    NO_LIMIT_RATE_GRID, "--out", out])
         for name, argv in STDOUT_COMMANDS.items():
-            try:
-                outs = {side: run_command(src, argv) for side, src in trees.items()}
-            except subprocess.CalledProcessError as exc:
-                print(f"{name}: command failed: {exc}")
-                differ += 1
-                continue
-            same = outs["ref"] == outs["new"]
-            differ += not same
-            print(f"{name}: stdout: "
-                  + (f"identical ({len(outs['ref'])} bytes)" if same else "DIFFERS"))
+            differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
     print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0
 

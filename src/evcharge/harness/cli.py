@@ -79,8 +79,8 @@ def _load_cfg(args) -> ExperimentConfig:
             overrides[key] = getattr(args, key)
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "policies", None):
-        overrides["policies"] = tuple(p.strip() for p in args.policies.split(","))
+    if getattr(args, "policies", None) is not None:
+        overrides["policies"] = _coerce("policies", args.policies)
     return apply_overrides(cfg, **overrides)
 
 

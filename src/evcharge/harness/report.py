@@ -12,8 +12,8 @@ import io
 import json
 import os
 from dataclasses import fields, is_dataclass
-from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from itertools import groupby
+from operator import attrgetter
 
 from ..core import ProblemSpec, ValidationError
 from ..ratio import solve_pi_star
@@ -39,28 +39,22 @@ def rows_to_dicts(rows) -> list[dict]:
 def write_report(rows, fmt: str, fh) -> None:
     """Write rows (dataclasses or dicts) to an open text stream as csv or json.
 
-    In csv, None is an empty cell and a float is written with str, which
+    In csv, the first row's keys are the header and every row's cells
+    follow it; None is an empty cell and a float is written with str, which
     equals repr for a float, so every value round-trips exactly."""
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
+    rows = rows_to_dicts(rows)
     if fmt == "json":
-        json.dump(rows_to_dicts(rows), fh, indent=1)
+        json.dump(rows, fh, indent=1)
         fh.write("\n")
         return
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    if not rows:
         return
-    if is_dataclass(first):
-        header, getter = [f.name for f in fields(first)], attrgetter
-    else:
-        header, getter = list(first), itemgetter
-    # a getter of one name returns the bare value and of none raises, so
-    # those headers take the cells one by one
-    cells = getter(*header) if len(header) > 1 else lambda row: [getter(k)(row) for k in header]
+    header = list(rows[0])
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(cells, chain((first,), rows)))
+    writer.writerows([row[k] for k in header] for row in rows)
 
 
 def emit_report(rows, fmt: str, path: str) -> str:
@@ -136,12 +130,25 @@ def _csv_value(cell: str):
         return cell
 
 
+def _check_unique(path: str, names) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"{path}: column {name!r} is repeated")
+        seen.add(name)
+
+
 def load_rows(path: str) -> list[dict]:
     """Read back a report emitted by emit_report (either format)."""
+
+    def unique_object(pairs):
+        _check_unique(path, (key for key, _ in pairs))
+        return dict(pairs)
+
     with open_text(path, ParseError) as fh:
         if path.endswith(".json"):
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=unique_object)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
             except RecursionError:
@@ -159,4 +166,5 @@ def load_rows(path: str) -> list[dict]:
                     f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} cells"
                 )
             rows.append({k: _csv_value(v) for k, v in row.items()})
+        _check_unique(path, reader.fieldnames or ())  # read in the loop, where csv errors map
         return rows

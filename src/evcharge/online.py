@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
 from .ratio import solve_pi_star, solve_pi_t
@@ -24,13 +23,11 @@ SUB_CLAMP_TOL = 1e-9
 @dataclass(frozen=True)
 class PolicyStep:
     charge: float
-    target_ratio: float | None
 
 
 class Policy:
     """One episode of one policy; build a fresh one per episode."""
 
-    name: str
     lookahead_needed: int = 0
 
     def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
@@ -46,7 +43,6 @@ class FixedRatioPolicy(Policy):
 
     def __init__(self, spec: ProblemSpec, pi: float, capacity: float | None = None):
         c = spec.capacity_f if capacity is None else capacity
-        self.name = "fixed"
         self.alpha = spec.alpha
         self.pi = pi
         self.capacity = c
@@ -58,8 +54,8 @@ class FixedRatioPolicy(Policy):
         if scaled < self.opt:
             self.opt = scaled
         if price >= self.alpha:
-            return PolicyStep(0.0, self.pi)
-        return PolicyStep(self._charge_to_target(price, math.inf), self.pi)
+            return PolicyStep(0.0)
+        return PolicyStep(self._charge_to_target(price, math.inf))
 
     def assign(self, price: float) -> float:
         """Step as a distributor sub-problem that was just assigned `price`
@@ -94,7 +90,6 @@ class AdaptivePolicy(FixedRatioPolicy):
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec, None)
-        self.name = "adaptive"
         self.spec = spec
         self.running_min = spec.alpha
 
@@ -102,11 +97,11 @@ class AdaptivePolicy(FixedRatioPolicy):
         if price >= self.running_min:
             # No new minimum below alpha: charging now can only be matched
             # or beaten later, so skip.
-            return PolicyStep(0.0, self.pi)
+            return PolicyStep(0.0)
         self.pi = solve_pi_t(self.spec, price, self.charged, self.eta)
         self.opt = price * self.capacity
         self.running_min = price
-        return PolicyStep(self._charge_to_target(price, math.inf), self.pi)
+        return PolicyStep(self._charge_to_target(price, math.inf))
 
 
 class DistributorPolicy(Policy):
@@ -118,9 +113,7 @@ class DistributorPolicy(Policy):
     are charged in that order.
     """
 
-    def __init__(self, name: str, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
-        self.name = name
-        self.pi = pi
+    def __init__(self, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
         self.fanout = fanout
         self.held = [(-spec.alpha, i) for i in range(count)]  # sorted, so a heap
         self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
@@ -134,21 +127,20 @@ class DistributorPolicy(Policy):
         for i in chosen:
             heapq.heappush(held, (-price, i))
             total += self.subs[i].assign(price)
-        return PolicyStep(total, self.pi)
+        return PolicyStep(total)
 
 
-def rhc_step(remaining: float, window: tuple[float, ...], spec: ProblemSpec) -> float:
+def rhc_step(remaining: float, price: float, lookahead: tuple[float, ...]) -> float:
     """Receding-horizon baseline: place the remaining need on the cheapest
-    slots of the lookahead window, then execute only the first slot.
+    slots of the window (the current price, then the lookahead), and
+    execute only the current slot.
 
     The window sub-problem ignores dissatisfaction, so a zero-lookahead
     window degenerates to charging at the maximum rate.
     """
-    if not window:
-        raise ValidationError("empty lookahead window")
-    # the cheaper later slots, each at full rate, come before the first
-    # (which wins price ties); what they leave goes to the first slot
-    left = remaining - sum(1 for p in window[1:] if p < window[0])
+    # the cheaper later slots, each at full rate, come before the current
+    # one (which wins price ties); what they leave goes to the current slot
+    left = remaining - sum(1 for p in lookahead if p < price)
     if left <= 0.0:
         return 0.0
     return 1.0 if left >= 1.0 else left
@@ -163,19 +155,18 @@ def naive_threshold_step(remaining: float, price: float, spec: ProblemSpec) -> f
 
 class BaselinePolicy(Policy):
     """A baseline that only knows its remaining need: `rule(remaining,
-    window)` gives the charge for the slot, where the window is the current
-    price followed by up to `lookahead_needed` upcoming ones."""
+    price, lookahead)` gives the charge for the slot, where the caller
+    passes up to `lookahead_needed` upcoming prices."""
 
-    def __init__(self, name: str, spec: ProblemSpec, rule, lookahead_needed: int = 0):
-        self.name = name
+    def __init__(self, spec: ProblemSpec, rule, lookahead_needed: int = 0):
         self.rule = rule
         self.lookahead_needed = lookahead_needed
         self.remaining = spec.capacity_f
 
     def step(self, price, lookahead=()):
-        v = self.rule(self.remaining, (price,) + tuple(lookahead[: self.lookahead_needed]))
+        v = self.rule(self.remaining, price, lookahead)
         self.remaining -= v
-        return PolicyStep(v, None)
+        return PolicyStep(v)
 
 
 RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")
@@ -202,8 +193,8 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
         # with m <= n a single sub-problem of the full capacity stands in,
         # which reproduces the unlimited-rate policy exactly
         if m <= n:
-            return DistributorPolicy(name, spec, pi, 1, spec.capacity_f, 1)
-        return DistributorPolicy(name, spec, pi, m, 1 / n, n)
+            return DistributorPolicy(spec, pi, 1, spec.capacity_f, 1)
+        return DistributorPolicy(spec, pi, m, 1 / n, n)
     if name.startswith("rhc:"):
         raw = name.split(":", 1)[1]
         try:
@@ -217,9 +208,9 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
             )
         if horizon < 0:
             raise ValidationError(f"lookahead horizon must be >= 0, got {horizon}")
-        return BaselinePolicy(name, spec, partial(rhc_step, spec=spec), horizon)
+        return BaselinePolicy(spec, rhc_step, horizon)
     if name == "naive":
-        return BaselinePolicy("naive", spec, lambda left, window: naive_threshold_step(left, window[0], spec))
+        return BaselinePolicy(spec, lambda left, price, lookahead: naive_threshold_step(left, price, spec))
     if name == "never":
-        return BaselinePolicy("never", spec, lambda left, window: 0.0)
+        return BaselinePolicy(spec, lambda left, price, lookahead: 0.0)
     raise ValidationError(f"unknown policy {name!r}")

@@ -273,13 +273,17 @@ def test_09_adaptive_target_behavior(policy_suite):
                 continue
             prices = decreasing_prices(rng, p_min, start, int(rng.integers(2, 51)))
             runner = make_policy("adaptive", spec)
-            targets = [runner.step(p).target_ratio for p in prices]
+            targets = []
+            for p in prices:
+                runner.step(p)
+                targets.append(runner.pi)
             assert all(b <= a + 1e-9 for a, b in zip(targets, targets[1:]))
             assert all(t <= pi + 1e-9 for t in targets)
 
         spec = spec_of(1, 5, 5, 1)
-        out = make_policy("adaptive", spec).step(1.0)
-        assert out.target_ratio == 1.0
+        runner = make_policy("adaptive", spec)
+        out = runner.step(1.0)
+        assert runner.pi == 1.0
         assert out.charge == 1.0
 
         assert policy_suite["dominance"] == 0

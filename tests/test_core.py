@@ -79,7 +79,7 @@ class _Replay(Policy):
         self.charges = iter(charges)
 
     def step(self, price, lookahead=()):
-        return PolicyStep(next(self.charges), None)
+        return PolicyStep(next(self.charges))
 
 
 def _score(spec, prices, charges, policy="naive"):

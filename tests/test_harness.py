@@ -539,7 +539,7 @@ class TestReport:
                  math.inf, -math.inf, "plain", "a,b", 'say "hi"', "two\nlines", ""]
         reports = [
             [{"key": i, "value": v, "note": None} for i, v in enumerate(cells)],
-            [{"only": v} for v in cells],  # one column: itemgetter gives a bare value
+            [{"only": v} for v in cells],  # one column
             [{"only": None}],
             [row],  # a dataclass with a None cell (naive has no target ratio)
             slots,
@@ -898,6 +898,7 @@ class TestCli:
         (["--alpha", "1e308"], "alpha"),  # alpha * capacity overflows
         (["--config", "tz_offset_minutes = 100000"], "tz_offset_minutes"),
         (["--config", "policies ="], "policies"),
+        (["--policies", ""], "policies"),
     ])
     def test_bad_settings_exit_one_naming_the_key(self, corpus_path, tmp_path, capsys, setting, key):
         if setting[0] == "--config":
@@ -918,6 +919,8 @@ class TestCli:
         ("long_row.csv", "a,b\n1,2,3\n"),
         ("latin1.csv", b"a,b\n1,\xff\n"),
         ("latin1.json", b'[{"a": "\xff"}]'),
+        ("dup_header.csv", "a,a,b\n1,2,3\n"),
+        ("dup_key.json", '[{"a": 1, "a": 2}]'),
     ])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, name, text):
         src = tmp_path / name
@@ -1028,3 +1031,11 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "policy,ratio"
         assert out[1] == "fixed,1.5"
+
+    def test_report_aligns_reordered_json_keys(self, tmp_path, capsys):
+        # load_rows accepts rows that list the same keys in another order;
+        # every csv row follows the first row's header
+        src = tmp_path / "rows.json"
+        src.write_text('[{"a": 1, "b": 2}, {"b": 3, "a": 4}]', encoding="utf-8")
+        assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "a,b\n1,2\n4,3\n"
