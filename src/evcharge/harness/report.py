@@ -66,6 +66,14 @@ def emit_report(rows, fmt: str, path: str) -> str:
     return path
 
 
+class _ReprMemo(dict):
+    """float -> its repr, computed on the first lookup of each key."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = repr(x)
+        return text
+
+
 def write_slot_table(slot_rows, fh) -> None:
     """Write slot rows as the long csv table date,policy,slot,metric,value,
     one line per slot and metric (price, charge, eta, opt, ratio): the
@@ -74,7 +82,13 @@ def write_slot_table(slot_rows, fh) -> None:
     Each run of rows with equal (date, policy) is one fh.write.  The csv
     writer quotes the run's date,policy prefix once; the other cells need
     no quoting, because an int or a float repr holds no delimiter, quote or
-    line break, and csv writes a float with str, which equals repr."""
+    line break, and csv writes a float with str, which equals repr.
+
+    Each distinct nonzero value is repr'd once per call and looked up
+    after that (prices repeat across policies, the optimum stays flat).
+    Zeros skip the memo, because 0.0 and -0.0 are one key; a nan hits only
+    as the same object, and its repr is 'nan' either way."""
+    memo = _ReprMemo()
     cells = io.StringIO()
     writer = csv.writer(cells, lineterminator="\n")  # write_report's dialect
     head = "date,policy,slot,metric,value\n"
@@ -83,11 +97,18 @@ def write_slot_table(slot_rows, fh) -> None:
         cells.truncate()
         writer.writerow((date, policy, ""))
         p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
-        fh.write(head + "".join([
-            f"{p}{s.slot},price,{s.price!r}\n{p}{s.slot},charge,{s.charge!r}\n"
-            f"{p}{s.slot},eta,{s.eta!r}\n{p}{s.slot},opt,{s.opt!r}\n{p}{s.slot},ratio,{s.ratio!r}\n"
-            for s in run
-        ]))
+        lines = [head]
+        for s in run:
+            price, charge, eta, opt, ratio = s.price, s.charge, s.eta, s.opt, s.ratio
+            k = f"{p}{s.slot},"
+            lines.append(
+                f"{k}price,{memo[price] if price else repr(price)}\n"
+                f"{k}charge,{memo[charge] if charge else repr(charge)}\n"
+                f"{k}eta,{memo[eta] if eta else repr(eta)}\n"
+                f"{k}opt,{memo[opt] if opt else repr(opt)}\n"
+                f"{k}ratio,{memo[ratio] if ratio else repr(ratio)}\n"
+            )
+        fh.write("".join(lines))
         head = ""
 
 
@@ -118,16 +139,18 @@ def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: Inges
 
 
 def _csv_value(cell: str):
+    """A csv cell as the value write_report wrote: None for an empty cell,
+    a number only when the number's own spelling is the cell (so '007',
+    '1_000' and ' 7' stay text), else the text."""
     if cell == "":
         return None
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+    for kind, spell in ((int, str), (float, repr)):
+        try:
+            value = kind(cell)
+        except ValueError:
+            continue
+        return value if spell(value) == cell else cell
+    return cell
 
 
 def _check_unique(path: str, names) -> None:

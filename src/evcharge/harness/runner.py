@@ -87,12 +87,12 @@ def run_episode(
 
     alpha, cap = spec.alpha, spec.capacity_f
     eta = alpha * cap
+    need = runner.lookahead_needed  # non-zero only for rhc:h
     charged = 0.0
     cost_terms: list[float] = []
     slots: list[SlotRow] = []
     for t, price in enumerate(prices):
-        look = prices[t + 1 : t + 1 + runner.lookahead_needed]
-        out = runner.step(price, look)
+        out = runner.step(price, prices[t + 1 : t + 1 + need] if need else ())
         opt = opt_step(price)
         v = out.charge
         if v < -1e-12 or v > rate_cap:

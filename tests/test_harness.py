@@ -591,6 +591,12 @@ def _slot_rows(draw):
 @example(rows=[SlotRow("a\nb", "", 0, -0.0, math.inf, math.nan, 5e-324, 1e16),
                SlotRow("a\nb", "", 1, 1e-05, 0.1 + 0.2, -1.0, 1.0, 2.5),
                SlotRow('say "x"', "rhc:0,naive", -3, 0.0, 0.0, 0.0, 0.0, 0.0)])
+# 0.0 and -0.0 are one dict key, and a nan is one only as the same object
+@example(rows=[SlotRow("d", "p", 0, 0.0, 2.5, 0.0, 1.0, 0.0),
+               SlotRow("d", "p", 1, -0.0, 2.5, -0.0, 1.0, -0.0)])
+@example(rows=[SlotRow("d", "p", t, math.nan, math.nan, 1.0, math.nan, float("nan")) for t in range(3)])
+@example(rows=[SlotRow("d1", "fixed", 0, 0.1 + 0.2, 1e-05, 3.0, 0.3, 7.25),
+               SlotRow("d2", "fixed", 0, 0.1 + 0.2, 7.25, 3.0, 0.3, 1e-05)])
 def test_slot_table_bytes_equal_csv_writer(rows):
     fh = io.StringIO()
     write_slot_table(rows, fh)
@@ -1039,3 +1045,18 @@ class TestCli:
         src.write_text('[{"a": 1, "b": 2}, {"b": 3, "a": 4}]', encoding="utf-8")
         assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 0
         assert capsys.readouterr().out == "a,b\n1,2\n4,3\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_keeps_cells_that_are_not_number_spellings(self, tmp_path, capsys, fmt):
+        # int() and float() accept '007', '1_000', ' 7' and '1e16', but the
+        # numbers they give are spelt '7', '1000', '7' and '1e+16'
+        src = tmp_path / "lead.csv"
+        src.write_text("id,note,x,big,n,f\n007,1_000, 7,1e16,-12,0.1\n", encoding="utf-8")
+        assert cli.main(["report", "--in", str(src), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "id,note,x,big,n,f\n007,1_000, 7,1e16,-12,0.1\n"
+        else:
+            assert json.loads(out) == [
+                {"id": "007", "note": "1_000", "x": " 7", "big": "1e16", "n": -12, "f": 0.1}
+            ]

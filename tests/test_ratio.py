@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import decreasing_prices, spec_of
 from evcharge.core import ValidationError, validate_spec
@@ -175,6 +176,21 @@ class TestSolvePiStar:
             else:
                 assert sol.branch == "root"
             assert sol.pi_star <= pi_star_upper_bound(spec) + 1e-9
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@given(p_min=_log_uniform(-2, 2), band=_log_uniform(-6, 2), headroom=_log_uniform(-8, 4))
+def test_solver_returns_a_target_under_the_bound_or_no_bracket(p_min, band, headroom):
+    # p_max / p_min in [1 + 1e-6, 1 + 1e2], alpha / p_min in [1 + 1e-8, 1 + 1e4]
+    spec = spec_of(p_min, p_min * (1 + band), p_min * (1 + headroom), 1)
+    try:
+        pi = solve_pi_star(spec).pi_star
+    except NoBracket:
+        return
+    assert pi <= min(math.sqrt(spec.alpha / spec.p_min), spec.p_max / spec.p_min)
 
 
 class TestUpperBound:
