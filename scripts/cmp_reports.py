@@ -12,10 +12,12 @@ it also runs `simulate` over every policy kind but `int` at capacities 7/2
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum: paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
-capacities 1, 3 and 24, of `solve-ratio` on each branch of the solver,
-and of `report` re-emitting each tree's simulate `summary.json` as csv
-and `summary.csv` as json.  Exits 1 when any output differs, is missing
-on one side, or a command fails.
+capacities 1, 3 and 24, of `solve-ratio` on each branch of the solver
+and at the edges of both of its brackets (a narrow band, each side of a
+threshold, a wide band with a large alpha), and of `report` re-emitting
+each tree's simulate `summary.json` as csv and `summary.csv` as json.
+Exits 1 when any output differs, is missing on one side, or a command
+fails.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ STDOUT_COMMANDS = {
                                    "--capacity", "24"],
     "solve-ratio flat-band": ["solve-ratio", "--p-min", "3", "--p-max", "3", "--alpha", "10",
                               "--capacity", "24"],
+    # the edges of both brackets: a threshold just above a narrow band, one
+    # alpha on each side of the 1-5 band's threshold (about 15.535), and a
+    # threshold far above a wide band
+    "solve-ratio narrow-band": ["solve-ratio", "--p-min", "1", "--p-max", "1.01", "--alpha", "2"],
+    "solve-ratio below-threshold": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "15.5"],
+    "solve-ratio above-threshold": ["solve-ratio", "--p-min", "1", "--p-max", "5",
+                                    "--alpha", "15.55"],
+    "solve-ratio wide-band": ["solve-ratio", "--p-min", "0.01", "--p-max", "100",
+                              "--alpha", "1000000"],
 }
 
 

@@ -22,7 +22,7 @@ import math
 from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
 from .offline import NoLimitOptimum
 from .online import FixedRatioPolicy, Policy
-from .ratio import solve_pi_star
+from .ratio import DegenerateAtPiOne, solve_pi_star
 
 MIN_LEVEL_GAP = 1e-12
 
@@ -40,6 +40,9 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     if alpha == p_min:
         raise DegenerateSpec("alpha == p_min: never charging is optimal, no descent exists")
     p_start = min(alpha / pi, p_max)
+    if p_start >= alpha:
+        raise DegenerateAtPiOne(f"no descent at pi={pi} with alpha={alpha} <= p_max={p_max}: "
+                                f"the worst-case total diverges")
     if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
         return PriceTrace((p_min,))
 

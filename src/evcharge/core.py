@@ -9,6 +9,7 @@ rational so slot-counting logic never suffers float drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,16 +91,18 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     """Check parameter sanity and return a normalized spec.
 
     Capacity accepts int, Fraction, "m/n" strings, or floats (floats are
-    snapped to a rational with denominator <= 10**4).  alpha below p_min is
-    rejected: the optimum there is to never charge, which makes every
-    ratio question vacuous.  So is a spec whose alpha * c or p_max * c
-    overflows a float.
+    snapped to a rational with denominator <= 10**4).  A p_min below the
+    smallest normal float is rejected, and so is alpha below p_min: the
+    optimum there is to never charge, which makes every ratio question
+    vacuous.  So is a spec whose alpha * c or p_max * c overflows a float.
     """
     p_min = float(p_min)
     p_max = float(p_max)
     alpha = float(alpha)
-    if not (p_min > 0.0) or not math.isfinite(p_max):
-        raise NonPositivePrice(f"price bounds must be positive finite, got [{p_min}, {p_max}]")
+    if not (p_min >= sys.float_info.min) or not math.isfinite(p_max):
+        # a subnormal band puts the threshold bracket on its pole
+        raise NonPositivePrice(f"price bounds must be finite and at least the smallest normal "
+                               f"float {sys.float_info.min}, got [{p_min}, {p_max}]")
     if p_max < p_min:
         raise BoundsInverted(f"p_max={p_max} < p_min={p_min}")
     if not math.isfinite(alpha) or alpha < p_min:

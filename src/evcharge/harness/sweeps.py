@@ -48,10 +48,16 @@ class CompareRow:
     mean_charged_fraction: float
 
 
-def _distributor_policy(capacity: Fraction) -> str:
-    if capacity <= 1:
-        return "fixed"
-    return "int" if capacity.denominator == 1 else "rat"
+def _run_distributor(cfg: ExperimentConfig, spec: ProblemSpec,
+                     data: IngestResult) -> tuple[str, list[tuple[EpisodeRow, list[SlotRow]]]]:
+    """The capacity-splitting policy for spec, and its (row, [last slot])
+    on every episode."""
+    if spec.capacity <= 1:
+        policy = "fixed"
+    else:
+        policy = "int" if spec.capacity.denominator == 1 else "rat"
+    return policy, [run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
+                    for ep in data.episodes]
 
 
 def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow]:
@@ -61,20 +67,14 @@ def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow
     rows = []
     for factor in cfg.alpha_grid:
         spec = validate_spec(calib.p_min, calib.p_max, factor * calib.p_min, cfg.capacity, cfg.slot_minutes)
-        policy = _distributor_policy(spec.capacity)
-        ratios = []
-        fractions = []
-        for ep in data.episodes:
-            row, _ = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
-            ratios.append(row.ratio)
-            fractions.append(row.charged_fraction)
+        _, runs = _run_distributor(cfg, spec, data)
         rows.append(
             AlphaSweepRow(
                 alpha_factor=factor,
                 alpha=spec.alpha,
                 pi_star=solve_pi_star(spec).pi_star,
-                mean_ratio=fmean(ratios),
-                mean_charged_fraction=fmean(fractions),
+                mean_ratio=fmean(row.ratio for row, _ in runs),
+                mean_charged_fraction=fmean(row.charged_fraction for row, _ in runs),
             )
         )
     return rows
@@ -100,21 +100,15 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
             raise ValidationError(f"rate factor must be positive, got {factor}")
         capacity = base.capacity / f
         spec = validate_spec(calib.p_min, calib.p_max, base.alpha, capacity, cfg.slot_minutes)
-        policy = _distributor_policy(capacity)
+        policy, runs = _run_distributor(cfg, spec, data)
         scale = factor * energy
-        alg_vals = []
-        opt_vals = []
-        for ep in data.episodes:
-            row, (last,) = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
-            alg_vals.append(row.objective * scale)
-            opt_vals.append(last.opt * scale)
         rows.append(
             RateSweepRow(
                 rate_factor=factor,
                 capacity=str(capacity),
                 policy=policy,
-                mean_alg_objective=fmean(alg_vals),
-                mean_opt_objective=fmean(opt_vals),
+                mean_alg_objective=fmean(row.objective * scale for row, _ in runs),
+                mean_opt_objective=fmean(last.opt * scale for _, (last,) in runs),
             )
         )
     return rows

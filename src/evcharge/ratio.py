@@ -16,6 +16,7 @@ unit capacity and are exactly capacity-independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,8 @@ PI_LOWER_BRACKET = 1.0 + 1e-12
 
 class NoBracket(ValidationError):
     """The defining equation has no root that a float holds: a degenerate
-    price band, or alpha too close to p_min."""
+    price band, alpha too close to p_min, or alpha so far above p_max that
+    the closed form underflows."""
 
 
 class DegenerateAtPiOne(ValidationError):
@@ -73,17 +75,41 @@ def max_total_charge(spec: ProblemSpec, pi: float) -> float:
     return head + c * pi * log_price_ratio(alpha, spec.p_max, spec.p_min)
 
 
-def _bisect_decreasing(f, lo: float, hi: float, max_iter: int = 200) -> float:
-    """Root of a strictly decreasing f with f(lo) > 0 >= f(hi)."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+def _decreasing_root(f, lo: float, hi: float, grow: float, tries: int, what: str) -> float:
+    """The float root of a strictly decreasing f on [lo, hi].
+
+    hi is multiplied by `grow` up to `tries` times until f(hi) < 0; a
+    merely zero f(hi) is not a bracket, since f can round to 0 far past
+    its root.  A root whose residual exceeds ROOT_RESIDUAL_TOL means no
+    float solves the equation (NoBracket) when the root lies below lo or
+    one ulp moves f past the tolerance, and a solver fault otherwise.
+    `what` names the root and the spec's values in every message.
+    """
+    if hi <= lo:
+        raise NoBracket(f"{what}: the bracket [{lo}, {hi}] is empty")
+    for _ in range(tries):
+        if f(hi) < 0.0:
+            break
+        hi *= grow
+    else:
+        raise NoBracket(f"{what}: the equation stays >= 0 up to {hi}")
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
             break
         if f(mid) > 0.0:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b = mid
+    root = 0.5 * (a + b)
+    if abs(f(root)) > ROOT_RESIDUAL_TOL:
+        ulp_step = f(math.nextafter(root, 0.0)) - f(math.nextafter(root, math.inf))
+        if f(lo) < 0.0 or ulp_step > ROOT_RESIDUAL_TOL:
+            raise NoBracket(f"{what}: no float meets the residual tolerance "
+                            f"{ROOT_RESIDUAL_TOL}; one ulp moves the equation by {ulp_step}")
+        raise InternalConsistencyError(f"{what}: bisection residual {f(root)}")
+    return root
 
 
 def solve_alpha_star(spec: ProblemSpec) -> float:
@@ -100,24 +126,8 @@ def solve_alpha_star(spec: ProblemSpec) -> float:
     def g(a: float) -> float:
         return (a / p_max) * log_price_ratio(a, p_max, p_min) - 1.0
 
-    lo = p_max * (1.0 + 1e-12)
-    hi = 2.0 * p_max
-    for _ in range(70):
-        if g(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoBracket("could not bracket the threshold price")
-    root = _bisect_decreasing(g, lo, hi)
-    if abs(g(root)) > ROOT_RESIDUAL_TOL:
-        # on a nearly flat band the root lies below lo, or one ulp of the
-        # threshold moves the equation past the tolerance
-        ulp_step = g(math.nextafter(root, 0.0)) - g(math.nextafter(root, math.inf))
-        if g(lo) < 0.0 or ulp_step > ROOT_RESIDUAL_TOL:
-            raise NoBracket(f"p_max={p_max} is too close to p_min={p_min}: no float "
-                            f"threshold meets the residual tolerance {ROOT_RESIDUAL_TOL}")
-        raise InternalConsistencyError(f"threshold bisection residual {g(root)}")
-    return root
+    return _decreasing_root(g, p_max * (1.0 + 1e-12), 2.0 * p_max, 2.0, 70,
+                            f"threshold price for p_min={p_min}, p_max={p_max}")
 
 
 def pi_star_upper_bound(spec: ProblemSpec) -> float:
@@ -165,8 +175,12 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
         return RatioSolution(alpha_star, 1.0, "degenerate", bound, c)
 
     alpha_star = solve_alpha_star(spec)
+    what = f"ratio target for alpha={alpha}, p_min={p_min}, p_max={p_max}"
     if alpha > alpha_star:
         lump = p_max / (alpha - p_max)
+        if lump < sys.float_info.min:
+            # a subnormal lump has lost the digits the closed form divides by
+            raise NoBracket(f"{what}: p_max / (alpha - p_max) = {lump} is below the normal floats")
         pi = lump / (lump - log_price_ratio(alpha, p_max, p_min))
         branch = "closed_form"
     else:
@@ -174,24 +188,7 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
             # Worst-case total at unit capacity minus the unit capacity.
             return pi * log_price_ratio(alpha, alpha / pi, p_min) - 1.0
 
-        if bound <= PI_LOWER_BRACKET:
-            raise NoBracket(f"alpha={alpha} is too close to p_min={p_min}: the target "
-                            f"bracket [{PI_LOWER_BRACKET}, {bound}] is empty")
-        hi = bound
-        for _ in range(8):
-            if excess(hi) <= 0.0:
-                break
-            hi *= 1.0 + 1e-9
-        else:
-            raise NoBracket("upper bracket failed to cap the target equation")
-        pi = _bisect_decreasing(excess, PI_LOWER_BRACKET, hi)
-        if abs(excess(pi)) > ROOT_RESIDUAL_TOL:
-            # near alpha = p_min the equation is too steep for a float pi
-            ulp_step = excess(math.nextafter(pi, 0.0)) - excess(math.nextafter(pi, math.inf))
-            if ulp_step > ROOT_RESIDUAL_TOL:
-                raise NoBracket(f"alpha={alpha} is too close to p_min={p_min}: one ulp of "
-                                f"the target moves its equation by {ulp_step}")
-            raise InternalConsistencyError(f"target bisection residual {excess(pi)}")
+        pi = _decreasing_root(excess, PI_LOWER_BRACKET, bound, 1.0 + 1e-9, 8, what)
         branch = "root"
 
     residual = abs(max_total_charge(spec, pi) - c)

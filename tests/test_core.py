@@ -42,6 +42,9 @@ class TestValidateSpec:
             validate_spec(0, 5, 5, 1)
         with pytest.raises(NonPositivePrice):
             validate_spec(-1, 5, 5, 1)
+        # a subnormal band would put the solver's threshold bracket on its pole
+        with pytest.raises(NonPositivePrice, match=r"1e-312, 1\.001e-312"):
+            validate_spec(1e-312, 1.001e-312, 3e-312, 1)
         with pytest.raises(BoundsInverted):
             validate_spec(5, 1, 5, 1)
 

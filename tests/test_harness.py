@@ -684,6 +684,20 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_solve_ratio_subnormal_band_exits_one(self, capsys):
+        code = cli.main(["solve-ratio", "--p-min", "1e-312", "--p-max", "1.001e-312",
+                         "--alpha", "3e-312"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "1e-312, 1.001e-312" in err and "Traceback" not in err
+
+    def test_solve_ratio_unbracketed_threshold_names_the_band(self, capsys):
+        # 2 * p_max overflows, so the threshold equation never turns negative
+        code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", "1e308", "--alpha", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "p_min=1.0, p_max=1e+308" in err
+
     def test_solve_ratio_alpha_just_above_p_min_exits_one(self, capsys):
         code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "1.0000000000000002"])
         err = capsys.readouterr().err
@@ -721,8 +735,9 @@ class TestCli:
         assert repeated == [p for p in levels for _ in range(repeat)]
 
     @pytest.mark.parametrize("mode", [[], ["--rate-limited"]])
-    @pytest.mark.parametrize("pi", ["nan", "inf"])
-    def test_adversary_non_finite_pi_exits_one(self, capsys, mode, pi):
+    @pytest.mark.parametrize("pi", ["nan", "inf", "1", "0.9999999999999"])
+    def test_adversary_bad_pi_exits_one(self, capsys, mode, pi):
+        # alpha == p_max here, so a target of 1 leaves no descent: the total diverges
         code = cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                          "--pi", pi] + mode)
         err = capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from conftest import decreasing_prices, spec_of
 from evcharge.core import ValidationError, validate_spec
@@ -153,6 +153,13 @@ class TestSolvePiStar:
         with pytest.raises(NoBracket, match=r"alpha=.* p_min=1\.0"):
             solve_pi_star(spec_of(1, 5, alpha, 1))
 
+    @pytest.mark.parametrize("alpha", [1e13, 1e23])
+    def test_closed_form_underflow_has_no_float_target(self, alpha):
+        # p_max / (alpha - p_max) is subnormal: 1e-310 returned a target
+        # above theta, and 1e-320 divided by zero
+        with pytest.raises(NoBracket, match=r"alpha=.* p_min=1e-307"):
+            solve_pi_star(spec_of(1e-307, 1e-297, alpha, 1))
+
     def test_flat_band_degenerates(self):
         sol = solve_pi_star(spec_of(3, 3, 10, 1))
         assert sol.branch == "degenerate"
@@ -182,15 +189,72 @@ def _log_uniform(lo_exp: float, hi_exp: float):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
-@given(p_min=_log_uniform(-2, 2), band=_log_uniform(-6, 2), headroom=_log_uniform(-8, 4))
-def test_solver_returns_a_target_under_the_bound_or_no_bracket(p_min, band, headroom):
-    # p_max / p_min in [1 + 1e-6, 1 + 1e2], alpha / p_min in [1 + 1e-8, 1 + 1e4]
-    spec = spec_of(p_min, p_min * (1 + band), p_min * (1 + headroom), 1)
+def _domain_spec(p_min, band, headroom):
+    return spec_of(p_min, p_min * (1 + band), p_min * (1 + headroom), 1)
+
+
+# p_min in [1e-2, 1e2], p_max / p_min in [1 + 1e-6, 1 + 1e2], alpha / p_min in [1 + 1e-8, 1 + 1e4]
+_SPECS = st.builds(_domain_spec, _log_uniform(-2, 2), _log_uniform(-6, 2), _log_uniform(-8, 4))
+
+
+def worst_case_total(spec, pi):
+    """Worst-case total charge of the target-pi policy at unit capacity,
+    written with math.log: the lump forced at s = min(alpha/pi, p_max),
+    then the logarithmic accumulation from s down to p_min."""
+    alpha, p_min = spec.alpha, spec.p_min
+    s = min(alpha / pi, spec.p_max)
+    return (alpha - s * pi) / (alpha - s) + pi * math.log((alpha - p_min) / (alpha - s))
+
+
+def _non_degenerate_solution(spec):
+    try:
+        sol = solve_pi_star(spec)
+    except NoBracket:
+        sol = None
+    assume(sol is not None and sol.branch != "degenerate")
+    return sol
+
+
+@given(spec=_SPECS)
+def test_solver_returns_a_target_under_the_bound_or_no_bracket(spec):
     try:
         pi = solve_pi_star(spec).pi_star
     except NoBracket:
         return
     assert pi <= min(math.sqrt(spec.alpha / spec.p_min), spec.p_max / spec.p_min)
+
+
+@given(spec=_SPECS)
+def test_worst_case_total_at_pi_star_fills_capacity(spec):
+    # the largest miss over 24k specs of this domain was 1.7e-10, from the
+    # oracle's own cancellation in alpha - s * pi when alpha sits just above p_max
+    sol = _non_degenerate_solution(spec)
+    assert abs(worst_case_total(spec, sol.pi_star) - 1.0) <= 1e-9
+
+
+@given(spec=_SPECS)
+def test_a_target_nearer_one_overfills(spec):
+    # pi* is the smallest maintainable target.  1% of the way from pi* toward
+    # 1, the worst case exceeded capacity by at least 1.0e-12 over 90k specs
+    # (least at p_max = p_min (1 + 1e-6), alpha = 1e4 p_min), and by at least
+    # 6,400 times the miss of the same total at pi* itself
+    sol = _non_degenerate_solution(spec)
+    assert worst_case_total(spec, 1.0 + (sol.pi_star - 1.0) * (1.0 - 1e-2)) > 1.0
+
+
+@given(spec=_SPECS)
+def test_closed_form_at_alpha_star_is_the_root_branch_target(spec):
+    # at alpha = alpha*, the root branch's trigger alpha / pi sits exactly at
+    # p_max, so both branches give alpha* / p_max; the largest gap over
+    # 150k bands was 6.6e-13, on the widest ones
+    try:
+        a = solve_alpha_star(spec)
+    except NoBracket:
+        reject()
+    p_min, p_max = spec.p_min, spec.p_max
+    lump = p_max / (a - p_max)
+    closed = lump / (lump - math.log((a - p_min) / (a - p_max)))
+    assert closed == pytest.approx(a / p_max, rel=1e-12, abs=0.0)
 
 
 class TestUpperBound:
