@@ -16,8 +16,14 @@ capacities 1, 3 and 24, of `solve-ratio` on each branch of the solver
 and at the edges of both of its brackets (a narrow band, each side of a
 threshold, a wide band with a large alpha), and of `report` re-emitting
 each tree's simulate `summary.json` as csv and `summary.csv` as json.
+Last it runs commands that must fail: `solve-ratio` on each rejected spec
+(a zero p_min, inverted bounds, alpha below p_min, a zero capacity, and a
+p_max * capacity that overflows), `adversary` with alpha == p_min and at
+--pi 1 with alpha inside the band, and `simulate` on a header-only price
+file (exit 1) and on one with a bad timestamp (exit 2).  Each must give
+its expected exit code in both trees, with the same stdout and stderr.
 Exits 1 when any output differs, is missing on one side, or a command
-fails.
+fails (a failing one: exits otherwise than expected).
 """
 
 from __future__ import annotations
@@ -67,6 +73,32 @@ STDOUT_COMMANDS = {
     "solve-ratio wide-band": ["solve-ratio", "--p-min", "0.01", "--p-max", "100",
                               "--alpha", "1000000"],
 }
+BAD_PRICE_FILES = {"header-only.csv": "timestamp,price\n",
+                   "bad-timestamp.csv": "timestamp,price\n2021-03-01 17:00,2.0\n2021-03-01 17:5x,2.0\n"}
+
+
+def error_commands(tmp: Path) -> dict[str, tuple[int, list[str]]]:
+    """label: (the exit code both trees must give, argv), reading the
+    BAD_PRICE_FILES written into tmp."""
+    band = ["--p-min", "1", "--p-max", "5"]
+
+    def simulate(fname):
+        return ["simulate", "--prices", str(tmp / fname), "--out", str(tmp / "error-out")]
+
+    return {
+        "solve-ratio zero p-min": (1, ["solve-ratio", "--p-min", "0", "--p-max", "5",
+                                       "--alpha", "5"]),
+        "solve-ratio inverted band": (1, ["solve-ratio", "--p-min", "5", "--p-max", "1",
+                                          "--alpha", "5"]),
+        "solve-ratio alpha below p-min": (1, ["solve-ratio", *band, "--alpha", "0.5"]),
+        "solve-ratio zero capacity": (1, ["solve-ratio", *band, "--alpha", "5", "--capacity", "0"]),
+        "solve-ratio overflowing p-max": (1, ["solve-ratio", "--p-min", "1", "--p-max", "1e308",
+                                              "--alpha", "5", "--capacity", "24"]),
+        "adversary alpha at p-min": (1, ["adversary", *band, "--alpha", "1"]),
+        "adversary pi 1 inside band": (1, ["adversary", *band, "--alpha", "5", "--pi", "1"]),
+        "simulate header-only": (1, simulate("header-only.csv")),
+        "simulate bad timestamp": (2, simulate("bad-timestamp.csv")),
+    }
 
 
 def export_tree(ref: str, dest: Path) -> None:
@@ -75,11 +107,14 @@ def export_tree(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def run_cli(src: Path, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv, env=env, **kwargs)
+
+
 def run_command(src: Path, argv: list[str]) -> bytes:
     """The command's stdout."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv, env=env,
-                          check=True, stdout=subprocess.PIPE).stdout
+    return run_cli(src, argv, check=True, stdout=subprocess.PIPE).stdout
 
 
 def out_dir(tmp: Path, label: str, side: str) -> Path:
@@ -123,6 +158,21 @@ def compare_stdout(trees: dict, label: str, argv) -> int:
     return not same
 
 
+def compare_failure(trees: dict, label: str, code: int, argv: list[str]) -> int:
+    """Run argv with both trees; 0 if both exit with `code` and print the
+    same stdout and stderr, else 1."""
+    ref, new = ((p.returncode, p.stdout, p.stderr)
+                for p in (run_cli(src, argv, capture_output=True) for src in trees.values()))
+    if ref != new:
+        verdict = "DIFFERS"
+    elif new[0] != code:
+        verdict = f"EXPECTED exit {code}"
+    else:
+        verdict = f"identical ({len(new[2])} bytes of stderr)"
+    print(f"{label}: exit {ref[0]} and {new[0]}: {verdict}")
+    return not verdict.startswith("identical")
+
+
 def report_argv(tmp: Path, label: str, src: str, fmt: str):
     """`report` re-emitting a file of the side's own `label` output."""
     return lambda side: ["report", "--in", str(out_dir(tmp, label, side) / src), "--format", fmt]
@@ -164,6 +214,10 @@ def main() -> int:
                                                    NO_LIMIT_RATE_GRID, "--out", out])
         for name, argv in STDOUT_COMMANDS.items():
             differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
+        for fname, text in BAD_PRICE_FILES.items():
+            (tmp / fname).write_text(text, encoding="utf-8")
+        for name, (code, argv) in error_commands(tmp).items():
+            differ += compare_failure(trees, name, code, argv)
     print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0
 

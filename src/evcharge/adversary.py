@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 
-from .core import DegenerateSpec, PriceTrace, ProblemSpec, ValidationError
+from .core import PriceTrace, ProblemSpec, ValidationError
 from .offline import NoLimitOptimum
 from .online import FixedRatioPolicy, Policy
-from .ratio import DegenerateAtPiOne, solve_pi_star
+from .ratio import solve_pi_star
 
 MIN_LEVEL_GAP = 1e-12
 
@@ -38,11 +38,11 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
         raise ValidationError(f"ratio target must be finite and >= 1, got {pi}")
     alpha, p_min, p_max = spec.alpha, spec.p_min, spec.p_max
     if alpha == p_min:
-        raise DegenerateSpec("alpha == p_min: never charging is optimal, no descent exists")
+        raise ValidationError("alpha == p_min: never charging is optimal, no descent exists")
     p_start = min(alpha / pi, p_max)
     if p_start >= alpha:
-        raise DegenerateAtPiOne(f"no descent at pi={pi} with alpha={alpha} <= p_max={p_max}: "
-                                f"the worst-case total diverges")
+        raise ValidationError(f"no descent at pi={pi} with alpha={alpha} <= p_max={p_max}: "
+                              f"the worst-case total diverges")
     if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
         return PriceTrace((p_min,))
 

@@ -27,26 +27,6 @@ class ValidationError(EvChargeError, ValueError):
     """Bad input data or parameters; maps to CLI exit code 1."""
 
 
-class NonPositivePrice(ValidationError):
-    pass
-
-
-class BoundsInverted(ValidationError):
-    pass
-
-
-class AlphaBelowPMin(ValidationError):
-    pass
-
-
-class ZeroCapacity(ValidationError):
-    pass
-
-
-class DegenerateSpec(ValidationError):
-    pass
-
-
 class InternalConsistencyError(EvChargeError):
     """A guarantee the code relies on was violated; maps to exit code 3."""
 
@@ -55,8 +35,9 @@ class InternalConsistencyError(EvChargeError):
 class ProblemSpec:
     """Validated instance parameters.  Build via :func:`validate_spec`.
 
-    slot_minutes is carried for unit conversion in reports only; the
-    policies work in normalized units and never read it.
+    Nothing reads slot_minutes: reports convert to kWh from the config's
+    (slot_energy_kwh), and the policies work in normalized units.  It goes
+    with ROADMAP item 1.
     """
 
     p_min: float
@@ -79,7 +60,7 @@ class ProblemSpec:
 def _as_fraction(capacity) -> Fraction:
     if isinstance(capacity, float):
         if not math.isfinite(capacity):
-            raise ZeroCapacity(f"capacity must be finite, got {capacity!r}")
+            raise ValidationError(f"capacity must be finite, got {capacity!r}")
         return Fraction(capacity).limit_denominator(MAX_CAPACITY_DENOMINATOR)
     try:
         return Fraction(capacity)
@@ -101,15 +82,15 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     alpha = float(alpha)
     if not (p_min >= sys.float_info.min) or not math.isfinite(p_max):
         # a subnormal band puts the threshold bracket on its pole
-        raise NonPositivePrice(f"price bounds must be finite and at least the smallest normal "
-                               f"float {sys.float_info.min}, got [{p_min}, {p_max}]")
+        raise ValidationError(f"price bounds must be finite and at least the smallest normal "
+                              f"float {sys.float_info.min}, got [{p_min}, {p_max}]")
     if p_max < p_min:
-        raise BoundsInverted(f"p_max={p_max} < p_min={p_min}")
+        raise ValidationError(f"p_max={p_max} < p_min={p_min}")
     if not math.isfinite(alpha) or alpha < p_min:
-        raise AlphaBelowPMin(f"alpha={alpha} must be >= p_min={p_min}")
+        raise ValidationError(f"alpha={alpha} must be >= p_min={p_min}")
     cap = _as_fraction(capacity)
     if cap <= 0:
-        raise ZeroCapacity(f"capacity must be positive, got {cap}")
+        raise ValidationError(f"capacity must be positive, got {cap}")
     try:
         c = float(cap)
     except OverflowError:

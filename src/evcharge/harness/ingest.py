@@ -15,10 +15,6 @@ class ParseError(EvChargeError):
     """Malformed input file; maps to CLI exit code 2."""
 
 
-class EmptyAfterTrim(ValidationError):
-    pass
-
-
 @dataclass(frozen=True)
 class Calibration:
     p_min: float
@@ -122,7 +118,7 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     """
     rows = _parse_rows(path, cfg.tz_offset_minutes)
     if not rows:
-        raise EmptyAfterTrim(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     by_time = {ts: p for ts, p in rows}  # duplicate timestamps: last wins
     prices = sorted(by_time.values())
     p_min = trimmed_quantile(prices, cfg.trim)

@@ -12,14 +12,6 @@ from .config import ExperimentConfig
 from .ingest import IngestResult
 from .runner import EpisodeRow, SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
 
-_SEASONS = {
-    12: "winter", 1: "winter", 2: "winter",
-    3: "spring", 4: "spring", 5: "spring",
-    6: "summer", 7: "summer", 8: "summer",
-    9: "fall", 10: "fall", 11: "fall",
-}
-
-
 @dataclass(frozen=True)
 class AlphaSweepRow:
     alpha_factor: float
@@ -117,8 +109,9 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
 def _bucket(date: str, mode: str) -> str:
     if mode == "all":
         return "all"
-    month = int(date[5:7])
-    return f"{date[:4]}-{date[5:7]}" if mode == "month" else _SEASONS[month]
+    if mode == "month":
+        return f"{date[:4]}-{date[5:7]}"
+    return ("winter", "spring", "summer", "fall")[int(date[5:7]) % 12 // 3]
 
 
 def run_policies(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .core import ProblemSpec
+from .core import ProblemSpec, ValidationError
 
 
 class NoLimitOptimum:
@@ -104,7 +104,7 @@ def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...
     for price in prices:
         tracker.admit(price)
     if tracker.t == 0:
-        raise ValueError("empty price prefix")
+        raise ValidationError("empty price prefix")
     v = [0.0] * tracker.t
     for rank, slot in enumerate(tracker.slots):
         v[slot] = 1.0 if rank < tracker.whole else tracker.frac

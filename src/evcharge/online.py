@@ -191,7 +191,7 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
             )
         # m sub-problems of 1/n, each price fanning out to up to n of them;
         # with m <= n a single sub-problem of the full capacity stands in,
-        # which reproduces the unlimited-rate policy exactly
+        # which reproduces the unlimited-rate policy up to float rounding
         if m <= n:
             return DistributorPolicy(spec, pi, 1, spec.capacity_f, 1)
         return DistributorPolicy(spec, pi, m, 1 / n, n)

@@ -36,14 +36,6 @@ class NoBracket(ValidationError):
     the closed form underflows."""
 
 
-class DegenerateAtPiOne(ValidationError):
-    """Worst-case total diverges at pi = 1 when alpha sits inside the band."""
-
-
-class DenominatorSignViolation(InternalConsistencyError):
-    """The per-slot target formula was called outside its valid region."""
-
-
 def log_price_ratio(alpha: float, p_hi: float, p_lo: float) -> float:
     """ln((alpha - p_lo) / (alpha - p_hi)) for p_lo <= p_hi < alpha.
 
@@ -67,7 +59,7 @@ def max_total_charge(spec: ProblemSpec, pi: float) -> float:
         return 0.0
     if trigger <= spec.p_max:
         if alpha - trigger <= 0.0:
-            raise DegenerateAtPiOne(
+            raise ValidationError(
                 f"worst-case total diverges at pi={pi} with alpha={alpha} <= p_max={spec.p_max}"
             )
         return c * pi * log_price_ratio(alpha, trigger, spec.p_min)
@@ -214,6 +206,6 @@ def solve_pi_t(spec: ProblemSpec, price: float, charged: float, eta: float) -> f
     gap = alpha - price
     denom = c * (log_price_ratio(alpha, price, spec.p_min) - price / gap)
     if denom >= 0.0:
-        raise DenominatorSignViolation(f"nonnegative slope {denom} at price {price}")
+        raise InternalConsistencyError(f"nonnegative slope {denom} at price {price}")
     numer = c - charged - eta / gap
     return numer / denom

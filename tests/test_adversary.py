@@ -12,7 +12,7 @@ from evcharge.adversary import (
     worst_case_no_limit,
     worst_case_rate_limited,
 )
-from evcharge.core import DegenerateSpec, ValidationError, validate_spec
+from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import opt_rate_limited
 from evcharge.online import make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
@@ -56,7 +56,7 @@ class TestWorstCaseNoLimit:
 
     def test_alpha_at_floor_has_no_descent(self):
         spec = spec_of(2, 5, 2, 1)
-        with pytest.raises(DegenerateSpec):
+        with pytest.raises(ValidationError, match=r"alpha == p_min: .*no descent exists"):
             worst_case_no_limit(spec, 1.0, 10)
 
     def test_rejects_bad_arguments(self):

@@ -1,25 +1,42 @@
 """Instance validation, and the objective and feasibility rules as the
 episode runner applies them to a given schedule."""
 
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import evcharge
 import evcharge.harness.runner as runner
 from evcharge.core import (
-    AlphaBelowPMin,
-    BoundsInverted,
     InternalConsistencyError,
-    NonPositivePrice,
     PriceTrace,
     ValidationError,
-    ZeroCapacity,
     validate_spec,
 )
 from evcharge.harness.config import ExperimentConfig
 from evcharge.online import Policy, PolicyStep
+
+
+def test_one_exception_class_per_exit_code():
+    # ValidationError, ParseError and InternalConsistencyError are the CLI's
+    # exit codes 1, 2 and 3; NoBracket is the one subclass an except names
+    defined = set()
+    for info in pkgutil.walk_packages(evcharge.__path__, "evcharge."):
+        module = importlib.import_module(info.name)
+        defined |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == info.name}
+    assert defined == {
+        "evcharge.core.EvChargeError",
+        "evcharge.core.ValidationError",
+        "evcharge.core.InternalConsistencyError",
+        "evcharge.harness.ingest.ParseError",
+        "evcharge.ratio.NoBracket",
+    }
 
 
 class TestValidateSpec:
@@ -29,7 +46,7 @@ class TestValidateSpec:
         assert spec.capacity == Fraction(1)
 
     def test_alpha_below_floor_rejected(self):
-        with pytest.raises(AlphaBelowPMin):
+        with pytest.raises(ValidationError, match=r"alpha=0\.5 must be >= p_min=1\.0"):
             validate_spec(1, 5, 0.5, 1)
 
     def test_realistic_calibration(self):
@@ -38,22 +55,23 @@ class TestValidateSpec:
         assert spec.capacity == 24
 
     def test_bad_bounds(self):
-        with pytest.raises(NonPositivePrice):
+        with pytest.raises(ValidationError, match=r"smallest normal float .*, got \[0\.0, 5\.0\]"):
             validate_spec(0, 5, 5, 1)
-        with pytest.raises(NonPositivePrice):
+        with pytest.raises(ValidationError, match=r"smallest normal float .*, got \[-1\.0, 5\.0\]"):
             validate_spec(-1, 5, 5, 1)
         # a subnormal band would put the solver's threshold bracket on its pole
-        with pytest.raises(NonPositivePrice, match=r"1e-312, 1\.001e-312"):
+        with pytest.raises(ValidationError,
+                           match=r"smallest normal float .*, got \[1e-312, 1\.001e-312\]"):
             validate_spec(1e-312, 1.001e-312, 3e-312, 1)
-        with pytest.raises(BoundsInverted):
+        with pytest.raises(ValidationError, match=r"p_max=1\.0 < p_min=5\.0"):
             validate_spec(5, 1, 5, 1)
 
     def test_bad_capacity(self):
-        with pytest.raises(ZeroCapacity):
+        with pytest.raises(ValidationError, match=r"capacity must be positive, got 0$"):
             validate_spec(1, 5, 5, 0)
-        with pytest.raises(ZeroCapacity):
+        with pytest.raises(ValidationError, match=r"capacity must be positive, got -2$"):
             validate_spec(1, 5, 5, -2)
-        with pytest.raises(ZeroCapacity):
+        with pytest.raises(ValidationError, match=r"capacity must be finite, got nan$"):
             validate_spec(1, 5, 5, float("nan"))
 
     def test_capacity_forms(self):

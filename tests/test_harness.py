@@ -27,7 +27,6 @@ from evcharge.harness.config import (
     parse_config_text,
 )
 from evcharge.harness.ingest import (
-    EmptyAfterTrim,
     ParseError,
     _parse_rows,
     ingest_prices,
@@ -40,8 +39,14 @@ from evcharge.harness.report import (
     write_report,
     write_slot_table,
 )
-from evcharge.harness.runner import SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
-from evcharge.harness.sweeps import compare_policies, sweep_alpha, sweep_rate_limit
+from evcharge.harness.runner import (
+    EpisodeRow,
+    SlotRow,
+    run_episode,
+    slot_energy_kwh,
+    spec_from_calibration,
+)
+from evcharge.harness.sweeps import compare_policies, compare_rows, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
 from evcharge.offline import opt_rate_limited
 from evcharge.online import NO_LIMIT_POLICIES
@@ -240,7 +245,7 @@ class TestIngest:
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("timestamp,price\n", encoding="utf-8")
-        with pytest.raises(EmptyAfterTrim):
+        with pytest.raises(ValidationError, match=r"empty\.csv: no data rows$"):
             ingest_prices(str(path), ExperimentConfig(prices=str(path)))
 
     def test_non_positive_band_names_file_and_quantiles(self, tmp_path, capsys):
@@ -488,6 +493,17 @@ class TestSweeps:
         rows = compare_policies(cfg, corpus_data)
         assert [r.bucket for r in rows] == ["2021-03"]
         assert rows[0].episodes == 10
+
+    def test_season_buckets_name_each_month(self):
+        # every corpus starts in March, so only these rows reach the other seasons
+        seasons = ("winter", "winter", "spring", "spring", "spring", "summer", "summer", "summer",
+                   "fall", "fall", "fall", "winter")
+        rows = [EpisodeRow(f"2021-{month:02d}-15", "never", None, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+                for month in range(1, 13)]
+        for row, season in zip(rows, seasons):
+            assert [r.bucket for r in compare_rows([row], "season")] == [season], row.date
+        assert [(r.bucket, r.episodes) for r in compare_rows(rows, "season")] == [
+            ("fall", 3), ("spring", 3), ("summer", 3), ("winter", 3)]
 
 
 class TestReport:

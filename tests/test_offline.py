@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import capped_optimum_reference, lattice_optimum
-from evcharge.core import validate_spec
+from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import (
     NoLimitOptimum,
     RateLimitedOptimum,
@@ -67,6 +67,11 @@ class TestOptRateLimited:
         # cheapest slot filled, next-cheapest takes the half unit
         assert sched == (0.0, 0.5, 0.0, 1.0)
         assert value == pytest.approx(2 + 1.5)
+
+    def test_empty_prefix_rejected(self):
+        with pytest.raises(ValidationError, match=r"^empty price prefix$") as exc:
+            opt_rate_limited(validate_spec(1, 8, 10, 2), [])
+        assert isinstance(exc.value, ValueError)
 
     def test_capacity_above_horizon(self):
         spec = validate_spec(1, 8, 10, 6)

@@ -10,7 +10,6 @@ from conftest import decreasing_prices, spec_of
 from evcharge.core import ValidationError, validate_spec
 from evcharge.online import make_policy
 from evcharge.ratio import (
-    DegenerateAtPiOne,
     NoBracket,
     max_total_charge,
     pi_star_upper_bound,
@@ -55,7 +54,7 @@ class TestMaxTotalCharge:
             max_total_charge(spec_of(), 0.9)
 
     def test_divergence_at_unit_target_inside_band(self):
-        with pytest.raises(DegenerateAtPiOne):
+        with pytest.raises(ValidationError, match=r"diverges at pi=1\.0 with alpha=5\.0 <= p_max=5\.0"):
             max_total_charge(spec_of(1, 5, 5, 1), 1.0)
         # harmless once the dissatisfaction price clears the band
         assert max_total_charge(spec_of(1, 5, 20, 1), 1.0) > 1.0
