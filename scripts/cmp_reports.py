@@ -24,10 +24,17 @@ file (exit 1) and on one with a bad timestamp (exit 2).  Each must give
 its expected exit code in both trees, with the same stdout and stderr.
 Exits 1 when any output differs, is missing on one side, or a command
 fails (a failing one: exits otherwise than expected).
+
+Under each csv report that differs it prints, for each (policy, column)
+whose cells differ, how many cells differ and the largest absolute
+difference between them, so that an intended change of bits can be read
+cell by cell.  In the long slots.csv table the metric named on the row
+stands for the column.
 """
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import os
 import subprocess
@@ -121,6 +128,36 @@ def out_dir(tmp: Path, label: str, side: str) -> Path:
     return tmp / label.replace(" ", "-") / side
 
 
+def cell_diffs(a: Path, b: Path) -> list[str]:
+    """One line per (policy, column) whose cells differ between two csv
+    files: the number of cells and the largest absolute difference of the
+    numeric ones.  A table without a policy column keys its rows by "-"."""
+    with open(a, newline="", encoding="utf-8") as fa, open(b, newline="", encoding="utf-8") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[:1] != rows_b[:1]:
+        return ["    header or table shape differs"]
+    header = rows_a[0]
+    policy = header.index("policy") if "policy" in header else None
+    metric = header.index("metric") if "metric" in header else None
+    stats: dict[tuple[str, str], list] = {}  # key: [cells, largest difference, non-numeric cells]
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
+            column = row_a[metric] if metric is not None and header[j] == "value" else header[j]
+            entry = stats.setdefault(("-" if policy is None else row_a[policy], column), [0, 0.0, 0])
+            entry[0] += 1
+            try:
+                entry[1] = max(entry[1], abs(float(x) - float(y)))
+            except ValueError:
+                entry[2] += 1
+    lines = []
+    for (who, column), (cells, largest, text) in sorted(stats.items()):
+        note = f", {text} not numeric" if text else ""
+        lines.append(f"    {who} {column}: {cells} cell(s), largest difference {largest:.3g}{note}")
+    return lines
+
+
 def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
     """Run `argv(out_dir)` with both trees; the number of report files that
     differ (a failed command counts as one)."""
@@ -142,6 +179,9 @@ def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
             verdict = "DIFFERS"
         differ += not verdict.startswith("identical")
         print(f"{label}: {fname}: {verdict}")
+        if verdict == "DIFFERS" and fname.endswith(".csv"):
+            for line in cell_diffs(a, b):
+                print(line)
     return differ
 
 

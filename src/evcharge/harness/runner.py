@@ -17,7 +17,10 @@ from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import Calibration
 
-RATIO_GUARD_TOL = 1e-6
+RATIO_GUARD_TOL = 1e-6  # how far a ratio policy's eta/opt may pass its target
+CHARGE_FLOOR = -1e-12  # the most negative slot charge taken as rounding, not a bug
+RATE_CAP = 1.0 + 1e-9  # the largest slot charge of a capped policy: 1 unit plus rounding
+CAPACITY_SLACK = 1e-9  # how far an episode's total charge may pass the capacity
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def run_episode(
     if policy in NO_LIMIT_POLICIES:
         opt_step, rate_cap = NoLimitOptimum(spec).step, math.inf
     else:
-        opt_step, rate_cap = RateLimitedOptimum(spec).step, 1.0 + 1e-9
+        opt_step, rate_cap = RateLimitedOptimum(spec).step, RATE_CAP
 
     alpha, cap = spec.alpha, spec.capacity_f
     eta = alpha * cap
@@ -95,7 +98,7 @@ def run_episode(
         out = runner.step(price, prices[t + 1 : t + 1 + need] if need else ())
         opt = opt_step(price)
         v = out.charge
-        if v < -1e-12 or v > rate_cap:
+        if v < CHARGE_FLOOR or v > rate_cap:
             raise InternalConsistencyError(f"{policy}: slot charge {v} out of range at t={t}")
         charged += v
         eta -= (alpha - price) * v
@@ -109,7 +112,7 @@ def run_episode(
             slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
     if not collect_slots:
         slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
-    if charged > cap + 1e-9:
+    if charged > cap + CAPACITY_SLACK:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 
     cost = math.fsum(cost_terms)

@@ -37,38 +37,36 @@ class Policy:
 class FixedRatioPolicy(Policy):
     """Charge just enough to pull cost-so-far back to pi times the optimum.
 
-    eta is the cost-so-far as if the window ended now and opt the
-    unlimited-rate optimum of the prefix; both drive the charging rule.
+    eta is the cost-so-far as if the window ended now, low the lowest price
+    seen so far (alpha before any) and opt the unlimited-rate optimum of
+    the prefix, low times the capacity.  The optimum moves only when the
+    price sets a new low, so the policy charges only then.
     """
 
     def __init__(self, spec: ProblemSpec, pi: float, capacity: float | None = None):
         c = spec.capacity_f if capacity is None else capacity
-        self.alpha = spec.alpha
+        self.alpha = self.low = spec.alpha
         self.pi = pi
         self.capacity = c
         self.eta = self.opt = spec.alpha * c
         self.charged = 0.0
 
     def step(self, price, lookahead=()):
-        scaled = price * self.capacity
-        if scaled < self.opt:
-            self.opt = scaled
-        if price >= self.alpha:
+        if price >= self.low:
             return PolicyStep(0.0)
-        return PolicyStep(self._charge_to_target(price, math.inf))
+        return PolicyStep(self._charge_at_new_low(price, math.inf))
 
     def assign(self, price: float) -> float:
-        """Step as a distributor sub-problem that was just assigned `price`
-        (price < alpha), which is its new optimum; returns the charge.
+        """Step as a distributor sub-problem that was just assigned `price`,
+        a new low; returns the charge, at most the capacity left."""
+        return self._charge_at_new_low(price, self.capacity - self.charged)
 
-        Remaining-capacity clamping is defensive only: the target guarantees
-        headroom, so a clamp beyond tolerance means the distributor fed an
-        invalid sequence.
-        """
+    def _charge_at_new_low(self, price: float, room: float) -> float:
+        """Take `price` as the new low and optimum, and charge to bring eta
+        down to pi times it.  The clamp to `room` is only a guard: the target
+        leaves headroom, so a clamp beyond tolerance is a distributor bug."""
+        self.low = price
         self.opt = price * self.capacity
-        return self._charge_to_target(price, self.capacity - self.charged)
-
-    def _charge_to_target(self, price: float, room: float) -> float:
         gap = self.alpha - price
         excess = self.eta - self.opt * self.pi
         v = excess / gap if excess > 0.0 else 0.0
@@ -84,33 +82,28 @@ class FixedRatioPolicy(Policy):
 
 
 class AdaptivePolicy(FixedRatioPolicy):
-    """Re-solve the tightest sustainable target at each new price minimum,
-    then charge to it by the fixed policy's rule; `pi` is None until the
-    first new minimum below alpha."""
+    """At each new low (a price below alpha and every earlier price),
+    re-solve the tightest sustainable target, then step as the fixed
+    policy; `pi` is None until the first new low."""
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec, None)
         self.spec = spec
-        self.running_min = spec.alpha
 
     def step(self, price, lookahead=()):
-        if price >= self.running_min:
-            # No new minimum below alpha: charging now can only be matched
-            # or beaten later, so skip.
-            return PolicyStep(0.0)
-        self.pi = solve_pi_t(self.spec, price, self.charged, self.eta)
-        self.opt = price * self.capacity
-        self.running_min = price
-        return PolicyStep(self._charge_to_target(price, math.inf))
+        if price < self.low:
+            self.pi = solve_pi_t(self.spec, price, self.charged, self.eta)
+        return super().step(price)
 
 
 class DistributorPolicy(Policy):
     """Capacity split into sub-problems, each running the fixed policy.
 
     `held` is a heap of (-mu, i), where mu is the price sub-problem i last
-    accepted (alpha before any).  A price goes to the `fanout` sub-problems
-    holding the highest prices above it, ties to the lowest index, and they
-    are charged in that order.
+    accepted, which is its `low` (alpha before any).  A price goes to the
+    `fanout` sub-problems holding the highest prices above it, ties to the
+    lowest index, and they are charged in that order; each accepted price
+    is thus a new low of its sub-problem.
     """
 
     def __init__(self, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
@@ -191,7 +184,7 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
             )
         # m sub-problems of 1/n, each price fanning out to up to n of them;
         # with m <= n a single sub-problem of the full capacity stands in,
-        # which reproduces the unlimited-rate policy up to float rounding
+        # which charges bit for bit what the unlimited-rate policy charges
         if m <= n:
             return DistributorPolicy(spec, pi, 1, spec.capacity_f, 1)
         return DistributorPolicy(spec, pi, m, 1 / n, n)

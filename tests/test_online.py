@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     drive,
@@ -55,6 +55,14 @@ class TestFixedStep:
         assert steps[0].charge > 0.0
         assert steps[1].charge == 0.0
         assert steps[2].charge == 0.0
+
+    def test_no_charge_without_a_new_low(self):
+        # 1.3 sets no new low, so the optimum and the target stay put; the
+        # rounding residue of the first charge must not become a charge
+        spec = spec_of(1, 2, 6, 1)
+        steps = drive("fixed", spec, [1.1, 1.3])
+        assert steps[0].charge > 0.0
+        assert steps[1].charge == 0.0
 
     def test_eta_recurrence(self):
         # the policy's own cost-so-far follows the charges it returns
@@ -288,17 +296,22 @@ def test_ratio_guarantee_and_feasibility_random_suite():
 
 
 @st.composite
-def _rate_limited_case(draw):
+def _rate_limited_case(draw, single_sub=False, on_grid=True):
     """A capacity m/n with n <= 7 and m <= 48 (so both m <= n and m > n
-    occur), a random band and alpha, and 1-60 prices on a 9-point grid
-    across the band: ties, repeats, and prices at or above alpha."""
+    occur; with `single_sub`, m <= n only), a random band and alpha, and
+    1-60 prices on a 9-point grid across the band: ties, repeats, and
+    prices at or above alpha.  Without `on_grid` the prices lie anywhere
+    in the band."""
     m, n = draw(st.integers(1, 48)), draw(st.integers(1, 7))
+    if single_sub:
+        m = draw(st.integers(1, n))
     p_min = draw(st.sampled_from([0.5, 1.0, 3.0]))
     theta = draw(st.floats(1.1, 8.0))
     alpha = p_min * draw(st.floats(1.05, 1.5 * theta))
     spec = validate_spec(p_min, p_min * theta, alpha, Fraction(m, n))
     grid = [p_min + (spec.p_max - p_min) * k / 8 for k in range(9)]
-    return spec, draw(st.lists(st.sampled_from(grid), min_size=1, max_size=60))
+    price = st.sampled_from(grid) if on_grid else st.floats(p_min, spec.p_max)
+    return spec, draw(st.lists(price, min_size=1, max_size=60))
 
 
 def _distributor_names(spec):
@@ -392,6 +405,35 @@ def test_rate_limited_guarantee_on_random_traces(case):
             assert 0.0 <= v <= 1.0 + 1e-9
             assert total <= spec.capacity_f + 1e-9
             assert eta <= pi * opt * (1 + 1e-12), (name, eta, opt)
+
+
+@given(case=_rate_limited_case(on_grid=False))
+def test_ratio_policies_charge_only_at_a_new_low(case):
+    # a price not below alpha and every earlier price leaves the optimum
+    # where it was, so the charge is exactly zero, not rounding dust
+    spec, prices = case
+    for name in ("fixed", "adaptive"):
+        low = spec.alpha
+        for p, out in zip(prices, drive(name, spec, prices)):
+            if p >= low:
+                assert out.charge == 0.0, (name, p, low)
+            low = min(low, p)
+
+
+@given(case=_rate_limited_case(single_sub=True, on_grid=False))
+@example(case=(spec_of(1, 2, 6, 1), [1.1, 1.3]))
+@example(case=(spec_of(1, 3, 8, Fraction(1, 2)), [1.8, 2.4, 1.4]))
+def test_single_subproblem_matches_fixed_bit_for_bit(case):
+    # with m <= n the distributor runs one sub-problem of the whole
+    # capacity, whose room never binds: the fixed policy exactly
+    spec, prices = case
+    pi = solve_pi_star(spec).pi_star
+    names = ["rat"] + (["int"] if spec.capacity == 1 else [])
+    for name in names:
+        policy, fixed = make_policy(name, spec, pi=pi), make_policy("fixed", spec, pi=pi)
+        for p in prices:
+            assert policy.step(p).charge == fixed.step(p).charge
+            assert policy.subs[0].eta == fixed.eta
 
 
 def _rhc_step_by_fill(remaining, window):
