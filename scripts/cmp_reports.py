@@ -8,7 +8,10 @@ benchmark workload's seeded corpus once per seed, runs the workload's CLI
 command (from perfbench/workloads.py) with both trees' sources, and
 compares every report file byte for byte.  On each seed's simulate corpus
 it also runs `simulate` over every policy kind but `int` at capacities 7/2
-(`rat` fans out over 7 sub-problems) and 1/2 (a single sub-problem), and
+(`rat` fans out over 7 sub-problems), 240/13 (each price fans out over 13
+of 240 sub-problems, so a group of sub-problems in one state splits; the
+rate-sweep workload reaches this fan-out but reports only per-grid means,
+not per-slot charges) and 1/2 (a single sub-problem), and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum: paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
@@ -51,7 +54,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
-POLICY_CAPACITIES = {"7-2": "7/2", "1-2": "1/2"}
+POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13", "1-2": "1/2"}
 NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",

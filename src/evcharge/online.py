@@ -25,6 +25,9 @@ class PolicyStep:
     charge: float
 
 
+NO_CHARGE = PolicyStep(0.0)  # frozen, so every step that charges nothing can share it
+
+
 class Policy:
     """One episode of one policy; build a fresh one per episode."""
 
@@ -53,8 +56,17 @@ class FixedRatioPolicy(Policy):
 
     def step(self, price, lookahead=()):
         if price >= self.low:
-            return PolicyStep(0.0)
+            return NO_CHARGE
         return PolicyStep(self._charge_at_new_low(price, math.inf))
+
+    def copy(self) -> FixedRatioPolicy:
+        """A twin in the same state, for the members of a distributor group
+        that split off.  Set attribute by attribute in `__init__`'s order,
+        which keeps CPython's fast attribute path (`copy.copy` does not)."""
+        twin = object.__new__(FixedRatioPolicy)
+        twin.alpha, twin.low, twin.pi = self.alpha, self.low, self.pi
+        twin.capacity, twin.eta, twin.opt, twin.charged = self.capacity, self.eta, self.opt, self.charged
+        return twin
 
     def assign(self, price: float) -> float:
         """Step as a distributor sub-problem that was just assigned `price`,
@@ -99,27 +111,51 @@ class AdaptivePolicy(FixedRatioPolicy):
 class DistributorPolicy(Policy):
     """Capacity split into sub-problems, each running the fixed policy.
 
-    `held` is a heap of (-mu, i), where mu is the price sub-problem i last
-    accepted, which is its `low` (alpha before any).  A price goes to the
-    `fanout` sub-problems holding the highest prices above it, ties to the
-    lowest index, and they are charged in that order; each accepted price
-    is thus a new low of its sub-problem.
+    Sub-problem i's held price mu is the price it last accepted, which is
+    its `low` (alpha before any).  A price goes to the `fanout`
+    sub-problems holding the highest prices above it, ties to the lowest
+    index, and they are charged in that order; each accepted price is thus
+    a new low of its sub-problem.
+
+    Sub-problems that accepted the same prices are in the same state, so
+    each run of consecutive indices in one state is held as one group:
+    `held` is a heap of (-mu, first, size, sub), where `sub` is the state
+    of indices first .. first + size - 1 (`first` is unique, so ties on mu
+    never compare `sub`).  All sub-problems start as one group at alpha.
+    A group larger than the fan-out left splits: its lowest indices are
+    charged and the rest keep mu in a copy of the state.  Each group taken
+    runs `assign` once, and its members' equal charges are added to the
+    total one by one, in index order, so it rounds as a sum over the
+    sub-problems would.
     """
 
     def __init__(self, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
         self.fanout = fanout
-        self.held = [(-spec.alpha, i) for i in range(count)]  # sorted, so a heap
-        self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
+        self.held = [(-spec.alpha, 0, count, FixedRatioPolicy(spec, pi, sub_capacity))]
 
     def step(self, price, lookahead=()):
         held = self.held
-        chosen = []
-        while len(chosen) < self.fanout and -held[0][0] > price:
-            chosen.append(heapq.heappop(held)[1])
+        if -held[0][0] <= price:
+            return NO_CHARGE
+        left = self.fanout
         total = 0.0
-        for i in chosen:
-            heapq.heappush(held, (-price, i))
-            total += self.subs[i].assign(price)
+        # a group charged at `price` fails the `> price` test, so it can go
+        # back on the heap before the next group is taken
+        while left and -held[0][0] > price:
+            neg, first, size, sub = held[0]
+            if size > left:
+                heapq.heapreplace(held, (neg, first + left, size - left, sub.copy()))
+                heapq.heappush(held, (-price, first, left, sub))
+                size = left
+            else:
+                heapq.heapreplace(held, (-price, first, size, sub))
+            v = sub.assign(price)
+            if size == 1:  # every group at fan-out 1; spares building a range
+                total += v
+            else:
+                for _ in range(size):
+                    total += v
+            left -= size
         return PolicyStep(total)
 
 

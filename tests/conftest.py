@@ -78,17 +78,23 @@ def capped_optimum_reference(spec: ProblemSpec, prices) -> tuple[float, list[flo
     return value, schedule
 
 
+def sub_problems(policy) -> list[tuple[float, object]]:
+    """A distributor's (held price, sub-problem state) for each sub-problem
+    index, its groups expanded: the members of a group share one state."""
+    out = [None] * sum(size for _, _, size, _ in policy.held)
+    for neg, first, size, sub in policy.held:
+        out[first : first + size] = [(-neg, sub)] * size
+    return out
+
+
 def sub_opt_sum(policy) -> float:
     """Sum of a distributor's sub-problem optima."""
-    return math.fsum(s.opt for s in policy.subs)
+    return math.fsum(sub.opt for _, sub in sub_problems(policy))
 
 
 def held_prices(policy) -> list[float]:
-    """A distributor's held prices by sub-problem index, read off its heap."""
-    mu = [0.0] * len(policy.held)
-    for neg, i in policy.held:
-        mu[i] = -neg
-    return mu
+    """A distributor's held prices by sub-problem index."""
+    return [mu for mu, _ in sub_problems(policy)]
 
 
 def random_prices(rng: np.random.Generator, spec: ProblemSpec, T: int) -> list[float]:

@@ -28,7 +28,14 @@ from evcharge.offline import RateLimitedOptimum, opt_rate_limited
 from evcharge.online import make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
-from conftest import decreasing_prices, eta_path, opt_no_limit_path, spec_of, sub_opt_sum
+from conftest import (
+    decreasing_prices,
+    eta_path,
+    opt_no_limit_path,
+    spec_of,
+    sub_opt_sum,
+    sub_problems,
+)
 
 
 @contextmanager
@@ -211,7 +218,7 @@ def test_07_capacity_split_is_exact():
             for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
                 eta -= (alpha - p) * policy.step(p).charge
                 opt = offline.step(p)
-                assert abs(eta - math.fsum(s.eta for s in policy.subs)) <= 1e-12
+                assert abs(eta - math.fsum(s.eta for _, s in sub_problems(policy))) <= 1e-12
                 assert abs(sub_opt_sum(policy) - opt) <= 1e-12
 
 

@@ -15,6 +15,7 @@ from conftest import (
     random_prices,
     spec_of,
     sub_opt_sum,
+    sub_problems,
     total_charge,
 )
 from evcharge.core import ValidationError, validate_spec
@@ -163,7 +164,7 @@ class TestRatStep:
         pi = solve_pi_star(spec).pi_star
         policy = make_policy("rat", spec)
         assert held_prices(policy) == [10.0, 10.0, 10.0]
-        assert policy.subs[0].capacity == pytest.approx(0.5)
+        assert sub_problems(policy)[0][1].capacity == pytest.approx(0.5)
         out = policy.step(4.0)
         assert held_prices(policy) == [4.0, 4.0, 10.0]
         # 4.0 sits above alpha / pi, so the assigned pair only lowers thresholds
@@ -216,6 +217,47 @@ class TestRatStep:
             prev = held_prices(policy)
 
 
+class TestGroups:
+    """Sub-problems in one state are held as one group of consecutive
+    indices, split only when a price takes some of its members."""
+
+    @staticmethod
+    def _groups(policy):
+        return sorted((first, size, -neg) for neg, first, size, _ in policy.held)
+
+    def test_a_price_splits_the_fresh_group_at_the_fan_out(self):
+        spec = spec_of(1, 8, 10, Fraction(240, 13))
+        policy = make_policy("rat", spec)
+        assert self._groups(policy) == [(0, 240, 10.0)]
+        policy.step(4.0)
+        assert self._groups(policy) == [(0, 13, 4.0), (13, 227, 10.0)]
+
+    def test_groups_grow_with_accepted_prices_not_capacity(self):
+        # every price below alpha is accepted by the fresh group, which
+        # holds alpha until 10**5 prices have been accepted
+        rng = np.random.default_rng(67)
+        spec = spec_of(1, 5, 4, 10**5)
+        policy, offline = make_policy("int", spec), RateLimitedOptimum(spec)
+        prices = [float(x) for x in rng.uniform(spec.p_min, spec.p_max, 180)]
+        for p in prices:
+            policy.step(p)
+            opt = offline.step(p)
+        accepted = sum(p < spec.alpha for p in prices)
+        assert 0 < accepted < len(prices)
+        assert len(policy.held) <= accepted + 1
+        assert sub_opt_sum(policy) == pytest.approx(opt, rel=1e-12)
+
+    def test_state_copy_is_a_distinct_equal_object(self):
+        # vars() compares every attribute, so one added to __init__ but not
+        # to the copy fails here; the same order keeps the same layout
+        spec = spec_of(1, 8, 10, 3)
+        sub = FixedRatioPolicy(spec, solve_pi_star(spec).pi_star, 0.5)
+        sub.assign(3.0)
+        twin = sub.copy()
+        assert twin is not sub and type(twin) is FixedRatioPolicy
+        assert list(vars(twin).items()) == list(vars(sub).items())
+
+
 class TestDecomposition:
     def test_top_level_cost_is_sum_of_subproblem_costs(self):
         rng = np.random.default_rng(43)
@@ -225,7 +267,7 @@ class TestDecomposition:
             eta = spec.alpha * spec.capacity_f
             for p in random_prices(rng, spec, 50):
                 eta -= (spec.alpha - p) * policy.step(p).charge
-                assert eta == pytest.approx(math.fsum(s.eta for s in policy.subs), abs=1e-12)
+                assert eta == pytest.approx(math.fsum(s.eta for _, s in sub_problems(policy)), abs=1e-12)
 
     def test_subproblem_optima_sum_to_offline_optimum(self):
         rng = np.random.default_rng(47)
@@ -296,13 +338,13 @@ def test_ratio_guarantee_and_feasibility_random_suite():
 
 
 @st.composite
-def _rate_limited_case(draw, single_sub=False, on_grid=True):
-    """A capacity m/n with n <= 7 and m <= 48 (so both m <= n and m > n
-    occur; with `single_sub`, m <= n only), a random band and alpha, and
-    1-60 prices on a 9-point grid across the band: ties, repeats, and
+def _rate_limited_case(draw, single_sub=False, on_grid=True, max_m=48, max_n=7):
+    """A capacity m/n with n <= max_n and m <= max_m (so both m <= n and
+    m > n occur; with `single_sub`, m <= n only), a random band and alpha,
+    and 1-60 prices on a 9-point grid across the band: ties, repeats, and
     prices at or above alpha.  Without `on_grid` the prices lie anywhere
     in the band."""
-    m, n = draw(st.integers(1, 48)), draw(st.integers(1, 7))
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
     if single_sub:
         m = draw(st.integers(1, n))
     p_min = draw(st.sampled_from([0.5, 1.0, 3.0]))
@@ -368,20 +410,24 @@ def _reference_adaptive(spec, prices):
         yield v, pi_t
 
 
-def _sub_state(policy):
-    return [(s.eta, s.opt, s.charged) for s in policy.subs]
+def _sub_state(subs):
+    """Each sub-problem's (eta, opt, charged), to the last bit."""
+    return [(s.eta.hex(), s.opt.hex(), s.charged.hex()) for s in subs]
 
 
-@given(case=_rate_limited_case())
+# the benchmark's rate grid reaches fan-out 13 and 240 sub-problems, where
+# a group larger than the fan-out left splits on a grid tie
+@given(case=_rate_limited_case(max_m=240, max_n=13))
+@example(case=(spec_of(1, 5, 6, Fraction(240, 13)), [4.5, 3.0, 4.5, 3.0, 2.0, 3.0, 1.5, 4.0] * 5))
 def test_distributor_and_adaptive_match_references_bit_for_bit(case):
     spec, prices = case
     pi = solve_pi_star(spec).pi_star
     for name in _distributor_names(spec):
         policy, ref = make_policy(name, spec, pi=pi), _ListDistributor(name, spec, pi)
         for p in prices:
-            assert policy.step(p).charge == ref.step(p)
+            assert policy.step(p).charge.hex() == ref.step(p).hex()
             assert held_prices(policy) == ref.mu
-            assert _sub_state(policy) == _sub_state(ref)
+            assert _sub_state(s for _, s in sub_problems(policy)) == _sub_state(ref.subs)
     adaptive = make_policy("adaptive", spec)
     for p, (charge, target) in zip(prices, _reference_adaptive(spec, prices)):
         out = adaptive.step(p)
@@ -433,7 +479,7 @@ def test_single_subproblem_matches_fixed_bit_for_bit(case):
         policy, fixed = make_policy(name, spec, pi=pi), make_policy("fixed", spec, pi=pi)
         for p in prices:
             assert policy.step(p).charge == fixed.step(p).charge
-            assert policy.subs[0].eta == fixed.eta
+            assert sub_problems(policy)[0][1].eta == fixed.eta
 
 
 def _rhc_step_by_fill(remaining, window):
