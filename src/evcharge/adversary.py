@@ -59,7 +59,7 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     prices[-1] = p_min
     if np.any(np.diff(prices) > -MIN_LEVEL_GAP):
         raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
-    return PriceTrace(tuple(prices.tolist()))
+    return PriceTrace(prices.tolist())
 
 
 def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
@@ -67,7 +67,7 @@ def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> PriceTr
     so every sub-problem of a capacity-splitting policy sees the full
     descent, the last (fractional) one included."""
     repeat = math.ceil(spec.capacity)
-    return PriceTrace(tuple(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat)))
+    return PriceTrace(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat))
 
 
 def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[PriceTrace, float]:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 # Denominator cap used when a capacity arrives as a float (real-valued
 # inputs are snapped to a nearby rational before any slot arithmetic).
@@ -31,8 +30,7 @@ class InternalConsistencyError(EvChargeError):
     """A guarantee the code relies on was violated; maps to exit code 3."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Validated instance parameters.  Build via :func:`validate_spec`.
 
     Nothing reads slot_minutes: reports convert to kWh from the config's
@@ -51,9 +49,9 @@ class ProblemSpec:
         """Price fluctuation ratio p_max / p_min."""
         return self.p_max / self.p_min
 
-    @cached_property
+    @property
     def capacity_f(self) -> float:
-        # cached outside the fields: equality, hash and repr see only `capacity`
+        # not cached: read once per episode, and per new low in `adaptive`
         return float(self.capacity)
 
 
@@ -104,15 +102,15 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap, slot_minutes=int(slot_minutes))
 
 
-@dataclass(frozen=True)
-class PriceTrace:
-    """Per-slot prices for one charging window."""
+class PriceTrace(tuple):
+    """Per-slot prices for one charging window: a tuple of the prices."""
 
-    slots: tuple[float, ...]
+    __slots__ = ()
+
+    @property
+    def slots(self) -> tuple[float, ...]:
+        return self
 
     @property
     def T(self) -> int:
-        return len(self.slots)
-
-    def __iter__(self):
-        return iter(self.slots)
+        return len(self)

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from ..adversary import worst_case_no_limit, worst_case_rate_limited
 from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
@@ -104,6 +103,8 @@ def _cmd_solve_ratio(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
+    # imported here, so that the other commands do not load it
+    from ..adversary import worst_case_no_limit, worst_case_rate_limited
     spec = validate_spec(args.p_min, args.p_max, args.alpha, args.capacity)
     pi = args.pi if args.pi is not None else solve_pi_star(spec).pi_star
     worst_case = worst_case_rate_limited if args.rate_limited else worst_case_no_limit

@@ -10,6 +10,8 @@ from datetime import time
 from ..core import ValidationError
 
 
+# Stays a dataclass: callers such as perfbench change a config with
+# dataclasses.replace, and _coerce reads each key's type from its fields.
 @dataclass(frozen=True)
 class ExperimentConfig:
     prices: str | None = None

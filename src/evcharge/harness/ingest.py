@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 from ..core import EvChargeError, PriceTrace, ValidationError
 from .config import ExperimentConfig, _parse_hhmm, episode_slot_count, open_text
@@ -15,22 +15,19 @@ class ParseError(EvChargeError):
     """Malformed input file; maps to CLI exit code 2."""
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     p_min: float
     p_max: float
     n_rows: int
     n_clamped: int
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     date: str  # calendar date of the window start
     trace: PriceTrace
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     calibration: Calibration
     episodes: tuple[Episode, ...]
     dropped_incomplete: int
@@ -160,7 +157,7 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
             if q != p:
                 n_clamped += 1
             clamped.append(q)
-        episodes.append(Episode(date=day.isoformat(), trace=PriceTrace(tuple(clamped))))
+        episodes.append(Episode(date=day.isoformat(), trace=PriceTrace(clamped)))
 
     calib = Calibration(p_min=p_min, p_max=p_max, n_rows=len(rows), n_clamped=n_clamped)
     return IngestResult(

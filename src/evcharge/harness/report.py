@@ -1,5 +1,5 @@
-"""Deterministic CSV/JSON emission for flat rows (dataclasses or dicts),
-and the set of reports `simulate` writes.
+"""Deterministic CSV/JSON emission for flat rows (record NamedTuples or
+dicts), and the set of reports `simulate` writes.
 
 Floats are written with repr so files round-trip exactly and two runs of
 the same experiment produce byte-identical reports.
@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import fields, is_dataclass
 from itertools import groupby
 from operator import attrgetter
 
@@ -26,18 +25,17 @@ FORMATS = ("csv", "json")
 
 
 def rows_to_dicts(rows) -> list[dict]:
-    """One flat dict per row; dict rows are passed through, not copied.
+    """One flat dict per row, in field order; dict rows are passed through, not copied.
 
     Every row of a report has the kind of the first one."""
     rows = list(rows)
-    if not rows or not is_dataclass(rows[0]):
+    if not rows or isinstance(rows[0], dict):
         return rows
-    names = [f.name for f in fields(rows[0])]
-    return [{name: getattr(row, name) for name in names} for row in rows]
+    return [row._asdict() for row in rows]
 
 
 def write_report(rows, fmt: str, fh) -> None:
-    """Write rows (dataclasses or dicts) to an open text stream as csv or json.
+    """Write rows (record NamedTuples or dicts) to an open text stream as csv or json.
 
     In csv, the first row's keys are the header and every row's cells
     follow it; None is an empty cell and a float is written with str, which
@@ -58,7 +56,7 @@ def write_report(rows, fmt: str, fh) -> None:
 
 
 def emit_report(rows, fmt: str, path: str) -> str:
-    """Write rows (dataclasses or dicts) to path as csv or json."""
+    """Write rows (record NamedTuples or dicts) to path as csv or json."""
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:

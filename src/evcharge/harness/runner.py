@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core import (
     InternalConsistencyError,
@@ -23,8 +23,7 @@ RATE_CAP = 1.0 + 1e-9  # the largest slot charge of a capped policy: 1 unit plus
 CAPACITY_SLACK = 1e-9  # how far an episode's total charge may pass the capacity
 
 
-@dataclass(frozen=True)
-class EpisodeRow:
+class EpisodeRow(NamedTuple):
     date: str
     policy: str
     target_ratio: float | None
@@ -37,10 +36,7 @@ class EpisodeRow:
     charged_kwh: float
 
 
-# Not frozen: a frozen __init__ sets every field through object.__setattr__,
-# and one row is built per slot.  Nothing mutates it.
-@dataclass(slots=True)
-class SlotRow:
+class SlotRow(NamedTuple):
     date: str
     policy: str
     slot: int
@@ -94,6 +90,7 @@ def run_episode(
     charged = 0.0
     cost_terms: list[float] = []
     slots: list[SlotRow] = []
+    slot_row = SlotRow._make  # one row per slot, and _make builds it faster than SlotRow(...)
     for t, price in enumerate(prices):
         out = runner.step(price, prices[t + 1 : t + 1 + need] if need else ())
         opt = opt_step(price)
@@ -109,9 +106,9 @@ def run_episode(
                 f"{policy}: ratio {ratio} exceeded target {target} at t={t}"
             )
         if collect_slots:
-            slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
+            slots.append(slot_row((date, policy, t, price, v, eta, opt, ratio)))
     if not collect_slots:
-        slots.append(SlotRow(date, policy, t, price, v, eta, opt, ratio))
+        slots.append(slot_row((date, policy, t, price, v, eta, opt, ratio)))
     if charged > cap + CAPACITY_SLACK:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 

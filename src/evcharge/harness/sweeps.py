@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from statistics import fmean
+from typing import NamedTuple
 
 from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, validate_spec
 from ..ratio import solve_pi_star
@@ -12,8 +12,13 @@ from .config import ExperimentConfig
 from .ingest import IngestResult
 from .runner import EpisodeRow, SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
 
-@dataclass(frozen=True)
-class AlphaSweepRow:
+
+def _mean(xs) -> float:
+    xs = list(xs)  # bit for bit statistics.fmean: one fsum, one division
+    return math.fsum(xs) / len(xs)
+
+
+class AlphaSweepRow(NamedTuple):
     alpha_factor: float
     alpha: float
     pi_star: float
@@ -21,8 +26,7 @@ class AlphaSweepRow:
     mean_charged_fraction: float
 
 
-@dataclass(frozen=True)
-class RateSweepRow:
+class RateSweepRow(NamedTuple):
     rate_factor: float
     capacity: str
     policy: str
@@ -30,8 +34,7 @@ class RateSweepRow:
     mean_opt_objective: float  # price units * kWh at the unscaled rate
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     bucket: str
     policy: str
     episodes: int
@@ -65,8 +68,8 @@ def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow
                 alpha_factor=factor,
                 alpha=spec.alpha,
                 pi_star=solve_pi_star(spec).pi_star,
-                mean_ratio=fmean(row.ratio for row, _ in runs),
-                mean_charged_fraction=fmean(row.charged_fraction for row, _ in runs),
+                mean_ratio=_mean(row.ratio for row, _ in runs),
+                mean_charged_fraction=_mean(row.charged_fraction for row, _ in runs),
             )
         )
     return rows
@@ -99,8 +102,8 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
                 rate_factor=factor,
                 capacity=str(capacity),
                 policy=policy,
-                mean_alg_objective=fmean(row.objective * scale for row, _ in runs),
-                mean_opt_objective=fmean(last.opt * scale for _, (last,) in runs),
+                mean_alg_objective=_mean(row.objective * scale for row, _ in runs),
+                mean_opt_objective=_mean(last.opt * scale for _, (last,) in runs),
             )
         )
     return rows
@@ -139,9 +142,9 @@ def compare_rows(rows: list[EpisodeRow], bucket_mode: str) -> list[CompareRow]:
                 bucket=bucket,
                 policy=policy,
                 episodes=len(group),
-                mean_ratio=fmean(r.ratio for r in group),
-                mean_objective=fmean(r.objective for r in group),
-                mean_charged_fraction=fmean(r.charged_fraction for r in group),
+                mean_ratio=_mean(r.ratio for r in group),
+                mean_objective=_mean(r.objective for r in group),
+                mean_charged_fraction=_mean(r.charged_fraction for r in group),
             )
         )
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
 from .ratio import solve_pi_star, solve_pi_t
@@ -20,12 +20,11 @@ from .ratio import solve_pi_star, solve_pi_t
 SUB_CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PolicyStep:
+class PolicyStep(NamedTuple):
     charge: float
 
 
-NO_CHARGE = PolicyStep(0.0)  # frozen, so every step that charges nothing can share it
+NO_CHARGE = PolicyStep(0.0)  # immutable, so every step that charges nothing can share it
 
 
 class Policy:
@@ -194,6 +193,8 @@ class BaselinePolicy(Policy):
 
     def step(self, price, lookahead=()):
         v = self.rule(self.remaining, price, lookahead)
+        if v == 0.0:  # a rule's zero is a literal 0.0, never -0.0
+            return NO_CHARGE
         self.remaining -= v
         return PolicyStep(v)
 

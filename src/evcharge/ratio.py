@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     InternalConsistencyError,
@@ -127,8 +127,7 @@ def pi_star_upper_bound(spec: ProblemSpec) -> float:
     return min(math.sqrt(spec.alpha / spec.p_min), spec.theta)
 
 
-@dataclass(frozen=True)
-class RatioSolution:
+class RatioSolution(NamedTuple):
     """Best maintainable target plus solver diagnostics.
 
     branch is "closed_form" above the alpha threshold, "root" below it,

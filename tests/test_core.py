@@ -1,6 +1,7 @@
 """Instance validation, and the objective and feasibility rules as the
 episode runner applies them to a given schedule."""
 
+import dataclasses
 import importlib
 import itertools
 import pkgutil
@@ -19,6 +20,7 @@ from evcharge.core import (
 )
 from evcharge.harness.config import ExperimentConfig
 from evcharge.online import Policy, PolicyStep
+from evcharge.ratio import solve_pi_star
 
 
 def test_one_exception_class_per_exit_code():
@@ -37,6 +39,26 @@ def test_one_exception_class_per_exit_code():
         "evcharge.harness.ingest.ParseError",
         "evcharge.ratio.NoBracket",
     }
+
+
+def test_experiment_config_is_the_only_dataclass():
+    # the records are NamedTuples, several times cheaper to define at start-up
+    found = set()
+    for info in pkgutil.walk_packages(evcharge.__path__, "evcharge."):
+        module = importlib.import_module(info.name)
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == info.name}
+    assert found == {"evcharge.harness.config.ExperimentConfig"}
+
+
+def test_price_trace_iterates_its_prices():
+    trace = PriceTrace((3.0, 1.5, 2.0))
+    assert list(trace) == [3.0, 1.5, 2.0]
+    assert trace.T == 3 and len(trace) == 3
+    assert trace.slots == (3.0, 1.5, 2.0)
+    assert trace == PriceTrace([3.0, 1.5, 2.0]) and trace != PriceTrace((3.0, 1.5))
+    assert PriceTrace(()).T == 0
 
 
 class TestValidateSpec:
@@ -80,6 +102,17 @@ class TestValidateSpec:
         # floats snap to a nearby rational
         assert validate_spec(1, 5, 5, 0.5).capacity == Fraction(1, 2)
         assert validate_spec(1, 5, 5, 2.4).capacity == Fraction(12, 5)
+
+    def test_equal_specs_share_one_solver_cache_entry(self):
+        # a value no other test solves, so the first solve is a miss
+        first, again = validate_spec(1.25, 6.5, 4.75, "7/3"), validate_spec(1.25, 6.5, 4.75, "7/3")
+        assert first == again and hash(first) == hash(again) and first is not again
+        before = solve_pi_star.cache_info()
+        assert solve_pi_star(first) is solve_pi_star(again)
+        after = solve_pi_star.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert after.currsize - before.currsize == 1
+        assert validate_spec(1.25, 6.5, 4.75, "7/2") != first
 
     def test_alpha_equal_p_min_allowed(self):
         assert validate_spec(1, 5, 1, 1).alpha == 1.0

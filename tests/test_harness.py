@@ -9,7 +9,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 from statistics import fmean
 
@@ -557,7 +557,7 @@ class TestReport:
             [{"key": i, "value": v, "note": None} for i, v in enumerate(cells)],
             [{"only": v} for v in cells],  # one column
             [{"only": None}],
-            [row],  # a dataclass with a None cell (naive has no target ratio)
+            [row],  # a record with a None cell (naive has no target ratio)
             slots,
             [],
         ]
@@ -568,6 +568,22 @@ class TestReport:
             fh = io.StringIO()
             write_report(iter(rows), "csv", fh)  # any iterable, read once
             assert fh.getvalue() == per_cell(rows), rows
+
+    @pytest.mark.parametrize("kind, columns", [
+        (EpisodeRow, "date policy target_ratio charging_cost dissatisfaction objective ratio "
+                     "charged_units charged_fraction charged_kwh"),
+        (SlotRow, "date policy slot price charge eta opt ratio"),
+        (sweeps.AlphaSweepRow, "alpha_factor alpha pi_star mean_ratio mean_charged_fraction"),
+        (sweeps.RateSweepRow, "rate_factor capacity policy mean_alg_objective mean_opt_objective"),
+        (sweeps.CompareRow, "bucket policy episodes mean_ratio mean_objective "
+                            "mean_charged_fraction"),
+    ])
+    def test_rows_to_dicts_keys_in_field_order(self, kind, columns):
+        # the keys are a report's columns, so their order is the csv header's
+        columns = columns.split()
+        rows = [kind._make(range(k, k + len(columns))) for k in (0, 100)]
+        assert rows_to_dicts(rows) == [dict(zip(columns, row)) for row in rows]
+        assert [list(d) for d in rows_to_dicts(rows)] == [columns, columns]
 
     @pytest.mark.parametrize("name, text", [
         ("broken.json", '[{"a": 1},\n'),
@@ -775,13 +791,16 @@ class TestCli:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    def test_cli_import_loads_no_numpy(self):
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        # every command pays for what importing the CLI loads: numpy and the
+        # adversary serve only `adversary`, and statistics nothing
         src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), "..", ".."))
-        probe = "import sys, evcharge.harness.cli; print('numpy' in sys.modules)"
+        probe = ("import sys, evcharge.harness.cli; "
+                 "print(sorted({'statistics', 'evcharge.adversary', 'numpy'} & set(sys.modules)))")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_simulate_writes_reports_deterministically(self, corpus_path, tmp_path):
         outputs = []
@@ -1033,7 +1052,7 @@ class TestCli:
                 assert row[:3] == [s.date, s.policy, str(s.slot)]
                 assert float(row[4]) == getattr(s, metric)
 
-    def test_write_report_same_bytes_for_dataclass_and_dict_rows(self, corpus_cfg, corpus_data):
+    def test_write_report_same_bytes_for_record_and_dict_rows(self, corpus_cfg, corpus_data):
         spec = spec_from_calibration(corpus_cfg, corpus_data.calibration)
         ep = corpus_data.episodes[0]
         for policy in ("fixed", "naive"):  # naive has no target ratio: a None cell
@@ -1041,7 +1060,8 @@ class TestCli:
             for rows in ([row], slots):
                 for fmt in ("csv", "json"):
                     outputs = []
-                    for form in (rows, rows_to_dicts(rows), [asdict(r) for r in rows]):
+                    by_name = [{name: getattr(r, name) for name in r._fields} for r in rows]
+                    for form in (rows, rows_to_dicts(rows), by_name):
                         fh = io.StringIO()
                         write_report(form, fmt, fh)
                         outputs.append(fh.getvalue())

@@ -21,6 +21,7 @@ from conftest import (
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import RateLimitedOptimum
 from evcharge.online import (
+    NO_CHARGE,
     RATIO_POLICIES,
     FixedRatioPolicy,
     make_policy,
@@ -514,12 +515,14 @@ class TestRhc:
         assert rhc_step(2.0, 5.0, ()) == 1.0
         steps = drive("rhc:0", spec, [5.0, 5.0, 5.0])
         assert [s.charge for s in steps] == [1.0, 1.0, 0.0]
+        assert steps[2] is NO_CHARGE  # a zero step is the one shared instance
 
     def test_waits_for_cheaper_window_slot(self):
         spec = spec_of(1, 5, 5, 1)
         assert rhc_step(1.0, 5.0, (3.0, 4.0)) == 0.0
         steps = drive("rhc:2", spec, [5.0, 3.0, 4.0])
         assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
+        assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 
     def test_nothing_left(self):
         assert rhc_step(0.0, 2.0, (1.0,)) == 0.0
@@ -543,6 +546,9 @@ class TestNaiveThreshold:
         assert naive_threshold_step(2.0, 3.0, spec) == 1.0
         assert naive_threshold_step(2.0, 3.601, spec) == 0.0
         assert naive_threshold_step(2.0, 3.7, spec) == 0.0
+        steps = drive("naive", spec, [3.7, 3.0, 3.601])
+        assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
+        assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 
     def test_partial_remainder(self):
         spec = spec_of(1.3, 5.902, 2.6, 2)
@@ -554,6 +560,6 @@ def test_make_policy_names():
     for name in RATIO_POLICIES:
         make_policy(name, spec)
     assert make_policy("rhc:3", spec).lookahead_needed == 3
-    assert make_policy("never", spec).step(1.0).charge == 0.0
+    assert make_policy("never", spec).step(1.0) is NO_CHARGE
     with pytest.raises(ValidationError):
         make_policy("clairvoyant", spec)
