@@ -15,12 +15,11 @@ not per-slot charges) and 1/2 (a single sub-problem), and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum: paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
-capacities 1, 3 and 24, of `solve-ratio` on each branch of the solver
-and at the edges of both of its brackets (a narrow band, each side of a
-threshold, a wide band with a large alpha), and of `report` re-emitting
-each tree's simulate `summary.json` as csv and `summary.csv` as json.
-Last it runs commands that must fail: `solve-ratio` on each rejected spec
-(a zero p_min, inverted bounds, alpha below p_min, a zero capacity, and a
+capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
+solver and at the edges of both of its brackets (a narrow band, each
+side of a threshold, a wide band with a large alpha).  Last it runs
+commands that must fail: `solve-ratio` on each rejected spec (a zero
+p_min, inverted bounds, alpha below p_min, a zero capacity, and a
 p_max * capacity that overflows), `adversary` with alpha == p_min and at
 --pi 1 with alpha inside the band, and `simulate` on a header-only price
 file (exit 1) and on one with a bad timestamp (exit 2).  Each must give
@@ -127,10 +126,6 @@ def run_command(src: Path, argv: list[str]) -> bytes:
     return run_cli(src, argv, check=True, stdout=subprocess.PIPE).stdout
 
 
-def out_dir(tmp: Path, label: str, side: str) -> Path:
-    return tmp / label.replace(" ", "-") / side
-
-
 def cell_diffs(a: Path, b: Path) -> list[str]:
     """One line per (policy, column) whose cells differ between two csv
     files: the number of cells and the largest absolute difference of the
@@ -164,7 +159,7 @@ def cell_diffs(a: Path, b: Path) -> list[str]:
 def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
     """Run `argv(out_dir)` with both trees; the number of report files that
     differ (a failed command counts as one)."""
-    outs = {side: out_dir(tmp, label, side) for side in trees}
+    outs = {side: tmp / label.replace(" ", "-") / side for side in trees}
     try:
         for side, src in trees.items():
             run_command(src, argv(str(outs[side])))
@@ -216,11 +211,6 @@ def compare_failure(trees: dict, label: str, code: int, argv: list[str]) -> int:
     return not verdict.startswith("identical")
 
 
-def report_argv(tmp: Path, label: str, src: str, fmt: str):
-    """`report` re-emitting a file of the side's own `label` output."""
-    return lambda side: ["report", "--in", str(out_dir(tmp, label, side) / src), "--format", fmt]
-
-
 def policy_paths_argv(corpus: str, capacity: str):
     return lambda out: ["simulate", "--prices", corpus, "--policies", POLICY_PATHS,
                         "--capacity", capacity, "--out", out]
@@ -244,10 +234,6 @@ def main() -> int:
                 write_corpus(corpus, workload.model, workload.days, seed)
                 differ += compare_command(tmp, trees, f"{name} seed {seed}",
                                           partial(workload.argv, corpus))
-            label = f"simulate-regime seed {seed}"  # the workload's output, written above
-            for src, fmt in (("summary.json", "csv"), ("summary.csv", "json")):
-                differ += compare_stdout(trees, f"{label} report {src} as {fmt}",
-                                         report_argv(tmp, label, src, fmt))
             corpus = str(tmp / f"simulate-regime-{seed}.csv")  # the regime corpus, written above
             for tag, capacity in POLICY_CAPACITIES.items():
                 differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",

@@ -15,7 +15,7 @@ from ..core import InternalConsistencyError, ValidationError, validate_spec
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import IngestResult, ParseError, ingest_prices
-from .report import emit_report, load_rows, write_report, write_simulate_reports
+from .report import emit_report, write_report, write_simulate_reports
 from .runner import spec_from_calibration
 from .sweeps import run_policies, sweep_alpha, sweep_rate_limit
 
@@ -62,11 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = sweep.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha-grid", default=None, help="comma list of p_min multiples")
     mode.add_argument("--rate-grid", default=None, help="comma list of rate factors")
-
-    rep = commands.add_parser("report", help="re-emit a report in another format")
-    rep.add_argument("--in", dest="src", required=True)
-    rep.add_argument("--format", dest="fmt", required=True, choices=("csv", "json"))
-    rep.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
 
 
@@ -153,22 +148,11 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    rows = load_rows(args.src)
-    if args.out is None:
-        write_report(rows, args.fmt, sys.stdout)
-        return EXIT_OK
-    emit_report(rows, args.fmt, args.out)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "solve-ratio": _cmd_solve_ratio,
     "adversary": _cmd_adversary,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
-    "report": _cmd_report,
 }
 
 

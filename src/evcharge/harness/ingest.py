@@ -40,20 +40,20 @@ def csv_lines(reader, path: str):
     try:
         yield from reader
     except csv.Error as exc:
-        # a DictReader's own line_num stops at the last row it returned
-        line = getattr(reader, "reader", reader).line_num
-        raise ParseError(f"{path}:{line}: {exc}") from None
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float]]:
     local = timezone(timedelta(minutes=tz_offset_minutes))
     rows: list[tuple[datetime, float]] = []
     with open_text(path, ParseError) as fh:
-        reader = csv_lines(csv.reader(fh), path)
-        header = next(reader, None)
+        reader = csv.reader(fh)
+        records = csv_lines(reader, path)
+        header = next(records, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
             raise ParseError(f"{path}: expected header 'timestamp,price', got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in records:
+            lineno = reader.line_num  # where the record ends, if it spans lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:

@@ -1,8 +1,10 @@
 """Deterministic CSV/JSON emission for flat rows (record NamedTuples or
 dicts), and the set of reports `simulate` writes.
 
-Floats are written with repr so files round-trip exactly and two runs of
-the same experiment produce byte-identical reports.
+Floats are written with repr, so json.load of a report returns each
+value that was written, float() of a csv cell returns the float that was
+written, and two runs of the same experiment produce byte-identical
+reports.  Nothing in evcharge reads a report back.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from operator import attrgetter
 
 from ..core import ProblemSpec, ValidationError
 from ..ratio import solve_pi_star
-from .config import ExperimentConfig, open_text
-from .ingest import IngestResult, ParseError, csv_lines
+from .config import ExperimentConfig
+from .ingest import IngestResult
 from .runner import EpisodeRow, SlotRow
 from .sweeps import compare_rows
 
@@ -39,7 +41,7 @@ def write_report(rows, fmt: str, fh) -> None:
 
     In csv, the first row's keys are the header and every row's cells
     follow it; None is an empty cell and a float is written with str, which
-    equals repr for a float, so every value round-trips exactly."""
+    equals repr for a float, so float() of the cell is the float written."""
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
     rows = rows_to_dicts(rows)
@@ -134,58 +136,3 @@ def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: Inges
     with open(os.path.join(out, "slots.csv"), "w", encoding="utf-8", newline="") as fh:
         write_slot_table(slot_rows, fh)
     emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(out, "compare.csv"))
-
-
-def _csv_value(cell: str):
-    """A csv cell as the value write_report wrote: None for an empty cell,
-    a number only when the number's own spelling is the cell (so '007',
-    '1_000' and ' 7' stay text), else the text."""
-    if cell == "":
-        return None
-    for kind, spell in ((int, str), (float, repr)):
-        try:
-            value = kind(cell)
-        except ValueError:
-            continue
-        return value if spell(value) == cell else cell
-    return cell
-
-
-def _check_unique(path: str, names) -> None:
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ParseError(f"{path}: column {name!r} is repeated")
-        seen.add(name)
-
-
-def load_rows(path: str) -> list[dict]:
-    """Read back a report emitted by emit_report (either format)."""
-
-    def unique_object(pairs):
-        _check_unique(path, (key for key, _ in pairs))
-        return dict(pairs)
-
-    with open_text(path, ParseError) as fh:
-        if path.endswith(".json"):
-            try:
-                data = json.load(fh, object_pairs_hook=unique_object)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc}") from None
-            except RecursionError:
-                raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
-            if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
-                raise ParseError(f"{path}: expected a JSON array of row objects")
-            if any(row.keys() != data[0].keys() for row in data):
-                raise ParseError(f"{path}: rows do not all have the same keys")
-            return data
-        rows = []
-        reader = csv.DictReader(fh)
-        for row in csv_lines(reader, path):
-            if None in row or None in row.values():
-                raise ParseError(
-                    f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} cells"
-                )
-            rows.append({k: _csv_value(v) for k, v in row.items()})
-        _check_unique(path, reader.fieldnames or ())  # read in the loop, where csv errors map
-        return rows

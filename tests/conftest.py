@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from evcharge.core import ProblemSpec, validate_spec
 from evcharge.online import PolicyStep, make_policy
@@ -20,6 +20,22 @@ settings.load_profile("tier1")
 
 def spec_of(p_min=1.0, p_max=5.0, alpha=5.0, capacity=1) -> ProblemSpec:
     return validate_spec(p_min, p_max, alpha, capacity)
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+def _domain_spec(p_min, band, headroom, capacity):
+    return spec_of(p_min, p_min * (1 + band), p_min * (1 + headroom), capacity)
+
+
+def domain_specs(capacities=st.just(1)):
+    """Specs with p_min in [1e-2, 1e2], p_max / p_min in [1 + 1e-6, 1 + 1e2]
+    and alpha / p_min in [1 + 1e-8, 1 + 1e4], at a capacity drawn from
+    `capacities`."""
+    return st.builds(_domain_spec, _log_uniform(-2, 2), _log_uniform(-6, 2), _log_uniform(-8, 4),
+                     capacities)
 
 
 def drive(policy_name: str, spec: ProblemSpec, prices, pi=None) -> list[PolicyStep]:

@@ -34,7 +34,6 @@ from evcharge.harness.ingest import (
 )
 from evcharge.harness.report import (
     emit_report,
-    load_rows,
     rows_to_dicts,
     write_report,
     write_slot_table,
@@ -226,6 +225,16 @@ class TestIngest:
         assert cli.main(["simulate", "--prices", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "mixed.csv:4" in err and "Traceback" not in err
+
+    def test_errors_name_the_line_after_a_multi_line_record(self, tmp_path, capsys):
+        # the quoted price spans lines 2-3, so 'bad' is on line 5, the fourth record
+        path = tmp_path / "r.csv"
+        path.write_text('timestamp,price\n2021-03-01 17:00,"1\n"\n2021-03-01 17:05,2\nbad,3\n',
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"r\.csv:5: bad timestamp 'bad'$"):
+            ingest_prices(str(path), ExperimentConfig(prices=str(path)))
+        assert cli.main(["simulate", "--prices", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "r.csv:5: bad timestamp" in capsys.readouterr().err
 
     def test_malformed_inputs_raise_parse_errors(self, tmp_path):
         cases = [
@@ -514,26 +523,19 @@ class TestReport:
             {"date": "2021-03-02", "policy": "never", "target_ratio": None,
              "objective": 5.0, "slots": 180},
         ]
-        for fmt in ("csv", "json"):
-            path = tmp_path / f"rows.{fmt}"
-            emit_report(rows, fmt, str(path))
-            back = load_rows(str(path))
-            assert back == rows
+        path = tmp_path / "rows.json"
+        emit_report(rows, "json", str(path))
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == rows
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_report([], "yaml", str(tmp_path / "rows.yaml"))
 
-    def test_json_must_hold_an_array(self, tmp_path):
-        path = tmp_path / "scalar.json"
-        path.write_text('{"rows": 3}\n', encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_rows(str(path))
-
     def test_empty_rows_round_trip(self, tmp_path):
         path = tmp_path / "none.csv"
         emit_report([], "csv", str(path))
-        assert load_rows(str(path)) == []
+        assert path.read_bytes() == b""
 
     def test_csv_bytes_equal_per_cell_formatting(self, corpus_cfg, corpus_data):
         def per_cell(rows):  # reference: format every cell in Python, one row at a time
@@ -584,19 +586,6 @@ class TestReport:
         rows = [kind._make(range(k, k + len(columns))) for k in (0, 100)]
         assert rows_to_dicts(rows) == [dict(zip(columns, row)) for row in rows]
         assert [list(d) for d in rows_to_dicts(rows)] == [columns, columns]
-
-    @pytest.mark.parametrize("name, text", [
-        ("broken.json", '[{"a": 1},\n'),
-        ("scalars.json", "[1, 2]\n"),
-        ("mixed_keys.json", '[{"a": 1}, {"b": 2}]\n'),
-        ("short_row.csv", "a,b\n1,2\n3\n"),
-        ("long_row.csv", "a,b\n1,2,3\n"),
-    ])
-    def test_malformed_report_raises_parse_error(self, tmp_path, name, text):
-        path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=name):
-            load_rows(str(path))
 
 
 _CSV_TEXT = st.one_of(
@@ -662,7 +651,6 @@ def parse_dir(tmp_path_factory):
 @example(text="timestamp,price\n" + "x" * (csv.field_size_limit() + 1) + ",1\n", tz=0)
 @example(text="timestamp,price\n9999-12-31T23:59:00-01:00,1\n", tz=0)
 @example(text="timestamp,price\n0001-01-01T00:00:00+01:00,1\n", tz=0)
-@example(text="[" * 100_000, tz=0)  # deeper than the JSON decoder recurses
 def test_parsers_raise_only_parse_or_validation_errors(parse_dir, text, tz):
     def written(name):
         path = parse_dir / name
@@ -671,8 +659,6 @@ def test_parsers_raise_only_parse_or_validation_errors(parse_dir, text, tz):
 
     for parse in (
         lambda: _parse_rows(written("prices.csv"), tz),
-        lambda: load_rows(written("rows.csv")),
-        lambda: load_rows(written("rows.json")),
         lambda: parse_config_text(text),
     ):
         try:
@@ -817,7 +803,8 @@ class TestCli:
             outputs.append({f: (out / f).read_bytes()
                             for f in ("summary.csv", "compare.csv", "calibration.json")})
         assert outputs[0] == outputs[1]
-        summary = load_rows(str(tmp_path / "first" / "summary.csv"))
+        with open(tmp_path / "first" / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
         assert len(summary) == 20
         assert {r["policy"] for r in summary} == {"fixed", "naive"}
 
@@ -925,7 +912,8 @@ class TestCli:
             "sweep", "--prices", corpus_path, "--alpha-grid", "1,4,10", "--out", str(out),
         ])
         assert code == 0
-        rows = load_rows(str(out / "sweep_alpha.csv"))
+        with open(out / "sweep_alpha.json", encoding="utf-8") as fh:
+            rows = json.load(fh)
         assert [r["alpha_factor"] for r in rows] == [1.0, 4.0, 10.0]
         assert rows[-1]["mean_charged_fraction"] >= 0.90
 
@@ -968,21 +956,12 @@ class TestCli:
         assert err.startswith("error:") and key in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, text", [
-        ("broken.json", "{"),
-        ("scalars.json", "[1, 2]"),
-        ("short_row.csv", "a,b\n1\n"),
-        ("long_row.csv", "a,b\n1,2,3\n"),
-        ("latin1.csv", b"a,b\n1,\xff\n"),
-        ("latin1.json", b'[{"a": "\xff"}]'),
-        ("dup_header.csv", "a,a,b\n1,2,3\n"),
-        ("dup_key.json", '[{"a": 1, "a": 2}]'),
-    ])
-    def test_malformed_report_input_exits_two(self, tmp_path, capsys, name, text):
-        src = tmp_path / name
-        src.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 2
-        assert name in capsys.readouterr().err
+    def test_report_command_is_gone(self, capsys):
+        # summary and both sweep reports are written as .csv and .json already
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--in", "x", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
     def test_non_utf8_config_exits_one(self, corpus_path, tmp_path, capsys):
         config = tmp_path / "latin1.cfg"
@@ -1066,48 +1045,3 @@ class TestCli:
                         write_report(form, fmt, fh)
                         outputs.append(fh.getvalue())
                     assert outputs[0] == outputs[1] == outputs[2]
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_report_stdout_equals_out_file(self, corpus_path, tmp_path, capsys, fmt):
-        sim = tmp_path / "sim"
-        assert cli.main(["simulate", "--prices", corpus_path, "--policies", "fixed,never",
-                         "--out", str(sim)]) == 0
-        capsys.readouterr()
-        out = tmp_path / f"again.{fmt}"
-        assert cli.main(["report", "--in", str(sim / "summary.json"), "--format", fmt,
-                         "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert cli.main(["report", "--in", str(sim / "summary.json"), "--format", fmt]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
-
-    def test_report_reformat(self, tmp_path, capsys):
-        src = tmp_path / "rows.json"
-        emit_report([{"policy": "fixed", "ratio": 1.5}], "json", str(src))
-        code = cli.main(["report", "--in", str(src), "--format", "csv"])
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "policy,ratio"
-        assert out[1] == "fixed,1.5"
-
-    def test_report_aligns_reordered_json_keys(self, tmp_path, capsys):
-        # load_rows accepts rows that list the same keys in another order;
-        # every csv row follows the first row's header
-        src = tmp_path / "rows.json"
-        src.write_text('[{"a": 1, "b": 2}, {"b": 3, "a": 4}]', encoding="utf-8")
-        assert cli.main(["report", "--in", str(src), "--format", "csv"]) == 0
-        assert capsys.readouterr().out == "a,b\n1,2\n4,3\n"
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_report_keeps_cells_that_are_not_number_spellings(self, tmp_path, capsys, fmt):
-        # int() and float() accept '007', '1_000', ' 7' and '1e16', but the
-        # numbers they give are spelt '7', '1000', '7' and '1e+16'
-        src = tmp_path / "lead.csv"
-        src.write_text("id,note,x,big,n,f\n007,1_000, 7,1e16,-12,0.1\n", encoding="utf-8")
-        assert cli.main(["report", "--in", str(src), "--format", fmt]) == 0
-        out = capsys.readouterr().out
-        if fmt == "csv":
-            assert out == "id,note,x,big,n,f\n007,1_000, 7,1e16,-12,0.1\n"
-        else:
-            assert json.loads(out) == [
-                {"id": "007", "note": "1_000", "x": " 7", "big": "1e16", "n": -12, "f": 0.1}
-            ]

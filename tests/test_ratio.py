@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, strategies as st
+from hypothesis import assume, given, reject
 
-from conftest import decreasing_prices, spec_of
+from conftest import decreasing_prices, domain_specs, spec_of
 from evcharge.core import ValidationError, validate_spec
 from evcharge.online import make_policy
 from evcharge.ratio import (
@@ -184,16 +184,7 @@ class TestSolvePiStar:
             assert sol.pi_star <= pi_star_upper_bound(spec) + 1e-9
 
 
-def _log_uniform(lo_exp: float, hi_exp: float):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
-
-
-def _domain_spec(p_min, band, headroom):
-    return spec_of(p_min, p_min * (1 + band), p_min * (1 + headroom), 1)
-
-
-# p_min in [1e-2, 1e2], p_max / p_min in [1 + 1e-6, 1 + 1e2], alpha / p_min in [1 + 1e-8, 1 + 1e4]
-_SPECS = st.builds(_domain_spec, _log_uniform(-2, 2), _log_uniform(-6, 2), _log_uniform(-8, 4))
+_SPECS = domain_specs()
 
 
 def worst_case_total(spec, pi):
