@@ -13,7 +13,10 @@ of 240 sub-problems, so a group of sub-problems in one state splits; the
 rate-sweep workload reaches this fan-out but reports only per-grid means,
 not per-slot charges) and 1/2 (a single sub-problem), and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
-the unlimited-rate optimum: paths no workload takes.  It also compares
+the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
+grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
+corpus), so the closed-form `pi*` branch is run as well as the root one:
+paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
 capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
 solver and at the edges of both of its brackets (a narrow band, each
@@ -55,6 +58,7 @@ SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
 POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13", "1-2": "1/2"}
 NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
+CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -241,6 +245,9 @@ def main() -> int:
             differ += compare_command(tmp, trees, f"sweep-rate-no-limit seed {seed}",
                                       lambda out: ["sweep", "--prices", corpus, "--rate-grid",
                                                    NO_LIMIT_RATE_GRID, "--out", out])
+            differ += compare_command(tmp, trees, f"sweep-alpha-closed-form seed {seed}",
+                                      lambda out: ["sweep", "--prices", corpus, "--alpha-grid",
+                                                   CLOSED_FORM_ALPHA_GRID, "--out", out])
         for name, argv in STDOUT_COMMANDS.items():
             differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
         for fname, text in BAD_PRICE_FILES.items():

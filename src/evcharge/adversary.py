@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import PriceTrace, ProblemSpec, ValidationError
+from .core import PriceTrace, ProblemSpec, ValidationError, objective_parts
 from .offline import NoLimitOptimum
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
@@ -29,11 +29,23 @@ MIN_LEVEL_GAP = 1e-12
 # Candidate charged strictly less than the reference, beyond float noise.
 TRUNCATION_SLACK = 1e-12
 
+# The most rows a trace may have: the adversary command peaked at 305 MB
+# writing 10**6 rows, so a longer trace is refused before it is built.
+MAX_TRACE_ROWS = 10**6
+
+
+def _check_rows(spec: ProblemSpec, steps: int, repeat: int = 1) -> None:
+    rows = steps * repeat
+    if rows > MAX_TRACE_ROWS:
+        raise ValidationError(f"{steps} steps at capacity {spec.capacity} make a trace of up to "
+                              f"{rows} rows, more than the limit of {MAX_TRACE_ROWS}")
+
 
 def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     """Strictly decreasing price path that exhausts a target-pi policy."""
     if steps < 1:
         raise ValidationError(f"need at least one step, got {steps}")
+    _check_rows(spec, steps)
     if not (math.isfinite(pi) and pi >= 1.0 - 1e-12):
         raise ValidationError(f"ratio target must be finite and >= 1, got {pi}")
     alpha, p_min, p_max = spec.alpha, spec.p_min, spec.p_max
@@ -67,6 +79,7 @@ def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> PriceTr
     so every sub-problem of a capacity-splitting policy sees the full
     descent, the last (fractional) one included."""
     repeat = math.ceil(spec.capacity)
+    _check_rows(spec, steps, repeat)
     return PriceTrace(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat))
 
 
@@ -74,24 +87,26 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     """Duel `policy` against the reference on the worst-case descent.
 
     Returns the (possibly truncated) trace actually played and the
-    candidate's final cost ratio against the unlimited-rate optimum, a
-    certified lower bound up to the descent's discretization.
+    candidate's objective (its cost plus dissatisfaction, as run_episode
+    scores it) over the unlimited-rate optimum: a certified lower bound up
+    to the descent's discretization.
     """
     pi_star = solve_pi_star(spec).pi_star
     plan = worst_case_no_limit(spec, pi_star, steps).slots
     reference = FixedRatioPolicy(spec, pi_star)
 
-    cum_policy = 0.0
-    cum_ref = 0.0
-    eta = spec.alpha * spec.capacity_f
+    cum_policy = cum_ref = 0.0
+    charges = []
     optimum = NoLimitOptimum(spec)
     for played, price in enumerate(plan, 1):
         opt = optimum.step(price)
         look = plan[played : played + policy.lookahead_needed]
-        out = policy.step(price, look)
-        cum_policy += out.charge
+        charges.append(policy.step(price, look).charge)
+        cum_policy += charges[-1]
         cum_ref += reference.step(price).charge
-        eta -= (spec.alpha - price) * out.charge
         if cum_policy < cum_ref - TRUNCATION_SLACK:
             break
-    return PriceTrace(plan[:played]), eta / opt
+    # the unmet need as one rounding of c - sum(v): alpha magnifies its error
+    unmet = math.fsum([spec.capacity_f, *(-v for v in charges)])
+    cost, diss = objective_parts(spec, (p * v for p, v in zip(plan, charges)), unmet)
+    return PriceTrace(plan[:played]), (cost + diss) / opt

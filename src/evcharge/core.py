@@ -55,6 +55,12 @@ class ProblemSpec(NamedTuple):
         return float(self.capacity)
 
 
+def objective_parts(spec: ProblemSpec, cost_terms, unmet: float) -> tuple[float, float]:
+    """An episode's charging cost, the exact sum of its price * charge terms,
+    and its dissatisfaction, alpha times the unmet need; their sum is the objective."""
+    return math.fsum(cost_terms), max(0.0, spec.alpha * unmet)
+
+
 def _as_fraction(capacity) -> Fraction:
     if isinstance(capacity, float):
         if not math.isfinite(capacity):
@@ -110,7 +116,3 @@ class PriceTrace(tuple):
     @property
     def slots(self) -> tuple[float, ...]:
         return self
-
-    @property
-    def T(self) -> int:
-        return len(self)

@@ -66,15 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The config file (or the defaults) with every flag the command was
+    given over it; a text flag is parsed as its config line would be."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for key in ("prices", "alpha", "capacity"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "policies", None) is not None:
-        overrides["policies"] = _coerce("policies", args.policies)
+    for flag in ("prices", "alpha", "capacity", "out", "policies", "alpha_grid", "rate_grid"):
+        value = getattr(args, flag, None)  # None: not given, or not this command's
+        key = "out_dir" if flag == "out" else flag
+        overrides[key] = _coerce(key, value) if isinstance(value, str) else value
     return apply_overrides(cfg, **overrides)
 
 
@@ -134,12 +133,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    if args.alpha_grid is not None:
-        cfg = apply_overrides(cfg, alpha_grid=_coerce("alpha_grid", args.alpha_grid))
-        sweep, name = sweep_alpha, "sweep_alpha"
-    else:
-        cfg = apply_overrides(cfg, rate_grid=_coerce("rate_grid", args.rate_grid))
-        sweep, name = sweep_rate_limit, "sweep_rate"
+    sweep, name = ((sweep_alpha, "sweep_alpha") if args.alpha_grid is not None
+                   else (sweep_rate_limit, "sweep_rate"))
     rows = sweep(cfg, _ingest("sweep", cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     emit_report(rows, "csv", os.path.join(cfg.out_dir, f"{name}.csv"))

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import time
 
 from ..core import ValidationError
 
 
 # Stays a dataclass: callers such as perfbench change a config with
-# dataclasses.replace, and _coerce reads each key's type from its fields.
+# dataclasses.replace.  _coerce reads each key's type from its annotation.
 @dataclass(frozen=True)
 class ExperimentConfig:
     prices: str | None = None
@@ -32,11 +32,6 @@ class ExperimentConfig:
     bucket: str = "season"            # season | month | all
 
 
-_TUPLE_STR = {"policies"}
-_TUPLE_FLOAT = {"alpha_grid", "rate_grid"}
-_OPTIONAL_FLOAT = {"alpha"}
-
-
 def _number(name: str, text: str, kind):
     try:
         value = kind(text)
@@ -48,24 +43,21 @@ def _number(name: str, text: str, kind):
 
 
 def _coerce(name: str, raw: str):
-    """Parse the text value of config key `name`; bad numbers raise ValidationError."""
-    hint = ExperimentConfig.__dataclass_fields__[name].type
-    if name in _TUPLE_STR:
+    """Parse the text value of config key `name` as ExperimentConfig
+    annotates it; bad numbers raise ValidationError."""
+    hint = ExperimentConfig.__annotations__[name].removesuffix(" | None")
+    if hint == "tuple[str, ...]":
         return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if name in _TUPLE_FLOAT:
+    if hint == "tuple[float, ...]":
         grid = tuple(_number(name, x, float) for x in raw.split(",") if x.strip())
         if not grid:
             raise ValidationError(f"{name}: empty grid {raw!r}")
         return grid
-    if name in _OPTIONAL_FLOAT or hint == "float":
-        return _number(name, raw, float)
-    if hint == "int":
-        return _number(name, raw, int)
-    return raw
+    kind = {"str": str, "float": float, "int": int}[hint]  # KeyError: a type with no parser
+    return raw if kind is str else _number(name, raw, kind)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -75,7 +67,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"config line {lineno}: expected key = value, got {line!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in ExperimentConfig.__annotations__:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw.strip())
     return check_config(ExperimentConfig(**values))

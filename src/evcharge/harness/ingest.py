@@ -34,56 +34,54 @@ class IngestResult(NamedTuple):
     dropped_out_of_range: int
 
 
-def csv_lines(reader, path: str):
-    """The rows of a csv reader over path; a line the csv module rejects
-    (such as a field past csv.field_size_limit()) raises ParseError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _parse_rows(path: str, tz_offset_minutes: int) -> list[tuple[datetime, float]]:
+def _parse_rows(path: str, tz_offset_minutes: int) -> tuple[dict[datetime, float], int]:
+    """The file's prices by timestamp in local time (a repeated timestamp:
+    the last row wins) and its number of data rows.  A line the csv module
+    rejects (such as a field past csv.field_size_limit()) raises ParseError."""
     local = timezone(timedelta(minutes=tz_offset_minutes))
-    rows: list[tuple[datetime, float]] = []
+    by_time: dict[datetime, float] = {}
+    n_rows = 0
     with open_text(path, ParseError) as fh:
         reader = csv.reader(fh)
-        records = csv_lines(reader, path)
-        header = next(records, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-            raise ParseError(f"{path}: expected header 'timestamp,price', got {header}")
-        for row in records:
-            lineno = reader.line_num  # where the record ends, if it spans lines
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {row}")
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-            aware = ts.tzinfo is not None
-            if rows and aware != rows_aware:
-                raise ParseError(
-                    f"{path}:{lineno}: timestamp {row[0]!r} has {'a' if aware else 'no'} UTC "
-                    f"offset, unlike the first data row's; use one kind throughout the file"
-                )
-            rows_aware = aware
-            if aware:
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
+                raise ParseError(f"{path}: expected header 'timestamp,price', got {header}")
+            for row in reader:
+                lineno = reader.line_num  # where the record ends, if it spans lines
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise ParseError(f"{path}:{lineno}: expected 2 columns, got {row}")
                 try:
-                    ts = ts.astimezone(local).replace(tzinfo=None)
-                except OverflowError:
+                    ts = datetime.fromisoformat(row[0].strip())
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+                aware = ts.tzinfo is not None
+                if n_rows and aware != rows_aware:
                     raise ParseError(
-                        f"{path}:{lineno}: timestamp {row[0]!r} is out of range in local time"
-                    ) from None
-            try:
-                price = float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad price {row[1]!r}") from exc
-            if not math.isfinite(price):
-                raise ParseError(f"{path}:{lineno}: non-finite price {row[1]!r}")
-            rows.append((ts, price))
-    return rows
+                        f"{path}:{lineno}: timestamp {row[0]!r} has {'a' if aware else 'no'} UTC "
+                        f"offset, unlike the first data row's; use one kind throughout the file"
+                    )
+                rows_aware = aware
+                if aware:
+                    try:
+                        ts = ts.astimezone(local).replace(tzinfo=None)
+                    except OverflowError:
+                        raise ParseError(
+                            f"{path}:{lineno}: timestamp {row[0]!r} is out of range in local time"
+                        ) from None
+                try:
+                    price = float(row[1])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad price {row[1]!r}") from exc
+                if not math.isfinite(price):
+                    raise ParseError(f"{path}:{lineno}: non-finite price {row[1]!r}")
+                by_time[ts] = price
+                n_rows += 1
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    return by_time, n_rows
 
 
 def trimmed_quantile(xs: list[float], q: float) -> float:
@@ -113,10 +111,9 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     timeline price is clamped back into the calibrated band (or, with
     out_of_range=drop, the episode containing it is discarded).
     """
-    rows = _parse_rows(path, cfg.tz_offset_minutes)
-    if not rows:
+    by_time, n_rows = _parse_rows(path, cfg.tz_offset_minutes)
+    if not by_time:
         raise ValidationError(f"{path}: no data rows")
-    by_time = {ts: p for ts, p in rows}  # duplicate timestamps: last wins
     prices = sorted(by_time.values())
     p_min = trimmed_quantile(prices, cfg.trim)
     p_max = trimmed_quantile(prices, 1.0 - cfg.trim)
@@ -136,30 +133,28 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     n_clamped = 0
     for day in sorted({ts.date() for ts in by_time}):
         t0 = datetime.combine(day, start)
-        raw = []
+        present = []
         for k in range(n_slots):
             try:
-                raw.append(by_time.get(t0 + k * step))
+                p = by_time.get(t0 + k * step)
             except OverflowError:  # past year 9999: the later slots cannot exist
                 break
-        present = [p for p in raw if p is not None]
+            if p is not None:
+                present.append(p)
         if not present:
             continue
         if len(present) < n_slots:
             dropped_incomplete += 1
             continue
-        if cfg.out_of_range == "drop" and any(p < p_min or p > p_max for p in present):
+        outside = sum(p < p_min or p > p_max for p in present)
+        if outside and cfg.out_of_range == "drop":
             dropped_range += 1
             continue
-        clamped = []
-        for p in present:
-            q = min(max(p, p_min), p_max)
-            if q != p:
-                n_clamped += 1
-            clamped.append(q)
-        episodes.append(Episode(date=day.isoformat(), trace=PriceTrace(clamped)))
+        n_clamped += outside
+        trace = PriceTrace([min(max(p, p_min), p_max) for p in present])
+        episodes.append(Episode(date=day.isoformat(), trace=trace))
 
-    calib = Calibration(p_min=p_min, p_max=p_max, n_rows=len(rows), n_clamped=n_clamped)
+    calib = Calibration(p_min=p_min, p_max=p_max, n_rows=n_rows, n_clamped=n_clamped)
     return IngestResult(
         calibration=calib,
         episodes=tuple(episodes),

@@ -9,6 +9,7 @@ from ..core import (
     InternalConsistencyError,
     PriceTrace,
     ProblemSpec,
+    objective_parts,
     validate_spec,
 )
 from ..offline import NoLimitOptimum, RateLimitedOptimum
@@ -73,7 +74,7 @@ def run_episode(
     ever exceeds the target times the optimum the run aborts, because that
     can only happen through an implementation bug.
     """
-    if trace.T == 0:
+    if not trace:
         raise InternalConsistencyError("cannot run a zero-slot episode")
     runner = make_policy(policy, spec)
     guard = policy in RATIO_POLICIES
@@ -112,8 +113,7 @@ def run_episode(
     if charged > cap + CAPACITY_SLACK:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 
-    cost = math.fsum(cost_terms)
-    diss = max(0.0, alpha * (cap - charged))
+    cost, diss = objective_parts(spec, cost_terms, cap - charged)
     fraction = min(1.0, max(0.0, charged / cap))
     row = EpisodeRow(
         date=date,

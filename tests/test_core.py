@@ -55,10 +55,10 @@ def test_experiment_config_is_the_only_dataclass():
 def test_price_trace_iterates_its_prices():
     trace = PriceTrace((3.0, 1.5, 2.0))
     assert list(trace) == [3.0, 1.5, 2.0]
-    assert trace.T == 3 and len(trace) == 3
+    assert len(trace) == 3
     assert trace.slots == (3.0, 1.5, 2.0)
     assert trace == PriceTrace([3.0, 1.5, 2.0]) and trace != PriceTrace((3.0, 1.5))
-    assert PriceTrace(()).T == 0
+    assert len(PriceTrace(())) == 0
 
 
 class TestValidateSpec:

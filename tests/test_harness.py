@@ -22,6 +22,7 @@ import evcharge.harness.sweeps as sweeps
 from evcharge.core import InternalConsistencyError, PriceTrace, ValidationError, validate_spec
 from evcharge.harness.config import (
     ExperimentConfig,
+    _coerce,
     apply_overrides,
     episode_slot_count,
     parse_config_text,
@@ -104,6 +105,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="expected key = value"):
             parse_config_text("alpha_factor 4.0")
 
+    def test_every_key_is_parsed_by_its_annotation(self):
+        # a key whose annotation _coerce has no parser for raises KeyError
+        # here, instead of reaching the config as raw text
+        for name, hint in ExperimentConfig.__annotations__.items():
+            value = _coerce(name, "1")
+            assert isinstance(value, str) == (hint.removesuffix(" | None") == "str"), name
+
     def test_overrides_skip_none(self):
         cfg = ExperimentConfig()
         same = apply_overrides(cfg, alpha=None, prices=None)
@@ -156,7 +164,7 @@ class TestIngest:
         # its 17:00 window cannot complete
         assert len(result.episodes) == 2
         assert result.dropped_incomplete == 1
-        assert all(ep.trace.T == 180 for ep in result.episodes)
+        assert all(len(ep.trace) == 180 for ep in result.episodes)
         assert [ep.date for ep in result.episodes] == ["2021-03-01", "2021-03-02"]
 
     def test_out_of_range_clamp_and_drop(self, tmp_path):
@@ -324,7 +332,7 @@ class TestRunEpisode:
             assert row.charged_units == 0.0
             assert row.ratio == 1.0
             assert row.objective == spec.alpha * 2
-            assert len(slots) == trace.T
+            assert len(slots) == len(trace)
 
     def test_full_lookahead_matches_capped_optimum(self):
         # with the whole window visible and alpha above the band, picking the
@@ -735,6 +743,14 @@ class TestCli:
         assert len(prices) == 50
         assert all(a > b for a, b in zip(prices, prices[1:]))
 
+    def test_adversary_past_row_limit_exits_one(self, capsys):
+        # a billion rows: refused before the trace is built, not killed
+        code = cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+                         "--capacity", "1e9", "--rate-limited", "--steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "1 steps at capacity 1000000000" in err and "1000000000 rows" in err
+
     def test_adversary_bad_steps_exits_one(self, capsys):
         code = cli.main([
             "adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5", "--steps", "0",
@@ -920,6 +936,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--alpha-grid", "a,b"],
         ["sweep", "--alpha-grid", ","],
+        ["sweep", "--alpha-grid", ""],
         ["sweep", "--rate-grid", "inf"],
         ["sweep", "--rate-grid", "nan"],
         ["simulate", "--capacity", "abc"],
@@ -937,6 +954,13 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_empty_grid_flag_exits_one(self, corpus_path, tmp_path, capsys):
+        # an empty --alpha-grid is given, not absent: it must not fall back to a rate sweep
+        code = cli.main(["sweep", "--alpha-grid", "", "--prices", corpus_path,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "alpha_grid: empty grid ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, key", [
         (["--alpha", "1e308"], "alpha"),  # alpha * capacity overflows
