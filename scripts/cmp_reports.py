@@ -11,7 +11,8 @@ it also runs `simulate` over every policy kind but `int` at capacities 7/2
 (`rat` fans out over 7 sub-problems), 240/13 (each price fans out over 13
 of 240 sub-problems, so a group of sub-problems in one state splits; the
 rate-sweep workload reaches this fan-out but reports only per-grid means,
-not per-slot charges) and 1/2 (a single sub-problem), and
+not per-slot charges) and 1/2 (`rat` is `fixed` there), `simulate` over
+`fixed`, `int` and `rat` at capacity 1, where `int` is `fixed` too, and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
 grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
@@ -57,6 +58,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
 POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13", "1-2": "1/2"}
+UNIT_CAPACITY_POLICIES = "fixed,int,rat"  # `int` runs only at whole capacities
 NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
 STDOUT_COMMANDS = {
@@ -215,8 +217,8 @@ def compare_failure(trees: dict, label: str, code: int, argv: list[str]) -> int:
     return not verdict.startswith("identical")
 
 
-def policy_paths_argv(corpus: str, capacity: str):
-    return lambda out: ["simulate", "--prices", corpus, "--policies", POLICY_PATHS,
+def policy_paths_argv(corpus: str, capacity: str, policies: str = POLICY_PATHS):
+    return lambda out: ["simulate", "--prices", corpus, "--policies", policies,
                         "--capacity", capacity, "--out", out]
 
 
@@ -242,6 +244,8 @@ def main() -> int:
             for tag, capacity in POLICY_CAPACITIES.items():
                 differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
                                           policy_paths_argv(corpus, capacity))
+            differ += compare_command(tmp, trees, f"simulate-int-1 seed {seed}",
+                                      policy_paths_argv(corpus, "1", UNIT_CAPACITY_POLICIES))
             differ += compare_command(tmp, trees, f"sweep-rate-no-limit seed {seed}",
                                       lambda out: ["sweep", "--prices", corpus, "--rate-grid",
                                                    NO_LIMIT_RATE_GRID, "--out", out])

@@ -75,8 +75,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 @contextmanager
 def open_text(path: str, error: type[Exception]):
-    """Open path as UTF-8 text; bytes that are not UTF-8 raise `error` naming it."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Open path as UTF-8 text, skipping a leading byte-order mark; bytes
+    that are not UTF-8 raise `error` naming it."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

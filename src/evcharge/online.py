@@ -108,10 +108,11 @@ class AdaptivePolicy(FixedRatioPolicy):
 
 
 class DistributorPolicy(Policy):
-    """Capacity split into sub-problems, each running the fixed policy.
+    """Capacity m/n split into m sub-problems of 1/n, each running the
+    fixed policy (`make_policy` runs `fixed` itself when m <= n).
 
     Sub-problem i's held price mu is the price it last accepted, which is
-    its `low` (alpha before any).  A price goes to the `fanout`
+    its `low` (alpha before any).  A price goes to the `fanout` = n
     sub-problems holding the highest prices above it, ties to the lowest
     index, and they are charged in that order; each accepted price is thus
     a new low of its sub-problem.
@@ -128,9 +129,10 @@ class DistributorPolicy(Policy):
     sub-problems would.
     """
 
-    def __init__(self, spec: ProblemSpec, pi: float, count: int, sub_capacity: float, fanout: int):
-        self.fanout = fanout
-        self.held = [(-spec.alpha, 0, count, FixedRatioPolicy(spec, pi, sub_capacity))]
+    def __init__(self, spec: ProblemSpec, pi: float):
+        m, n = spec.capacity.numerator, spec.capacity.denominator
+        self.fanout = n
+        self.held = [(-spec.alpha, 0, m, FixedRatioPolicy(spec, pi, 1 / n))]
 
     def step(self, price, lookahead=()):
         held = self.held
@@ -209,22 +211,18 @@ def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy
     """Build a fresh episode policy; `pi` defaults to the solved target."""
     if pi is None and (name in RATIO_POLICIES):
         pi = solve_pi_star(spec).pi_star
-    m, n = spec.capacity.numerator, spec.capacity.denominator
-    if name == "fixed":
+    if name == "int" and spec.capacity.denominator != 1:
+        raise ValidationError(
+            f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"
+        )
+    # the per-slot cap binds only above capacity 1; at or below it the
+    # rate-limited policies are the unlimited-rate one
+    if name in ("int", "rat") and spec.capacity > 1:
+        return DistributorPolicy(spec, pi)
+    if name in ("fixed", "int", "rat"):
         return FixedRatioPolicy(spec, pi)
     if name == "adaptive":
         return AdaptivePolicy(spec)
-    if name in ("int", "rat"):
-        if name == "int" and n != 1:
-            raise ValidationError(
-                f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"
-            )
-        # m sub-problems of 1/n, each price fanning out to up to n of them;
-        # with m <= n a single sub-problem of the full capacity stands in,
-        # which charges bit for bit what the unlimited-rate policy charges
-        if m <= n:
-            return DistributorPolicy(spec, pi, 1, spec.capacity_f, 1)
-        return DistributorPolicy(spec, pi, m, 1 / n, n)
     if name.startswith("rhc:"):
         raw = name.split(":", 1)[1]
         try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -43,6 +44,18 @@ def log_price_ratio(alpha: float, p_hi: float, p_lo: float) -> float:
     price band and the ratio is barely above 1.
     """
     return math.log1p((p_hi - p_lo) / (alpha - p_hi))
+
+
+def _x_minus_log1p_over_x2(x: float) -> float:
+    """(x - ln(1 + x)) / x^2 for x > 0, by its series 1/2 - x/3 + x^2/4 - ...
+    at x <= 0.5, where the difference would cancel most of log1p's digits
+    (the 60 terms leave out less than 1e-19 of the sum)."""
+    if x > 0.5:
+        return (x - math.log1p(x)) / (x * x)
+    s = 0.0
+    for k in range(60, 1, -1):
+        s = 1.0 / k - x * s
+    return s
 
 
 def max_total_charge(spec: ProblemSpec, pi: float) -> float:
@@ -170,9 +183,15 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
     if alpha > alpha_star:
         lump = p_max / (alpha - p_max)
         if lump < sys.float_info.min:
-            # a subnormal lump has lost the digits the closed form divides by
+            # alpha is so far above the band that the worst-case total's lump underflows
             raise NoBracket(f"{what}: p_max / (alpha - p_max) = {lump} is below the normal floats")
-        pi = lump / (lump - log_price_ratio(alpha, p_max, p_min))
+        # lump / (lump - ln(1 + x)) with x = band / gap, band = p_max - p_min
+        # and gap = alpha - p_max, is p_max / (p_min + band * x * s(x)) with
+        # s(x) = (x - ln(1 + x)) / x^2, which does not cancel when alpha is far
+        # above the band; in exact rationals but for s, it rounds once
+        band, gap = Fraction(p_max) - Fraction(p_min), Fraction(alpha) - Fraction(p_max)
+        s = Fraction(_x_minus_log1p_over_x2(float(band / gap)))
+        pi = float(Fraction(p_max) / (Fraction(p_min) + band * band / gap * s))
         branch = "closed_form"
     else:
         def excess(pi: float) -> float:

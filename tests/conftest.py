@@ -96,7 +96,11 @@ def capped_optimum_reference(spec: ProblemSpec, prices) -> tuple[float, list[flo
 
 def sub_problems(policy) -> list[tuple[float, object]]:
     """A distributor's (held price, sub-problem state) for each sub-problem
-    index, its groups expanded: the members of a group share one state."""
+    index, its groups expanded: the members of a group share one state.
+    A policy without groups (`int`/`rat` at capacity <= 1 are `fixed`) is
+    its own one sub-problem, held at its low."""
+    if not hasattr(policy, "held"):
+        return [(policy.low, policy)]
     out = [None] * sum(size for _, _, size, _ in policy.held)
     for neg, first, size, sub in policy.held:
         out[first : first + size] = [(-neg, sub)] * size

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -996,6 +997,24 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "latin1.cfg" in err
         assert "Traceback" not in err
+
+    def test_byte_order_mark_is_accepted_in_price_and_config_files(self, corpus_path, tmp_path):
+        # a leading UTF-8 BOM is not part of the header or of the first key
+        plain = Path(corpus_path).read_bytes()
+        settings = b"alpha_factor = 3\npolicies = fixed, naive\n"
+        inputs = {"plain": (plain, settings), "price-bom": (b"\xef\xbb\xbf" + plain, settings),
+                  "config-bom": (plain, b"\xef\xbb\xbf" + settings)}
+        reports = {}
+        for tag, (prices, config) in inputs.items():
+            (tmp_path / f"{tag}.csv").write_bytes(prices)
+            (tmp_path / f"{tag}.cfg").write_bytes(config)
+            out = tmp_path / tag
+            code = cli.main(["simulate", "--prices", str(tmp_path / f"{tag}.csv"),
+                             "--config", str(tmp_path / f"{tag}.cfg"), "--out", str(out)])
+            assert code == 0
+            reports[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(reports["plain"]) == 5
+        assert reports["price-bom"] == reports["plain"] == reports["config-bom"]
 
     @pytest.mark.parametrize("setting, twice", [
         (["--policies", "fixed,fixed,naive"], "fixed"),

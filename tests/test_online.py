@@ -471,16 +471,18 @@ def test_ratio_policies_charge_only_at_a_new_low(case):
 @example(case=(spec_of(1, 2, 6, 1), [1.1, 1.3]))
 @example(case=(spec_of(1, 3, 8, Fraction(1, 2)), [1.8, 2.4, 1.4]))
 def test_single_subproblem_matches_fixed_bit_for_bit(case):
-    # with m <= n the distributor runs one sub-problem of the whole
-    # capacity, whose room never binds: the fixed policy exactly
+    # with m <= n the rate-limited policies are the fixed policy itself,
+    # and charge bit for bit what one sub-problem of the whole capacity,
+    # clamped to its room, charges
     spec, prices = case
     pi = solve_pi_star(spec).pi_star
     names = ["rat"] + (["int"] if spec.capacity == 1 else [])
     for name in names:
-        policy, fixed = make_policy(name, spec, pi=pi), make_policy("fixed", spec, pi=pi)
+        policy, ref = make_policy(name, spec, pi=pi), _ListDistributor(name, spec, pi)
+        assert type(policy) is FixedRatioPolicy
         for p in prices:
-            assert policy.step(p).charge == fixed.step(p).charge
-            assert sub_problems(policy)[0][1].eta == fixed.eta
+            assert policy.step(p).charge.hex() == ref.step(p).hex()
+            assert policy.eta.hex() == ref.subs[0].eta.hex()
 
 
 def _rhc_step_by_fill(remaining, window):
