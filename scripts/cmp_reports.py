@@ -20,8 +20,8 @@ corpus), so the closed-form `pi*` branch is run as well as the root one:
 paths no workload takes.  It also compares
 the stdout of `adversary`, without --rate-limited and with it at whole
 capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
-solver and at the edges of both of its brackets (a narrow band, each
-side of a threshold, a wide band with a large alpha).  Last it runs
+solver and at the edges of its start bounds (a narrow band, each side of
+a threshold, a wide band with a large alpha).  Last it runs
 commands that must fail: `solve-ratio` on each rejected spec (a zero
 p_min, inverted bounds, alpha below p_min, a zero capacity, and a
 p_max * capacity that overflows), `adversary` with alpha == p_min and at
@@ -78,7 +78,7 @@ STDOUT_COMMANDS = {
                                    "--capacity", "24"],
     "solve-ratio flat-band": ["solve-ratio", "--p-min", "3", "--p-max", "3", "--alpha", "10",
                               "--capacity", "24"],
-    # the edges of both brackets: a threshold just above a narrow band, one
+    # the edges of the start bounds: a threshold just above a narrow band, one
     # alpha on each side of the 1-5 band's threshold (about 15.535), and a
     # threshold far above a wide band
     "solve-ratio narrow-band": ["solve-ratio", "--p-min", "1", "--p-max", "1.01", "--alpha", "2"],

@@ -85,7 +85,7 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     p_max = float(p_max)
     alpha = float(alpha)
     if not (p_min >= sys.float_info.min) or not math.isfinite(p_max):
-        # a subnormal band puts the threshold bracket on its pole
+        # a subnormal price carries fewer digits than the ratio solver's roots need
         raise ValidationError(f"price bounds must be finite and at least the smallest normal "
                               f"float {sys.float_info.min}, got [{p_min}, {p_max}]")
     if p_max < p_min:

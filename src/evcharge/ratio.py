@@ -7,7 +7,8 @@ alpha/pi, a logarithmic accumulation while the trigger price alpha/pi sits
 inside the price band, plus an initial lump when it sits above the band.
 The best achievable target pi_star is the value whose worst-case total
 exactly fills the battery, found in closed form when the dissatisfaction
-price is high enough and by bisection otherwise.
+price is high enough and otherwise as the root of an equation in
+u = 1/pi alone, by Newton's method from a proven bound.
 
 All quantities here scale linearly in capacity, so targets are solved at
 unit capacity and are exactly capacity-independent.
@@ -21,20 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import (
-    InternalConsistencyError,
-    ProblemSpec,
-    ValidationError,
-)
-
-ROOT_RESIDUAL_TOL = 1e-10
-PI_LOWER_BRACKET = 1.0 + 1e-12
+from .core import InternalConsistencyError, ProblemSpec, ValidationError
 
 
 class NoBracket(ValidationError):
-    """The defining equation has no root that a float holds: a degenerate
-    price band, alpha too close to p_min, or alpha so far above p_max that
-    the closed form underflows."""
+    """The defining equation has no root that a float holds: a band flat
+    to within an ulp, a threshold alpha* past the largest float, p_min/alpha
+    or p_min/p_max below the normal floats, or alpha so far above p_max
+    that the closed form underflows."""
 
 
 def log_price_ratio(alpha: float, p_hi: float, p_lo: float) -> float:
@@ -46,15 +41,18 @@ def log_price_ratio(alpha: float, p_hi: float, p_lo: float) -> float:
     return math.log1p((p_hi - p_lo) / (alpha - p_hi))
 
 
+_SERIES = tuple(1.0 / k for k in range(2, 61))  # _SERIES[k] * (-x)^k is the series' k-th term
+
+
 def _x_minus_log1p_over_x2(x: float) -> float:
-    """(x - ln(1 + x)) / x^2 for x > 0, by its series 1/2 - x/3 + x^2/4 - ...
-    at x <= 0.5, where the difference would cancel most of log1p's digits
-    (the 60 terms leave out less than 1e-19 of the sum)."""
-    if x > 0.5:
+    """(x - ln(1 + x)) / x^2 for x > -1, by its series 1/2 - x/3 + x^2/4 - ...
+    at |x| <= 0.5, where the difference would cancel most of log1p's digits.
+    The series stops before the first power of x below 2^-57."""
+    if abs(x) > 0.5:
         return (x - math.log1p(x)) / (x * x)
     s = 0.0
-    for k in range(60, 1, -1):
-        s = 1.0 / k - x * s
+    for c in _SERIES[int(math.log(2.0**-57, abs(x))) if x else 0::-1]:
+        s = c - x * s
     return s
 
 
@@ -80,63 +78,47 @@ def max_total_charge(spec: ProblemSpec, pi: float) -> float:
     return head + c * pi * log_price_ratio(alpha, spec.p_max, spec.p_min)
 
 
-def _decreasing_root(f, lo: float, hi: float, grow: float, tries: int, what: str) -> float:
-    """The float root of a strictly decreasing f on [lo, hi].
-
-    hi is multiplied by `grow` up to `tries` times until f(hi) < 0; a
-    merely zero f(hi) is not a bracket, since f can round to 0 far past
-    its root.  A root whose residual exceeds ROOT_RESIDUAL_TOL means no
-    float solves the equation (NoBracket) when the root lies below lo or
-    one ulp moves f past the tolerance, and a solver fault otherwise.
-    `what` names the root and the spec's values in every message.
-    """
-    if hi <= lo:
-        raise NoBracket(f"{what}: the bracket [{lo}, {hi}] is empty")
-    for _ in range(tries):
-        if f(hi) < 0.0:
-            break
-        hi *= grow
-    else:
-        raise NoBracket(f"{what}: the equation stays >= 0 up to {hi}")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if f(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    root = 0.5 * (a + b)
-    if abs(f(root)) > ROOT_RESIDUAL_TOL:
-        ulp_step = f(math.nextafter(root, 0.0)) - f(math.nextafter(root, math.inf))
-        if f(lo) < 0.0 or ulp_step > ROOT_RESIDUAL_TOL:
-            raise NoBracket(f"{what}: no float meets the residual tolerance "
-                            f"{ROOT_RESIDUAL_TOL}; one ulp moves the equation by {ulp_step}")
-        raise InternalConsistencyError(f"{what}: bisection residual {f(root)}")
-    return root
+def _monotone_newton(step, x: float) -> float:
+    """Root of f by Newton's method from a bound x on the side where the
+    iterates approach it monotonically: above it for an increasing convex
+    f, below it for an increasing concave one.  step(x) is f(x) / f'(x).
+    Stops once a step no longer moves x the way the first one did."""
+    dx = step(x)
+    down = dx > 0.0
+    for _ in range(100):
+        if not (x - dx < x if down else x - dx > x):
+            return x
+        x -= dx
+        dx = step(x)
+    raise InternalConsistencyError(f"Newton's method still moving at {x} after 100 steps")
 
 
 def solve_alpha_star(spec: ProblemSpec) -> float:
     """Dissatisfaction price above which the closed-form target applies.
 
-    Root of (a / p_max) * ln((a - p_min) / (a - p_max)) = 1 in a.  The
-    left side falls strictly from +inf toward 1 - p_min/p_max < 1, so a
-    unique root exists whenever the band is non-degenerate.
+    Root of (a / p_max) * ln((a - p_min) / (a - p_max)) = 1 in a.  With
+    u = p_max / a and rho = p_min / p_max it reads g(u) = -ln(1 - rho u),
+    where g(u) = -u - ln(1 - u) = u^2 s(-u) rises with slope u / (1 - u).
+    The difference is convex on (0, 1), negative just above 0 and infinite
+    at 1: one root, below 1 - (1 - rho) / e, and below 2 rho since
+    g(u) >= u^2 / (2 - u) and -ln(1 - rho u) <= rho u / (1 - rho).
     """
     p_min, p_max = spec.p_min, spec.p_max
-    if p_min == p_max:
-        raise NoBracket("p_min == p_max: the defining equation is identically 0")
-
-    def g(a: float) -> float:
-        return (a / p_max) * log_price_ratio(a, p_max, p_min) - 1.0
-
-    return _decreasing_root(g, p_max * (1.0 + 1e-12), 2.0 * p_max, 2.0, 70,
-                            f"threshold price for p_min={p_min}, p_max={p_max}")
+    what = f"threshold price for p_min={p_min}, p_max={p_max}"
+    rho = p_min / p_max
+    if not sys.float_info.min <= rho < math.nextafter(1.0, 0.0):
+        # at the float below 1, the start 1 - (1 - rho) / e rounds onto the pole at u = 1
+        raise NoBracket(f"{what}: p_min / p_max = {rho} is subnormal, zero or an ulp from 1")
+    u = _monotone_newton(lambda u: ((u * u * _x_minus_log1p_over_x2(-u) + math.log1p(-rho * u))
+                                    / (u / (1.0 - u) - rho / (1.0 - rho * u))),
+                         min(1.0 - (1.0 - rho) / math.e, 2.0 * rho))
+    if p_max / u == math.inf:
+        raise NoBracket(f"{what}: alpha* = p_max / {u} overflows")
+    return p_max / u
 
 
 def pi_star_upper_bound(spec: ProblemSpec) -> float:
-    """min(sqrt(alpha / p_min), p_max / p_min); also the bisection bracket."""
+    """min(sqrt(alpha / p_min), p_max / p_min), the paper's bound on pi_star."""
     return min(math.sqrt(spec.alpha / spec.p_min), spec.theta)
 
 
@@ -145,8 +127,9 @@ class RatioSolution(NamedTuple):
 
     branch is "closed_form" above the alpha threshold, "root" below it,
     and "degenerate" when the instance forces pi_star = 1 outright
-    (alpha == p_min, or a flat price band).  alpha_star is None on a flat
-    band, and at alpha == p_min on a band too narrow for a float
+    (alpha == p_min, a flat price band, or alpha so near p_min that the
+    root rounds to 1).  alpha_star is None on a flat band, and at
+    alpha == p_min on a band flat to within an ulp or too wide for a float
     threshold.  residual is |V(pi_star) - c|;
     it is only meaningful outside the degenerate branch, where V is
     identically zero or trivially equal to capacity.
@@ -194,11 +177,27 @@ def solve_pi_star(spec: ProblemSpec) -> RatioSolution:
         pi = float(Fraction(p_max) / (Fraction(p_min) + band * band / gap * s))
         branch = "closed_form"
     else:
-        def excess(pi: float) -> float:
-            # Worst-case total at unit capacity minus the unit capacity.
-            return pi * log_price_ratio(alpha, alpha / pi, p_min) - 1.0
-
-        pi = _decreasing_root(excess, PI_LOWER_BRACKET, bound, 1.0 + 1e-9, 8, what)
+        # pi * ln((alpha - p_min) / (alpha - alpha / pi)) = 1 is, in u = 1 / pi and
+        # d = 1 - p_min / alpha, (1 - u) e^u = d, or g(u) = -ln(d): p_max plays no part
+        d = (alpha - p_min) / alpha
+        if d <= math.exp(0.75) / 4.0:
+            # pi* <= 4/3: w = 1 - u solves ln(w / d) = w - 1, concave in w, from below;
+            # 1 + w / (1 - w) keeps the digits of pi - 1 that 1 / u loses.  Within
+            # ulps of alpha = p_min the rounded bound can fall an ulp below pi*
+            w = _monotone_newton(lambda w: (math.log(w / d) + 1.0 - w) * w / (1.0 - w), d / math.e)
+            pi = min(1.0 + w / (1.0 - w), bound)
+            if pi == 1.0:
+                return RatioSolution(alpha_star, 1.0, "degenerate", bound, c)
+        else:
+            r = p_min / alpha
+            if r < sys.float_info.min:
+                raise NoBracket(f"{what}: p_min / alpha = {r} is below the normal floats")
+            # g convex, from above: (1 - u) e^u <= e (1 - u) and g(u) >= u^2 / (2 - u)
+            log_d = -math.log1p(-r)
+            u = _monotone_newton(
+                lambda u: (u * u * _x_minus_log1p_over_x2(-u) - log_d) * (1.0 - u) / u,
+                min(1.0 - d / math.e, 4.0 * log_d / (log_d + math.sqrt(log_d * (log_d + 8.0)))))
+            pi = 1.0 / u
         branch = "root"
 
     residual = abs(max_total_charge(spec, pi) - c)

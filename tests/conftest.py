@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,71 @@ def domain_specs(capacities=st.just(1)):
     `capacities`."""
     return st.builds(_domain_spec, _log_uniform(-2, 2), _log_uniform(-6, 2), _log_uniform(-8, 4),
                      capacities)
+
+
+def _bisect_decreasing(f, lo: Decimal, hi: Decimal) -> Decimal:
+    """Root of a decreasing f with f(lo) > 0 > f(hi), to 1e-25 of hi."""
+    while hi - lo > hi * Decimal("1e-25"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def root_pi_star_oracle(spec: ProblemSpec) -> Decimal:
+    """pi* below alpha*: the root of pi ln((alpha - p_min) / (alpha - alpha/pi))
+    = 1, bisected on (1, sqrt(alpha / p_min)] in 50-digit decimal from the
+    spec's exact float values.  alpha - alpha/pi cancels at most the digits
+    of 1/(pi - 1), 16 at pi - 1 = 1e-16."""
+    alpha, p_min = map(Decimal, (spec.alpha, spec.p_min))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return _bisect_decreasing(lambda pi: pi * ((alpha - p_min) / (alpha - alpha / pi)).ln() - 1,
+                                  Decimal(1), (alpha / p_min).sqrt())
+
+
+def alpha_star_oracle(spec: ProblemSpec) -> Decimal:
+    """alpha*: the root of (a / p_max) ln((a - p_min) / (a - p_max)) = 1,
+    which falls from +inf at a = p_max, bisected in 50-digit decimal from the
+    spec's exact float values after doubling a from 2 p_max until it turns
+    negative.  a - p_max cancels at most the digits of p_max / (p_max - p_min)."""
+    p_min, p_max = map(Decimal, (spec.p_min, spec.p_max))
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def f(a):
+            return a / p_max * ((a - p_min) / (a - p_max)).ln() - 1
+
+        hi = 2 * p_max
+        while f(hi) > 0:
+            hi *= 2
+        return _bisect_decreasing(f, p_max, hi)
+
+
+def closed_form_pi_star_oracle(spec: ProblemSpec) -> Decimal:
+    """pi* above alpha*: lump / (lump - ln(1 + x)), lump = p_max / (alpha - p_max)
+    and x = (p_max - p_min) / (alpha - p_max), in decimal from the spec's exact
+    float values.  1 + x is held with 60 digits beyond x's leading one, and
+    the difference cancels at most log10(pi*) <= 12 of them."""
+    alpha, p_max, p_min = map(Decimal, (spec.alpha, spec.p_max, spec.p_min))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = (p_max - p_min) / (alpha - p_max)
+        ctx.prec += max(0, -x.adjusted())
+        lump = p_max / (alpha - p_max)
+        return lump / (lump - (1 + x).ln())
+
+
+def relative_miss(value: float, oracle: Decimal) -> float:
+    return float(abs((Decimal(value) - oracle) / oracle))
+
+
+# Largest relative misses of the solver against the oracles above, each
+# measured over tens of thousands of generated specs: 1.9e-16 for the closed
+# form (60k specs), 2.9e-16 for the root branch (40k) and 5.0e-16 for alpha*
+# (40k bands with p_max / p_min - 1 from 1e-13 to 1e8)
+CLOSED_FORM_BOUND = 4e-16
+ROOT_BOUND = 4e-16
+ALPHA_STAR_BOUND = 7e-16
 
 
 def drive(policy_name: str, spec: ProblemSpec, prices, pi=None) -> list[PolicyStep]:

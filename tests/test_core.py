@@ -81,7 +81,7 @@ class TestValidateSpec:
             validate_spec(0, 5, 5, 1)
         with pytest.raises(ValidationError, match=r"smallest normal float .*, got \[-1\.0, 5\.0\]"):
             validate_spec(-1, 5, 5, 1)
-        # a subnormal band would put the solver's threshold bracket on its pole
+        # a subnormal price carries fewer digits than the ratio solver's roots need
         with pytest.raises(ValidationError,
                            match=r"smallest normal float .*, got \[1e-312, 1\.001e-312\]"):
             validate_spec(1e-312, 1.001e-312, 3e-312, 1)

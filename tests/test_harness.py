@@ -53,7 +53,16 @@ from evcharge.offline import opt_rate_limited
 from evcharge.online import NO_LIMIT_POLICIES
 from evcharge.ratio import solve_pi_star
 
-from conftest import opt_no_limit_path
+from conftest import (
+    ALPHA_STAR_BOUND,
+    CLOSED_FORM_BOUND,
+    alpha_star_oracle,
+    closed_form_pi_star_oracle,
+    opt_no_limit_path,
+    relative_miss,
+    root_pi_star_oracle,
+    spec_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -719,17 +728,19 @@ class TestCli:
         assert err.startswith("error:") and "1e-312, 1.001e-312" in err and "Traceback" not in err
 
     def test_solve_ratio_unbracketed_threshold_names_the_band(self, capsys):
-        # 2 * p_max overflows, so the threshold equation never turns negative
+        # p_min / p_max = 1e-308 is subnormal, too few digits for the threshold's root
         code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", "1e308", "--alpha", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "p_min=1.0, p_max=1e+308" in err
 
-    def test_solve_ratio_alpha_just_above_p_min_exits_one(self, capsys):
+    def test_solve_ratio_alpha_one_ulp_above_p_min_rounds_to_one(self, capsys):
+        # pi* - 1 is about 8.2e-17 here, so the float nearest pi* is 1 itself
         code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "1.0000000000000002"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and "alpha=" in err and "p_min=" in err
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["pi_star"] == float(root_pi_star_oracle(spec_of(1, 5, 1.0000000000000002))) == 1.0
+        assert payload["branch"] == "degenerate"
 
     def test_adversary_writes_descending_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -879,11 +890,14 @@ class TestCli:
 
     @pytest.mark.parametrize("p_max", ["1.0000001", "1.00000001", "1.000000001", "1.0000000001",
                                        "1.00000000001", "1.000000000001", "1.0000000000001"])
-    def test_solve_ratio_nearly_flat_band_exits_one(self, capsys, p_max):
+    def test_solve_ratio_nearly_flat_band_matches_the_oracles(self, capsys, p_max):
+        # alpha* sits about 0.58 (p_max - p_min) above p_max, below alpha = 2
         code = cli.main(["solve-ratio", "--p-min", "1", "--p-max", p_max, "--alpha", "2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and "p_max=" in err and "p_min=" in err
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["branch"] == "closed_form"
+        spec = spec_of(1, float(p_max), 2)
+        assert relative_miss(payload["alpha_star"], alpha_star_oracle(spec)) <= ALPHA_STAR_BOUND
+        assert relative_miss(payload["pi_star"], closed_form_pi_star_oracle(spec)) <= CLOSED_FORM_BOUND
 
     @pytest.mark.parametrize("p_max", ["1.0000001", "1.000000001", "1.00000000001",
                                        "1.0000000000001"])

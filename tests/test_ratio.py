@@ -1,17 +1,30 @@
 """Target-ratio solver: worst-case charge totals, thresholds, per-slot targets."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, strategies as st
 
-from conftest import decreasing_prices, domain_specs, spec_of
+from conftest import (
+    ALPHA_STAR_BOUND,
+    CLOSED_FORM_BOUND,
+    ROOT_BOUND,
+    alpha_star_oracle,
+    closed_form_pi_star_oracle,
+    decreasing_prices,
+    domain_specs,
+    relative_miss,
+    root_pi_star_oracle,
+    spec_of,
+)
 from evcharge.core import ValidationError, validate_spec
 from evcharge.online import make_policy
 from evcharge.ratio import (
     NoBracket,
+    _x_minus_log1p_over_x2,
     max_total_charge,
     pi_star_upper_bound,
     solve_alpha_star,
@@ -147,11 +160,13 @@ class TestSolvePiStar:
         assert sol.pi_star == 1.0
 
     @pytest.mark.parametrize("alpha", [1 + 10.0**-k for k in range(6, 16)] + [math.nextafter(1.0, 2.0)])
-    def test_alpha_just_above_floor_has_no_float_root(self, alpha):
-        # pi* lies in (1, alpha), where one ulp of pi moves the target
-        # equation past ROOT_RESIDUAL_TOL, or below PI_LOWER_BRACKET
-        with pytest.raises(NoBracket, match=r"alpha=.* p_min=1\.0"):
-            solve_pi_star(spec_of(1, 5, alpha, 1))
+    def test_alpha_just_above_floor_matches_the_oracle(self, alpha):
+        # pi* - 1 is about (alpha - 1) / e here, where one ulp of pi moves the
+        # defining equation by more than 1e-10; one ulp above 1, pi* rounds to 1
+        spec = spec_of(1, 5, alpha, 1)
+        sol = solve_pi_star(spec)
+        assert sol.branch == ("degenerate" if alpha == math.nextafter(1.0, 2.0) else "root")
+        assert relative_miss(sol.pi_star, root_pi_star_oracle(spec)) <= ROOT_BOUND
 
     @pytest.mark.parametrize("alpha", [1e13, 1e23])
     def test_closed_form_underflow_has_no_float_target(self, alpha):
@@ -218,8 +233,14 @@ def test_solver_returns_a_target_under_the_bound_or_no_bracket(spec):
 @given(spec=_SPECS)
 def test_worst_case_total_at_pi_star_fills_capacity(spec):
     # the largest miss over 24k specs of this domain was 1.7e-10, from the
-    # oracle's own cancellation in alpha - s * pi when alpha sits just above p_max
+    # oracle's own cancellation in alpha - s * pi when alpha sits just above p_max.
+    # Within about 1e-6 of alpha = p_min one ulp of pi* moves the total by more
+    # than the bound (the float nearest pi* misses it by 3.7e-9 at
+    # alpha = 1.0000001 on the 1-5 band), so a spec counts only where the
+    # float nearest the exact pi* meets it
     sol = _non_degenerate_solution(spec)
+    oracle = root_pi_star_oracle(spec) if sol.branch == "root" else closed_form_pi_star_oracle(spec)
+    assume(abs(worst_case_total(spec, float(oracle)) - 1.0) <= 1e-9)
     assert abs(worst_case_total(spec, sol.pi_star) - 1.0) <= 1e-9
 
 
@@ -246,20 +267,6 @@ def test_closed_form_at_alpha_star_is_the_root_branch_target(spec):
     lump = p_max / (a - p_max)
     closed = lump / (lump - math.log((a - p_min) / (a - p_max)))
     assert closed == pytest.approx(a / p_max, rel=1e-12, abs=0.0)
-
-
-def _closed_form_oracle(spec) -> Decimal:
-    """lump / (lump - ln(1 + x)), lump = p_max / (alpha - p_max) and
-    x = (p_max - p_min) / (alpha - p_max), in decimal from the spec's exact
-    float values.  1 + x is held with 60 digits beyond x's leading one, and
-    the difference cancels at most log10(pi*) <= 12 of them."""
-    alpha, p_max, p_min = map(Decimal, (spec.alpha, spec.p_max, spec.p_min))
-    with localcontext() as ctx:
-        ctx.prec = 60
-        x = (p_max - p_min) / (alpha - p_max)
-        ctx.prec += max(0, -x.adjusted())
-        lump = p_max / (alpha - p_max)
-        return lump / (lump - (1 + x).ln())
 
 
 @st.composite
@@ -292,8 +299,103 @@ def test_closed_form_pi_star_matches_a_decimal_oracle(spec):
     # ln(1 + x) from the lump directly missed by up to 2.4e-4
     sol = solve_pi_star(spec)
     assume(sol.branch == "closed_form")
-    oracle = _closed_form_oracle(spec)
-    assert abs((Decimal(sol.pi_star) - oracle) / oracle) <= 4e-16
+    assert relative_miss(sol.pi_star, closed_form_pi_star_oracle(spec)) <= CLOSED_FORM_BOUND
+
+
+@st.composite
+def _root_specs(draw):
+    """p_min in [1e-2, 1e2], p_max / p_min - 1 in [1e-13, 1e8], and alpha up to
+    alpha*: alpha / p_min - 1 is log-uniform from 1e-10 (or a tenth of
+    alpha* / p_min - 1 on the narrowest bands) up to alpha* / p_min - 1."""
+    p_min = 10.0 ** draw(st.floats(-2, 2))
+    p_max = p_min * (1 + 10.0 ** draw(st.floats(-13, 8)))
+    top = math.log10(solve_alpha_star(spec_of(p_min, p_max, 2 * p_max)) / p_min - 1)
+    return spec_of(p_min, p_max, p_min * (1 + 10.0 ** draw(st.floats(min(-10, top - 1), top))))
+
+
+# the solver iterates on 1 - 1/pi up to pi* = 4/3, at alpha = p_min / (1 - e^(3/4) / 4),
+# and on 1/pi above it
+@given(spec=_root_specs())
+@example(spec=spec_of(1, 5, 1 + 1e-8))  # pi* - 1 = 3.678794380e-9
+@example(spec=spec_of(1, 5, 2.124269801003613))
+@example(spec=spec_of(1, 5, math.nextafter(2.124269801003613, 3.0)))
+@example(spec=spec_of(1, 1 + 1e-13, 1 + 1e-13))
+@example(spec=spec_of(1, 1e8, 1e15))
+def test_root_pi_star_matches_a_decimal_oracle(spec):
+    # bisection missed by up to 1.6e-12 on specs drawn this way, and refused
+    # those with alpha / p_min - 1 below about 1e-6
+    sol = solve_pi_star(spec)
+    assume(sol.branch == "root")
+    assert relative_miss(sol.pi_star, root_pi_star_oracle(spec)) <= ROOT_BOUND
+
+
+@given(p_min=st.floats(-2, 2).map(lambda e: 10.0**e), band=st.floats(-13, 8).map(lambda e: 10.0**e))
+@example(p_min=1.0, band=4.0)
+@example(p_min=1.0, band=1e-13)
+@example(p_min=1.0, band=1e8 - 1)
+def test_alpha_star_matches_a_decimal_oracle(p_min, band):
+    # bisection missed by up to 1.8e-8 on bands drawn this way, and refused
+    # those with p_max / p_min - 1 below about 1e-7
+    spec = spec_of(p_min, p_min * (1 + band), 2 * p_min * (1 + band))
+    assert relative_miss(solve_alpha_star(spec), alpha_star_oracle(spec)) <= ALPHA_STAR_BOUND
+
+
+def _positive_floats_from(lo: float):
+    return st.floats(lo, sys.float_info.max)
+
+
+@st.composite
+def _float_range_specs(draw):
+    """(p_min, p_max, alpha) anywhere on the normal floats: p_max at or some
+    ulps above p_min or anywhere above it, and alpha the same above p_min or
+    above p_max."""
+    def above(x):
+        ulps = draw(st.integers(0, 3))
+        for _ in range(ulps):
+            x = math.nextafter(x, sys.float_info.max)
+        return draw(st.just(x) | _positive_floats_from(x))
+
+    p_min = draw(_positive_floats_from(sys.float_info.min))
+    p_max = above(p_min)
+    return p_min, p_max, above(draw(st.sampled_from([p_min, p_max])))
+
+
+@given(values=_float_range_specs())
+@example(values=(1.0, 5.0, math.nextafter(1.0, 2.0)))  # pi* rounds to 1
+@example(values=(2.3e-308, 1e150, 1e200))  # p_min / p_max underflows to 0
+@example(values=(1.5, math.nextafter(1.5, 2.0), 2.0))  # p_min / p_max is the float below 1
+def test_solver_returns_a_bounded_target_or_no_bracket_on_the_float_range(values):
+    try:
+        spec = spec_of(*values)
+    except ValidationError:
+        reject()
+    try:
+        sol = solve_pi_star(spec)
+    except NoBracket:
+        return
+    assert math.isfinite(sol.pi_star) and 1.0 <= sol.pi_star <= sol.upper_bound
+
+
+# the series takes over at |x| <= 0.5; summing its 60 terms at x = -0.9 missed by 1.7e-4
+@given(x=st.floats(-0.999, 2.0))
+@example(x=-0.9)
+@example(x=math.nextafter(-0.5, -1.0))
+@example(x=-0.5)
+@example(x=math.nextafter(-0.5, 0.0))
+@example(x=math.nextafter(0.5, 0.0))
+@example(x=0.5)
+@example(x=math.nextafter(0.5, 1.0))
+@example(x=1e-300)
+def test_x_minus_log1p_over_x2_matches_a_decimal_oracle(x):
+    # over 400k arguments the largest relative miss was 1.7e-16 on the series
+    # and 5.9e-16 on the direct form, whose difference cancels up to a factor 5
+    # just past |x| = 0.5
+    assume(x != 0.0)
+    with localcontext() as ctx:
+        d = Decimal(x)
+        ctx.prec = 60 + 2 * max(0, -d.adjusted())  # ln(1 + x) to 60 digits beyond x^2
+        oracle = (d - (1 + d).ln()) / (d * d)
+    assert relative_miss(_x_minus_log1p_over_x2(x), oracle) <= (2.5e-16 if abs(x) <= 0.5 else 9e-16)
 
 
 class TestUpperBound:
