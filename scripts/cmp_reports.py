@@ -12,7 +12,10 @@ it also runs `simulate` over every policy kind but `int` at capacities 7/2
 of 240 sub-problems, so a group of sub-problems in one state splits; the
 rate-sweep workload reaches this fan-out but reports only per-grid means,
 not per-slot charges) and 1/2 (`rat` is `fixed` there), `simulate` over
-`fixed`, `int` and `rat` at capacity 1, where `int` is `fixed` too, and
+`fixed`, `int` and `rat` at capacity 1, where `int` is `fixed` too,
+`simulate` at capacity 24 over only capped policies (`int`, `rhc:0`,
+`naive`) and over only uncapped ones (`fixed`, `adaptive`, `never`), so
+that each episode's optimum path is shared within a single kind, and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
 grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
@@ -59,6 +62,7 @@ SEEDS = (1, 2)
 POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
 POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13", "1-2": "1/2"}
 UNIT_CAPACITY_POLICIES = "fixed,int,rat"  # `int` runs only at whole capacities
+ONE_KIND_POLICIES = {"capped": "int,rhc:0,naive", "uncapped": "fixed,adaptive,never"}
 NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
 STDOUT_COMMANDS = {
@@ -246,6 +250,9 @@ def main() -> int:
                                           policy_paths_argv(corpus, capacity))
             differ += compare_command(tmp, trees, f"simulate-int-1 seed {seed}",
                                       policy_paths_argv(corpus, "1", UNIT_CAPACITY_POLICIES))
+            for kind, policies in ONE_KIND_POLICIES.items():
+                differ += compare_command(tmp, trees, f"simulate-{kind}-only seed {seed}",
+                                          policy_paths_argv(corpus, "24", policies))
             differ += compare_command(tmp, trees, f"sweep-rate-no-limit seed {seed}",
                                       lambda out: ["sweep", "--prices", corpus, "--rate-grid",
                                                    NO_LIMIT_RATE_GRID, "--out", out])

@@ -12,6 +12,7 @@ import os
 import sys
 
 from ..core import InternalConsistencyError, ValidationError, validate_spec
+from ..online import make_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import IngestResult, ParseError, ingest_prices
@@ -124,9 +125,10 @@ def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     data = _ingest("simulate", cfg)
     spec = spec_from_calibration(cfg, data.calibration)
-    summary, slot_rows = run_policies(cfg, spec, data)  # a bad policy fails here
+    for policy in cfg.policies:
+        make_policy(policy, spec)  # a bad policy fails here, before any output
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_simulate_reports(cfg, spec, data, summary, slot_rows)
+    summary = write_simulate_reports(cfg, spec, data, run_policies(cfg, spec, data))
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
     return EXIT_OK
 

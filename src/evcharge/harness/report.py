@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import os
-from itertools import groupby
-from operator import attrgetter
+from itertools import count
 
 from ..core import ProblemSpec, ValidationError
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
-from .runner import EpisodeRow, SlotRow
+from .runner import EpisodeRow
 from .sweeps import compare_rows
 
 FORMATS = ("csv", "json")
@@ -74,48 +73,66 @@ class _ReprMemo(dict):
         return text
 
 
-def write_slot_table(slot_rows, fh) -> None:
-    """Write slot rows as the long csv table date,policy,slot,metric,value,
-    one line per slot and metric (price, charge, eta, opt, ratio): the
-    bytes write_report writes for those lines as dicts.
+def write_slot_table(walk, fh) -> list[EpisodeRow]:
+    """Write a walk (sweeps.run_policies' episodes) as the long csv table
+    date,policy,slot,metric,value, one line per slot and metric (price,
+    charge, eta, opt, ratio): the bytes write_report writes for those
+    lines as dicts.  Returns the walk's episode rows, in order.
 
-    Each run of rows with equal (date, policy) is one fh.write.  The csv
+    Each run is one fh.write, made as soon as the run is drawn.  The csv
     writer quotes the run's date,policy prefix once; the other cells need
-    no quoting, because an int or a float repr holds no delimiter, quote or
-    line break, and csv writes a float with str, which equals repr.
+    no quoting, because an int or a float repr holds no delimiter, quote
+    or line break, and csv writes a float with str, which equals repr.
+    The tails of an episode's price lines, and of each optimum path's opt
+    lines, are formatted once and shared by every run of the episode.
 
     Each distinct nonzero value is repr'd once per call and looked up
-    after that (prices repeat across policies, the optimum stays flat).
+    after that (prices repeat across episodes, the optimum stays flat).
     Zeros skip the memo, because 0.0 and -0.0 are one key; a nan hits only
     as the same object, and its repr is 'nan' either way."""
     memo = _ReprMemo()
     cells = io.StringIO()
     writer = csv.writer(cells, lineterminator="\n")  # write_report's dialect
     head = "date,policy,slot,metric,value\n"
-    for (date, policy), run in groupby(slot_rows, attrgetter("date", "policy")):
-        cells.seek(0)
-        cells.truncate()
-        writer.writerow((date, policy, ""))
-        p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
-        lines = [head]
-        for s in run:
-            price, charge, eta, opt, ratio = s.price, s.charge, s.eta, s.opt, s.ratio
-            k = f"{p}{s.slot},"
-            lines.append(
-                f"{k}price,{memo[price] if price else repr(price)}\n"
-                f"{k}charge,{memo[charge] if charge else repr(charge)}\n"
-                f"{k}eta,{memo[eta] if eta else repr(eta)}\n"
-                f"{k}opt,{memo[opt] if opt else repr(opt)}\n"
-                f"{k}ratio,{memo[ratio] if ratio else repr(ratio)}\n"
-            )
-        fh.write("".join(lines))
-        head = ""
+    rows = []
+    for prices, paths, runs in walk:
+        price_tails = [f"{t},price,{memo[x] if x else repr(x)}\n" for t, x in enumerate(prices)]
+        opt_tails = {kind: [f"{t},opt,{memo[x] if x else repr(x)}\n" for t, x in enumerate(path)]
+                     for kind, path in paths.items()}
+        for kind, row, charges, etas, ratios in runs:
+            rows.append(row)
+            cells.seek(0)
+            cells.truncate()
+            writer.writerow((row.date, row.policy, ""))
+            p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
+            lines = [head]
+            for t, pt, ot, c, e, r in zip(count(), price_tails, opt_tails[kind], charges, etas, ratios):
+                lines.append(f"{p}{pt}{p}{t},charge,{memo[c] if c else repr(c)}\n"
+                             f"{p}{t},eta,{memo[e] if e else repr(e)}\n{p}{ot}"
+                             f"{p}{t},ratio,{memo[r] if r else repr(r)}\n")
+            fh.write("".join(lines))
+            head = ""
+    return rows
 
 
 def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,
-                           summary: list[EpisodeRow], slot_rows: list[SlotRow]) -> None:
-    """Write simulate's reports into cfg.out_dir: calibration.json,
-    summary.csv and .json, the long slots.csv and compare.csv."""
+                           walk) -> list[EpisodeRow]:
+    """Write simulate's reports into cfg.out_dir while drawing walk
+    (sweeps.run_policies' episodes), and return its episode rows: the long
+    slots.csv streamed run by run into slots.csv.partial, which replaces
+    slots.csv once the walk ends and is removed if the walk raises, then
+    calibration.json, summary.csv and .json and compare.csv."""
+    out = cfg.out_dir
+    slots = os.path.join(out, "slots.csv")
+    partial = slots + ".partial"
+    fh = open(partial, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            summary = write_slot_table(walk, fh)
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, slots)
     meta = {
         "p_min": data.calibration.p_min,
         "p_max": data.calibration.p_max,
@@ -127,12 +144,10 @@ def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: Inges
         "dropped_out_of_range": data.dropped_out_of_range,
         "n_clamped": data.calibration.n_clamped,
     }
-    out = cfg.out_dir
     with open(os.path.join(out, "calibration.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=1)
         fh.write("\n")
     emit_report(summary, "csv", os.path.join(out, "summary.csv"))
     emit_report(summary, "json", os.path.join(out, "summary.json"))
-    with open(os.path.join(out, "slots.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_slot_table(slot_rows, fh)
     emit_report(compare_rows(summary, cfg.bucket), "csv", os.path.join(out, "compare.csv"))
+    return summary

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from itertools import count, repeat
+from operator import mul
 from typing import NamedTuple
 
 from ..core import (
@@ -58,62 +60,60 @@ def slot_energy_kwh(cfg: ExperimentConfig) -> float:
     return cfg.charger_kw * cfg.slot_minutes / 60.0
 
 
-def run_episode(
-    cfg: ExperimentConfig,
-    spec: ProblemSpec,
-    trace: PriceTrace,
-    policy: str,
-    date: str = "",
-    collect_slots: bool = True,
-) -> tuple[EpisodeRow, list[SlotRow]]:
-    """Run one policy over one window and score it against the offline optimum.
+def capped(policy: str) -> bool:
+    """Whether policy honours the per-slot cap, and so is scored against
+    the capped optimum; the unlimited-rate policies get the uncapped one."""
+    return policy not in NO_LIMIT_POLICIES
 
-    Returns the episode's row and its per-slot rows; with collect_slots
-    False, only the last slot's row (whose opt is the whole window's).
-    The four ratio policies are also guarded online: if their running cost
-    ever exceeds the target times the optimum the run aborts, because that
-    can only happen through an implementation bug.
+
+def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
+    """The optimum of each prefix of prices, capped at one unit a slot or not."""
+    return list(map((RateLimitedOptimum if capped else NoLimitOptimum)(spec).step, prices))
+
+
+def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...],
+              opts: list[float], policy: str,
+              date: str = "") -> tuple[EpisodeRow, list[float], list[float], list[float]]:
+    """Step a fresh policy down prices and score it against opts, its
+    kind's optimum path (optimum_path at capped(policy)); returns the
+    episode's row and its charge, eta and ratio columns.
+
+    Every slot's charge must lie within the floor and the rate cap, and
+    the total within the capacity.  The four ratio policies are also
+    guarded online: if their running cost ever exceeds the target times
+    the optimum the run aborts, because only a bug can make it so.
     """
-    if not trace:
+    if not prices:
         raise InternalConsistencyError("cannot run a zero-slot episode")
     runner = make_policy(policy, spec)
+    step, need = runner.step, runner.lookahead_needed  # need is non-zero only for rhc:h
     guard = policy in RATIO_POLICIES
     target = solve_pi_star(spec).pi_star if guard else None
-    prices = trace.slots
-    if policy in NO_LIMIT_POLICIES:
-        opt_step, rate_cap = NoLimitOptimum(spec).step, math.inf
-    else:
-        opt_step, rate_cap = RateLimitedOptimum(spec).step, RATE_CAP
+    limit = target + RATIO_GUARD_TOL if guard else math.inf
+    rate_cap = RATE_CAP if capped(policy) else math.inf
 
     alpha, cap = spec.alpha, spec.capacity_f
     eta = alpha * cap
-    need = runner.lookahead_needed  # non-zero only for rhc:h
     charged = 0.0
-    cost_terms: list[float] = []
-    slots: list[SlotRow] = []
-    slot_row = SlotRow._make  # one row per slot, and _make builds it faster than SlotRow(...)
+    charges, etas, ratios = [], [], []  # the run's columns, one value per slot
     for t, price in enumerate(prices):
-        out = runner.step(price, prices[t + 1 : t + 1 + need] if need else ())
-        opt = opt_step(price)
-        v = out.charge
+        v = step(price, prices[t + 1 : t + 1 + need] if need else ()).charge
         if v < CHARGE_FLOOR or v > rate_cap:
             raise InternalConsistencyError(f"{policy}: slot charge {v} out of range at t={t}")
         charged += v
         eta -= (alpha - price) * v
-        cost_terms.append(price * v)
-        ratio = eta / opt
-        if guard and ratio > target + RATIO_GUARD_TOL:
+        ratio = eta / opts[t]
+        if ratio > limit:
             raise InternalConsistencyError(
                 f"{policy}: ratio {ratio} exceeded target {target} at t={t}"
             )
-        if collect_slots:
-            slots.append(slot_row((date, policy, t, price, v, eta, opt, ratio)))
-    if not collect_slots:
-        slots.append(slot_row((date, policy, t, price, v, eta, opt, ratio)))
+        charges.append(v)
+        etas.append(eta)
+        ratios.append(ratio)
     if charged > cap + CAPACITY_SLACK:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 
-    cost, diss = objective_parts(spec, cost_terms, cap - charged)
+    cost, diss = objective_parts(spec, map(mul, prices, charges), cap - charged)
     fraction = min(1.0, max(0.0, charged / cap))
     row = EpisodeRow(
         date=date,
@@ -127,4 +127,27 @@ def run_episode(
         charged_fraction=fraction,
         charged_kwh=charged * slot_energy_kwh(cfg),
     )
-    return row, slots
+    return row, charges, etas, ratios
+
+
+def run_episode(
+    cfg: ExperimentConfig,
+    spec: ProblemSpec,
+    trace: PriceTrace,
+    policy: str,
+    date: str = "",
+    collect_slots: bool = True,
+) -> tuple[EpisodeRow, list[SlotRow]]:
+    """Run one policy over one window and score it against the offline
+    optimum: score_run on the window's optimum path, with the columns
+    zipped into per-slot rows at the end.
+
+    Returns the episode's row and its per-slot rows; with collect_slots
+    False, only the last slot's row (whose opt is the whole window's).
+    """
+    prices = trace.slots
+    opts = optimum_path(spec, prices, capped(policy))
+    row, charges, etas, ratios = score_run(cfg, spec, prices, opts, policy, date)
+    first = 0 if collect_slots else len(prices) - 1
+    columns = (c[first:] for c in (prices, charges, etas, opts, ratios))
+    return row, list(map(SlotRow, repeat(date), repeat(policy), count(first), *columns))

@@ -10,7 +10,8 @@ from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, valid
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
-from .runner import EpisodeRow, SlotRow, run_episode, slot_energy_kwh, spec_from_calibration
+from .runner import (EpisodeRow, SlotRow, capped, optimum_path, run_episode, score_run,
+                     slot_energy_kwh, spec_from_calibration)
 
 
 def _mean(xs) -> float:
@@ -117,17 +118,22 @@ def _bucket(date: str, mode: str) -> str:
     return ("winter", "spring", "summer", "fall")[int(date[5:7]) % 12 // 3]
 
 
-def run_policies(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,
-                 collect_slots: bool = True) -> tuple[list[EpisodeRow], list[SlotRow]]:
-    """Run every configured policy once on every episode, episodes outermost."""
-    summary: list[EpisodeRow] = []
-    slots: list[SlotRow] = []
+def run_policies(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult):
+    """Walk every episode once, episodes outermost.  Yields (prices, paths,
+    runs) per episode: paths maps each kind of optimum the configured
+    policies need (runner.capped) to its path, computed once and read by
+    every policy of the kind; runs yields (kind, row, charges, etas,
+    ratios) per policy in the configured order, scored as it is drawn."""
+    kinds = {policy: capped(policy) for policy in cfg.policies}
     for ep in data.episodes:
-        for policy in cfg.policies:
-            row, ep_slots = run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots)
-            summary.append(row)
-            slots.extend(ep_slots)
-    return summary, slots
+        prices = ep.trace.slots
+        paths = {kind: optimum_path(spec, prices, kind) for kind in set(kinds.values())}
+        yield prices, paths, _runs(cfg, spec, ep.date, prices, paths, kinds)
+
+
+def _runs(cfg, spec, date, prices, paths, kinds):
+    for policy, kind in kinds.items():
+        yield kind, *score_run(cfg, spec, prices, paths[kind], policy, date)
 
 
 def compare_rows(rows: list[EpisodeRow], bucket_mode: str) -> list[CompareRow]:
@@ -153,5 +159,5 @@ def compare_rows(rows: list[EpisodeRow], bucket_mode: str) -> list[CompareRow]:
 def compare_policies(cfg: ExperimentConfig, data: IngestResult) -> list[CompareRow]:
     """Mean per-policy scores grouped by a date bucket."""
     spec = spec_from_calibration(cfg, data.calibration)
-    summary, _ = run_policies(cfg, spec, data, collect_slots=False)
+    summary = [row for _, _, runs in run_policies(cfg, spec, data) for _, row, *_ in runs]
     return compare_rows(summary, cfg.bucket)

@@ -19,7 +19,10 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import evcharge.harness.cli as cli
+import evcharge.harness.report as report
+import evcharge.harness.runner as runner
 import evcharge.harness.sweeps as sweeps
+import evcharge.offline as offline
 from evcharge.core import InternalConsistencyError, PriceTrace, ValidationError, validate_spec
 from evcharge.harness.config import (
     ExperimentConfig,
@@ -49,7 +52,7 @@ from evcharge.harness.runner import (
 )
 from evcharge.harness.sweeps import compare_policies, compare_rows, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
-from evcharge.offline import opt_rate_limited
+from evcharge.offline import NoLimitOptimum, RateLimitedOptimum, opt_rate_limited
 from evcharge.online import NO_LIMIT_POLICIES
 from evcharge.ratio import solve_pi_star
 
@@ -616,36 +619,71 @@ _REPORT_FLOATS = st.one_of(
 )
 
 
+_METRICS = ("price", "charge", "eta", "opt", "ratio")
+
+
+def _run_row(date, policy):
+    """An episode row that the slot table reads only the date and policy of."""
+    return EpisodeRow(date, policy, None, *[0.0] * 7)
+
+
+def _episode(prices, paths, *runs):
+    """One episode of a walk as run_policies yields it; each run is
+    (date, policy, kind, charges, etas, ratios), scored against paths[kind]."""
+    return (tuple(prices), paths,
+            [(kind, _run_row(date, policy), list(c), list(e), list(r))
+             for date, policy, kind, c, e, r in runs])
+
+
 @st.composite
-def _slot_rows(draw):
-    """SlotRows in runs of a few (date, policy) keys, in any order."""
+def _walks(draw):
+    """Walks of a few episodes of at least one slot (score_run refuses an
+    empty one), each with one or two optimum paths and runs of a few
+    (date, policy) keys scored against them, in any order."""
     keys = draw(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT), min_size=1, max_size=4))
-    row = st.builds(lambda key, slot, *values: SlotRow(*key, slot, *values),
-                    st.sampled_from(keys), st.integers(), *[_REPORT_FLOATS] * 5)
-    return draw(st.lists(row, max_size=12))
+    walk = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 4))
+        column = st.lists(_REPORT_FLOATS, min_size=n, max_size=n)
+        paths = {kind: draw(column) for kind in draw(st.sets(st.booleans(), min_size=1))}
+        runs = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(sorted(paths))),
+                             max_size=3))
+        walk.append(_episode(draw(column), paths,
+                             *[(*key, kind, draw(column), draw(column), draw(column))
+                               for key, kind in runs]))
+    return walk
 
 
-@given(rows=_slot_rows())
-@example(rows=[])  # no rows, no header: as write_report
-@example(rows=[SlotRow("a\nb", "", 0, -0.0, math.inf, math.nan, 5e-324, 1e16),
-               SlotRow("a\nb", "", 1, 1e-05, 0.1 + 0.2, -1.0, 1.0, 2.5),
-               SlotRow('say "x"', "rhc:0,naive", -3, 0.0, 0.0, 0.0, 0.0, 0.0)])
+@given(walk=_walks())
+@example(walk=[])  # no rows, no header: as write_report
+@example(walk=[_episode([-0.0, 1e-05], {True: [5e-324, 1.0]},
+                        ("a\nb", "", True, [math.inf, 0.1 + 0.2], [math.nan, -1.0], [1e16, 2.5])),
+               _episode([0.0], {False: [0.0]},
+                        ('say "x"', "rhc:0,naive", False, [0.0], [0.0], [0.0]))])
 # 0.0 and -0.0 are one dict key, and a nan is one only as the same object
-@example(rows=[SlotRow("d", "p", 0, 0.0, 2.5, 0.0, 1.0, 0.0),
-               SlotRow("d", "p", 1, -0.0, 2.5, -0.0, 1.0, -0.0)])
-@example(rows=[SlotRow("d", "p", t, math.nan, math.nan, 1.0, math.nan, float("nan")) for t in range(3)])
-@example(rows=[SlotRow("d1", "fixed", 0, 0.1 + 0.2, 1e-05, 3.0, 0.3, 7.25),
-               SlotRow("d2", "fixed", 0, 0.1 + 0.2, 7.25, 3.0, 0.3, 1e-05)])
-def test_slot_table_bytes_equal_csv_writer(rows):
+@example(walk=[_episode([0.0, -0.0], {True: [0.0, -0.0]},
+                        ("d", "p", True, [0.0, -0.0], [0.0, -0.0], [0.0, -0.0]))])
+@example(walk=[_episode([math.nan] * 3, {True: [math.nan] * 3},
+                        ("d", "p", True, [math.nan] * 3, [1.0] * 3, [float("nan")] * 3))])
+@example(walk=[_episode([0.1 + 0.2], {True: [0.3]}, ("d1", "fixed", True, [1e-05], [3.0], [7.25])),
+               _episode([0.1 + 0.2], {True: [0.3]}, ("d2", "fixed", True, [7.25], [3.0], [1e-05]))])
+# runs of both kinds share the episode's price lines, each kind its own opt lines
+@example(walk=[_episode([2.0, 1.5], {True: [4.0, 3.5], False: [4.0, 3.0]},
+                        ("d", "int", True, [0.0, 1.0], [4.0, 3.5], [1.0, 1.0]),
+                        ("d", "fixed", False, [0.5, 0.0], [3.0, 3.0], [0.75, 1.0]),
+                        ("d", "naive", True, [1.0, 1.0], [3.0, 2.5], [0.75, 0.7142857142857143]))])
+def test_slot_table_bytes_equal_csv_writer(walk):
     fh = io.StringIO()
-    write_slot_table(rows, fh)
+    rows = write_slot_table(iter(walk), fh)
     ref = io.StringIO()
-    writer = csv.writer(ref, lineterminator="\n")
-    if rows:
-        writer.writerow(["date", "policy", "slot", "metric", "value"])
-    writer.writerows([s.date, s.policy, s.slot, metric, getattr(s, metric)]
-                     for s in rows for metric in ("price", "charge", "eta", "opt", "ratio"))
+    write_report([{"date": row.date, "policy": row.policy, "slot": t, "metric": metric,
+                   "value": value}
+                  for prices, paths, runs in walk
+                  for kind, row, charges, etas, ratios in runs
+                  for t, slot in enumerate(zip(prices, charges, etas, paths[kind], ratios))
+                  for metric, value in zip(_METRICS, slot)], "csv", ref)
     assert fh.getvalue().encode("utf-8") == ref.getvalue().encode("utf-8")
+    assert rows == [row for _, _, runs in walk for _, row, *_ in runs]
 
 
 _PARSER_TEXT = st.lists(st.one_of(
@@ -838,20 +876,66 @@ class TestCli:
 
     def test_simulate_runs_each_episode_once(self, corpus_path, corpus_data, tmp_path, monkeypatch):
         calls = []
-        real = sweeps.run_episode
+        real = runner.score_run
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
+        def counting(cfg, spec, prices, opts, policy, date=""):
+            calls.append((date, policy))
+            return real(cfg, spec, prices, opts, policy, date)
 
-        # every module that could hold a reference to run_episode
-        for module in (cli, sweeps):
-            monkeypatch.setattr(module, "run_episode", counting, raising=False)
+        # every module that could hold a reference to the episode loop, which
+        # run_episode wraps too
+        for module in (cli, sweeps, runner, report):
+            monkeypatch.setattr(module, "score_run", counting, raising=False)
         out = tmp_path / "once"
         assert cli.main(["simulate", "--prices", corpus_path, "--out", str(out)]) == 0
         policies = ExperimentConfig().policies
         assert len(calls) == len(corpus_data.episodes) * len(policies)
-        assert sorted(set(calls)) == sorted(policies)
+        assert sorted(set(calls)) == sorted((ep.date, p) for ep in corpus_data.episodes
+                                            for p in policies)
+
+    @pytest.mark.parametrize("policies, capped_paths, uncapped_paths", [
+        (None, 1, 1),  # the default policies: three capped, two not
+        ("fixed,never", 0, 1),
+        ("int,rhc:0,naive", 1, 0),
+    ])
+    def test_simulate_builds_one_optimum_per_kind_and_episode(
+            self, corpus_path, corpus_data, tmp_path, monkeypatch, policies, capped_paths,
+            uncapped_paths):
+        built = []
+
+        def counted(cls):
+            class Counted(cls):
+                def __init__(self, spec):
+                    built.append(cls)
+                    super().__init__(spec)
+            return Counted
+
+        for module in (cli, sweeps, runner, report, offline):
+            for cls in (RateLimitedOptimum, NoLimitOptimum):
+                monkeypatch.setattr(module, cls.__name__, counted(cls), raising=False)
+        argv = ["simulate", "--prices", corpus_path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv + (["--policies", policies] if policies else [])) == 0
+        episodes = len(corpus_data.episodes)
+        assert built.count(RateLimitedOptimum) == capped_paths * episodes
+        assert built.count(NoLimitOptimum) == uncapped_paths * episodes
+        assert len(built) == (capped_paths + uncapped_paths) * episodes
+
+    def test_guard_trip_leaves_no_partial_slot_table(self, corpus_path, tmp_path, capsys,
+                                                    monkeypatch):
+        # naive has no guard, so its run of the first episode is streamed
+        # before fixed trips its guard at the first slot
+        argv = ["simulate", "--prices", corpus_path, "--policies", "naive,fixed", "--out"]
+        out = tmp_path / "out"
+        assert cli.main(argv + [str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        fresh = tmp_path / "fresh"
+        monkeypatch.setattr(runner, "RATIO_GUARD_TOL", -1.0)
+        for target in (out, fresh):
+            capsys.readouterr()
+            assert cli.main(argv + [str(target)]) == 3
+            assert "internal error: fixed: ratio" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert list(fresh.iterdir()) == []  # made before the walk, and left empty
 
     def test_simulate_compare_matches_compare_policies(self, corpus_path, corpus_cfg, corpus_data,
                                                        tmp_path):
