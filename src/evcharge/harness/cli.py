@@ -18,7 +18,7 @@ from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import IngestResult, ParseError, ingest_prices
 from .report import emit_report, write_report, write_simulate_reports
 from .runner import spec_from_calibration
-from .sweeps import run_policies, sweep_alpha, sweep_rate_limit
+from .sweeps import sweep_alpha, sweep_rate_limit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> int:
     for policy in cfg.policies:
         make_policy(policy, spec)  # a bad policy fails here, before any output
     os.makedirs(cfg.out_dir, exist_ok=True)
-    summary = write_simulate_reports(cfg, spec, data, run_policies(cfg, spec, data))
+    summary = write_simulate_reports(cfg, spec, data)
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")
     return EXIT_OK
 

@@ -58,7 +58,7 @@ def _coerce(name: str, raw: str):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -69,6 +69,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in ExperimentConfig.__annotations__:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValidationError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         values[key] = _coerce(key, raw.strip())
     return check_config(ExperimentConfig(**values))
 

@@ -20,7 +20,7 @@ from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
 from .runner import EpisodeRow
-from .sweeps import compare_rows
+from .sweeps import compare_rows, run_policies
 
 FORMATS = ("csv", "json")
 
@@ -115,24 +115,23 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
     return rows
 
 
-def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult,
-                           walk) -> list[EpisodeRow]:
-    """Write simulate's reports into cfg.out_dir while drawing walk
-    (sweeps.run_policies' episodes), and return its episode rows: the long
-    slots.csv streamed run by run into slots.csv.partial, which replaces
-    slots.csv once the walk ends and is removed if the walk raises, then
-    calibration.json, summary.csv and .json and compare.csv."""
+def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: IngestResult) -> list[EpisodeRow]:
+    """Write simulate's reports into cfg.out_dir while drawing sweeps.run_policies'
+    walk, and return its episode rows: the long slots.csv streamed run by run
+    into slots.csv.partial, which replaces slots.csv once the walk ends and is
+    removed if the walk or the rename raises, then calibration.json,
+    summary.csv and .json and compare.csv."""
     out = cfg.out_dir
     slots = os.path.join(out, "slots.csv")
     partial = slots + ".partial"
     fh = open(partial, "w", encoding="utf-8", newline="")
     try:
         with fh:
-            summary = write_slot_table(walk, fh)
+            summary = write_slot_table(run_policies(cfg, spec, data), fh)
+        os.replace(partial, slots)
     except BaseException:
         os.remove(partial)
         raise
-    os.replace(partial, slots)
     meta = {
         "p_min": data.calibration.p_min,
         "p_max": data.calibration.p_max,

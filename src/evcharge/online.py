@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .core import InternalConsistencyError, ProblemSpec, ValidationError
@@ -39,18 +40,17 @@ class Policy:
 class FixedRatioPolicy(Policy):
     """Charge just enough to pull cost-so-far back to pi times the optimum.
 
-    eta is the cost-so-far as if the window ended now, low the lowest price
-    seen so far (alpha before any) and opt the unlimited-rate optimum of
-    the prefix, low times the capacity.  The optimum moves only when the
+    eta is the cost-so-far as if the window ended now and low the lowest
+    price seen so far (alpha before any); the unlimited-rate optimum of the
+    prefix is low times the capacity.  The optimum moves only when the
     price sets a new low, so the policy charges only then.
     """
 
-    def __init__(self, spec: ProblemSpec, pi: float, capacity: float | None = None):
-        c = spec.capacity_f if capacity is None else capacity
+    def __init__(self, spec: ProblemSpec, pi: float):
         self.alpha = self.low = spec.alpha
         self.pi = pi
-        self.capacity = c
-        self.eta = self.opt = spec.alpha * c
+        self.capacity = spec.capacity_f
+        self.eta = spec.alpha * self.capacity
         self.charged = 0.0
 
     def step(self, price, lookahead=()):
@@ -64,7 +64,7 @@ class FixedRatioPolicy(Policy):
         which keeps CPython's fast attribute path (`copy.copy` does not)."""
         twin = object.__new__(FixedRatioPolicy)
         twin.alpha, twin.low, twin.pi = self.alpha, self.low, self.pi
-        twin.capacity, twin.eta, twin.opt, twin.charged = self.capacity, self.eta, self.opt, self.charged
+        twin.capacity, twin.eta, twin.charged = self.capacity, self.eta, self.charged
         return twin
 
     def assign(self, price: float) -> float:
@@ -73,13 +73,12 @@ class FixedRatioPolicy(Policy):
         return self._charge_at_new_low(price, self.capacity - self.charged)
 
     def _charge_at_new_low(self, price: float, room: float) -> float:
-        """Take `price` as the new low and optimum, and charge to bring eta
-        down to pi times it.  The clamp to `room` is only a guard: the target
-        leaves headroom, so a clamp beyond tolerance is a distributor bug."""
+        """Take `price` as the new low and charge to bring eta down to pi times
+        its optimum.  The clamp to `room` is only a guard: the target leaves
+        headroom, so a clamp beyond tolerance is a distributor bug."""
         self.low = price
-        self.opt = price * self.capacity
         gap = self.alpha - price
-        excess = self.eta - self.opt * self.pi
+        excess = self.eta - price * self.capacity * self.pi
         v = excess / gap if excess > 0.0 else 0.0
         if v > room:
             if v - room > SUB_CLAMP_TOL:
@@ -108,8 +107,8 @@ class AdaptivePolicy(FixedRatioPolicy):
 
 
 class DistributorPolicy(Policy):
-    """Capacity m/n split into m sub-problems of 1/n, each running the
-    fixed policy (`make_policy` runs `fixed` itself when m <= n).
+    """Capacity m/n split into m sub-problems, each the fixed policy on the
+    spec at capacity 1/n (`make_policy` runs `fixed` itself when m <= n).
 
     Sub-problem i's held price mu is the price it last accepted, which is
     its `low` (alpha before any).  A price goes to the `fanout` = n
@@ -132,7 +131,7 @@ class DistributorPolicy(Policy):
     def __init__(self, spec: ProblemSpec, pi: float):
         m, n = spec.capacity.numerator, spec.capacity.denominator
         self.fanout = n
-        self.held = [(-spec.alpha, 0, m, FixedRatioPolicy(spec, pi, 1 / n))]
+        self.held = [(-spec.alpha, 0, m, FixedRatioPolicy(spec._replace(capacity=Fraction(1, n)), pi))]
 
     def step(self, price, lookahead=()):
         held = self.held
@@ -207,10 +206,9 @@ RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")
 NO_LIMIT_POLICIES = ("fixed", "adaptive", "never")
 
 
-def make_policy(name: str, spec: ProblemSpec, pi: float | None = None) -> Policy:
-    """Build a fresh episode policy; `pi` defaults to the solved target."""
-    if pi is None and (name in RATIO_POLICIES):
-        pi = solve_pi_star(spec).pi_star
+def make_policy(name: str, spec: ProblemSpec) -> Policy:
+    """Build a fresh episode policy; a ratio policy aims at the solved target."""
+    pi = solve_pi_star(spec).pi_star if name in RATIO_POLICIES else None
     if name == "int" and spec.capacity.denominator != 1:
         raise ValidationError(
             f"integer-capacity policy got capacity {spec.capacity}; use the rational variant"

@@ -104,9 +104,9 @@ ROOT_BOUND = 4e-16
 ALPHA_STAR_BOUND = 7e-16
 
 
-def drive(policy_name: str, spec: ProblemSpec, prices, pi=None) -> list[PolicyStep]:
+def drive(policy_name: str, spec: ProblemSpec, prices) -> list[PolicyStep]:
     """Step a fresh policy down a price list and collect every output."""
-    runner = make_policy(policy_name, spec, pi=pi)
+    runner = make_policy(policy_name, spec)
     out = []
     prices = list(prices)
     for t, p in enumerate(prices):
@@ -174,8 +174,8 @@ def sub_problems(policy) -> list[tuple[float, object]]:
 
 
 def sub_opt_sum(policy) -> float:
-    """Sum of a distributor's sub-problem optima."""
-    return math.fsum(sub.opt for _, sub in sub_problems(policy))
+    """Sum of a distributor's sub-problem optima, each its low times its capacity."""
+    return math.fsum(sub.low * sub.capacity for _, sub in sub_problems(policy))
 
 
 def held_prices(policy) -> list[float]:

@@ -25,7 +25,7 @@ from evcharge.harness.ingest import ingest_prices
 from evcharge.harness.sweeps import sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import write_corpus
 from evcharge.offline import RateLimitedOptimum, opt_rate_limited
-from evcharge.online import make_policy
+from evcharge.online import FixedRatioPolicy, make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
 from conftest import (
@@ -97,10 +97,11 @@ def policy_suite():
         spec_i = validate_spec(p_min, p_max, alpha, caps_int[i % 3])
         spec_f = validate_spec(p_min, p_max, alpha, caps_frac[i % 4])
         pi = solve_pi_star(spec_i).pi_star
-        fixed = run(make_policy("fixed", spec_i, pi=pi), prices, spec_i, pi, False)
-        adapt = run(make_policy("adaptive", spec_i, pi=pi), prices, spec_i, pi, False)
-        run(make_policy("int", spec_i, pi=pi), prices, spec_i, pi, True)
-        run(make_policy("rat", spec_f, pi=pi), prices, spec_f, pi, True)
+        # pi* does not depend on the capacity, so it is spec_f's target too
+        fixed = run(make_policy("fixed", spec_i), prices, spec_i, pi, False)
+        adapt = run(make_policy("adaptive", spec_i), prices, spec_i, pi, False)
+        run(make_policy("int", spec_i), prices, spec_i, pi, True)
+        run(make_policy("rat", spec_f), prices, spec_f, pi, True)
         counts["dominance"] += sum(a > f + 1e-9 for f, a in zip(fixed, adapt))
 
     # the adversarial descents, replayed under the same checks
@@ -163,7 +164,7 @@ def test_03_worst_case_formula_matches_simulation():
             pi = float(rng.uniform(1.05, hi))
             formula = max_total_charge(spec, pi)
             trace = worst_case_no_limit(spec, pi, 100_000).slots
-            runner = make_policy("fixed", spec, pi=pi)
+            runner = FixedRatioPolicy(spec, pi)
             total = math.fsum(runner.step(p).charge for p in trace)
             assert abs(total - formula) <= 1e-3, (p_min, p_max, alpha, pi)
         assert time.perf_counter() - t0 <= 10.0
@@ -304,14 +305,13 @@ def test_10_non_minimum_insertions_are_inert():
             p_max = p_min * float(rng.uniform(1.5, 6.0))
             alpha = p_min * float(rng.uniform(1.05, 12.0))
             spec = validate_spec(p_min, p_max, alpha, 2)
-            pi = solve_pi_star(spec).pi_star
             T = int(rng.integers(3, 61))
             base = _band_prices(rng, p_min, p_max, T)
             k = int(rng.integers(1, T + 1))
             inserted = float(rng.uniform(min(base[:k]), p_max))
             mutated = base[:k] + [inserted] + base[k:]
-            runner_a = make_policy("fixed", spec, pi=pi)
-            runner_b = make_policy("fixed", spec, pi=pi)
+            runner_a = make_policy("fixed", spec)
+            runner_b = make_policy("fixed", spec)
             total_a = math.fsum(runner_a.step(p).charge for p in base)
             total_b = math.fsum(runner_b.step(p).charge for p in mutated)
             assert abs(total_a - total_b) <= 1e-12

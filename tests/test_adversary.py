@@ -145,7 +145,7 @@ class TestDescentExhaustsTarget:
         assert ceiling == pytest.approx(1.0, rel=1e-12)
         totals = []
         for n in (2, 10, 50, 100, 1000, 10_000):
-            runner = make_policy("fixed", spec, pi=pi)
+            runner = make_policy("fixed", spec)
             trace = worst_case_no_limit(spec, pi, n)
             totals.append(math.fsum(runner.step(p).charge for p in trace.slots))
         assert totals[0] == pytest.approx(0.7768091842729072, rel=1e-12)

@@ -29,6 +29,7 @@ from evcharge.harness.config import (
     _coerce,
     apply_overrides,
     episode_slot_count,
+    load_config,
     parse_config_text,
 )
 from evcharge.harness.ingest import (
@@ -117,6 +118,12 @@ class TestConfig:
     def test_line_without_assignment_rejected(self):
         with pytest.raises(ValidationError, match="expected key = value"):
             parse_config_text("alpha_factor 4.0")
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("alpha_factor = 2\n# a comment\nalpha_factor = 3\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^config line 3: key 'alpha_factor' repeats line 1$"):
+            load_config(str(path))
 
     def test_every_key_is_parsed_by_its_annotation(self):
         # a key whose annotation _coerce has no parser for raises KeyError
@@ -937,6 +944,16 @@ class TestCli:
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
         assert list(fresh.iterdir()) == []  # made before the walk, and left empty
 
+    def test_failed_rename_leaves_no_partial_slot_table(self, corpus_path, tmp_path, capsys):
+        # a directory where slots.csv should go fails the final rename
+        out = tmp_path / "out"
+        (out / "slots.csv").mkdir(parents=True)
+        assert cli.main(["simulate", "--prices", corpus_path, "--policies", "naive",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [f.name for f in out.iterdir()] == ["slots.csv"]
+        assert (out / "slots.csv").is_dir()
+
     def test_simulate_compare_matches_compare_policies(self, corpus_path, corpus_cfg, corpus_data,
                                                        tmp_path):
         out = tmp_path / "sim"
@@ -1085,6 +1102,16 @@ class TestCli:
             cli.main(["report", "--in", "x", "--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice: 'report'" in capsys.readouterr().err
+
+    def test_repeated_config_key_exits_one(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("alpha_factor = 2\nalpha_factor = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(config), "--prices", corpus_path,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config line 2: key 'alpha_factor' repeats line 1\n"
+        assert not out.exists()
 
     def test_non_utf8_config_exits_one(self, corpus_path, tmp_path, capsys):
         config = tmp_path / "latin1.cfg"

@@ -45,10 +45,10 @@ class TestFixedStep:
 
     def test_price_at_or_above_alpha_only_tracks(self):
         spec = spec_of(1, 5, 3, 1)
-        policy = make_policy("fixed", spec, pi=1.5)
+        policy = FixedRatioPolicy(spec, 1.5)
         assert policy.step(3.0).charge == 0.0
         assert policy.eta == spec.alpha
-        assert policy.opt == spec.alpha
+        assert policy.low * policy.capacity == spec.alpha
         assert policy.step(4.0).charge == 0.0
 
     def test_repeat_price_charges_nothing(self):
@@ -70,12 +70,12 @@ class TestFixedStep:
         # the policy's own cost-so-far follows the charges it returns
         spec = spec_of(1, 5, 5, 2)
         prices = [3.0, 2.2, 1.4, 1.1]
-        policy = make_policy("fixed", spec, pi=1.9)
+        policy = FixedRatioPolicy(spec, 1.9)
         eta = policy.eta
         for p, opt in zip(prices, opt_no_limit_path(spec, prices)):
             eta -= (spec.alpha - p) * policy.step(p).charge
             assert policy.eta == pytest.approx(eta, rel=1e-12)
-            assert policy.opt == opt
+            assert policy.low * policy.capacity == opt
 
 
 class TestAdaptiveStep:
@@ -149,7 +149,7 @@ class TestIntStep:
     def test_rejects_fractional_capacity(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
         with pytest.raises(ValidationError):
-            make_policy("int", spec, pi=1.5)
+            make_policy("int", spec)
 
     def test_per_slot_cap(self):
         rng = np.random.default_rng(23)
@@ -186,11 +186,10 @@ class TestRatStep:
     def test_unit_denominator_equals_integer_variant(self):
         rng = np.random.default_rng(31)
         spec = spec_of(1, 5, 7, 3)
-        pi = solve_pi_star(spec).pi_star
         for _ in range(30):
             prices = random_prices(rng, spec, 10)
-            a = make_policy("int", spec, pi=pi)
-            b = make_policy("rat", spec, pi=pi)
+            a = make_policy("int", spec)
+            b = make_policy("rat", spec)
             for p in prices:
                 assert a.step(p).charge == b.step(p).charge
                 assert held_prices(a) == held_prices(b)
@@ -252,7 +251,7 @@ class TestGroups:
         # vars() compares every attribute, so one added to __init__ but not
         # to the copy fails here; the same order keeps the same layout
         spec = spec_of(1, 8, 10, 3)
-        sub = FixedRatioPolicy(spec, solve_pi_star(spec).pi_star, 0.5)
+        sub = FixedRatioPolicy(spec._replace(capacity=Fraction(1, 2)), solve_pi_star(spec).pi_star)
         sub.assign(3.0)
         twin = sub.copy()
         assert twin is not sub and type(twin) is FixedRatioPolicy
@@ -280,6 +279,19 @@ class TestDecomposition:
                 policy.step(p)
                 assert sub_opt_sum(policy) == pytest.approx(offline.step(p), abs=1e-12)
 
+    def test_subproblem_capacity_is_one_over_n_bit_for_bit(self):
+        # a sub-problem is the fixed policy on the spec at capacity 1/n, and
+        # the copies a split group makes keep it
+        rng = np.random.default_rng(71)
+        for cap in (2, 3, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(240, 13), 10**5):
+            spec = spec_of(1, 5, 6, cap)
+            n = spec.capacity.denominator
+            for name in ["rat"] + (["int"] if n == 1 else []):
+                policy = make_policy(name, spec)
+                for p in random_prices(rng, spec, 30):
+                    policy.step(p)
+                assert {sub.capacity.hex() for _, sub in sub_problems(policy)} == {(1 / n).hex()}
+
     def test_held_prices_mirror_offline_kept_set(self):
         rng = np.random.default_rng(53)
         spec = spec_of(1, 5, 4, 3)
@@ -296,17 +308,16 @@ class TestDecomposition:
 def test_inserting_non_minimum_prices_changes_nothing():
     rng = np.random.default_rng(59)
     spec = spec_of(1, 5, 5, 2)
-    pi = solve_pi_star(spec).pi_star
     for _ in range(100):
         T = int(rng.integers(2, 30))
         base = random_prices(rng, spec, T)
-        ref = total_charge(drive("fixed", spec, base, pi=pi))
+        ref = total_charge(drive("fixed", spec, base))
         # splice a price that is not a new running minimum
         at = int(rng.integers(1, T))
         floor_so_far = min(base[:at])
         extra = float(rng.uniform(floor_so_far, spec.p_max))
         mutated = base[:at] + [extra] + base[at:]
-        assert total_charge(drive("fixed", spec, mutated, pi=pi)) == pytest.approx(ref, abs=1e-12)
+        assert total_charge(drive("fixed", spec, mutated)) == pytest.approx(ref, abs=1e-12)
 
 
 def test_ratio_guarantee_and_feasibility_random_suite():
@@ -369,13 +380,13 @@ class _ListDistributor:
     def __init__(self, name, spec, pi):
         m, n = spec.capacity.numerator, spec.capacity.denominator
         if name == "int":
-            count, sub_capacity, self.fanout = m, 1.0, 1
+            count, sub_capacity, self.fanout = m, Fraction(1), 1
         elif m <= n:
-            count, sub_capacity, self.fanout = 1, spec.capacity_f, 1
+            count, sub_capacity, self.fanout = 1, spec.capacity, 1
         else:
-            count, sub_capacity, self.fanout = m, float(Fraction(1, n)), n
+            count, sub_capacity, self.fanout = m, Fraction(1, n), n
         self.mu = [spec.alpha] * count
-        self.subs = [FixedRatioPolicy(spec, pi, sub_capacity) for _ in range(count)]
+        self.subs = [FixedRatioPolicy(spec._replace(capacity=sub_capacity), pi) for _ in range(count)]
 
     def step(self, price):
         mu = self.mu
@@ -412,8 +423,9 @@ def _reference_adaptive(spec, prices):
 
 
 def _sub_state(subs):
-    """Each sub-problem's (eta, opt, charged), to the last bit."""
-    return [(s.eta.hex(), s.opt.hex(), s.charged.hex()) for s in subs]
+    """Each sub-problem's (eta, optimum, charged), to the last bit; the
+    optimum is its low times its capacity."""
+    return [(s.eta.hex(), (s.low * s.capacity).hex(), s.charged.hex()) for s in subs]
 
 
 # the benchmark's rate grid reaches fan-out 13 and 240 sub-problems, where
@@ -424,7 +436,7 @@ def test_distributor_and_adaptive_match_references_bit_for_bit(case):
     spec, prices = case
     pi = solve_pi_star(spec).pi_star
     for name in _distributor_names(spec):
-        policy, ref = make_policy(name, spec, pi=pi), _ListDistributor(name, spec, pi)
+        policy, ref = make_policy(name, spec), _ListDistributor(name, spec, pi)
         for p in prices:
             assert policy.step(p).charge.hex() == ref.step(p).hex()
             assert held_prices(policy) == ref.mu
@@ -478,7 +490,7 @@ def test_single_subproblem_matches_fixed_bit_for_bit(case):
     pi = solve_pi_star(spec).pi_star
     names = ["rat"] + (["int"] if spec.capacity == 1 else [])
     for name in names:
-        policy, ref = make_policy(name, spec, pi=pi), _ListDistributor(name, spec, pi)
+        policy, ref = make_policy(name, spec), _ListDistributor(name, spec, pi)
         assert type(policy) is FixedRatioPolicy
         for p in prices:
             assert policy.step(p).charge.hex() == ref.step(p).hex()

@@ -21,7 +21,7 @@ from conftest import (
     spec_of,
 )
 from evcharge.core import ValidationError, validate_spec
-from evcharge.online import make_policy
+from evcharge.online import FixedRatioPolicy
 from evcharge.ratio import (
     NoBracket,
     _x_minus_log1p_over_x2,
@@ -102,7 +102,7 @@ class TestMaxTotalCharge:
         ]:
             spec = validate_spec(p_min, p_max, alpha, c)
             trace = worst_case_no_limit(spec, pi, 100_000)
-            runner = make_policy("fixed", spec, pi=pi)
+            runner = FixedRatioPolicy(spec, pi)
             total = math.fsum(runner.step(p).charge for p in trace)
             assert total == pytest.approx(max_total_charge(spec, pi), abs=1e-3)
 
