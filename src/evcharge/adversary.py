@@ -97,16 +97,15 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
 
     cum_policy = cum_ref = 0.0
     charges = []
-    optimum = NoLimitOptimum(spec)
     for played, price in enumerate(plan, 1):
-        opt = optimum.step(price)
         look = plan[played : played + policy.lookahead_needed]
-        charges.append(policy.step(price, look).charge)
+        charges.append(policy.charge(price, look))
         cum_policy += charges[-1]
-        cum_ref += reference.step(price).charge
+        cum_ref += reference.charge(price)
         if cum_policy < cum_ref - TRUNCATION_SLACK:
             break
     # the unmet need as one rounding of c - sum(v): alpha magnifies its error
     unmet = math.fsum([spec.capacity_f, *(-v for v in charges)])
     cost, diss = objective_parts(spec, (p * v for p, v in zip(plan, charges)), unmet)
-    return PriceTrace(plan[:played]), (cost + diss) / opt
+    trace = PriceTrace(plan[:played])
+    return trace, (cost + diss) / NoLimitOptimum(spec).path(trace)[-1]

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-from itertools import count
 
 from ..core import ProblemSpec, ValidationError
 from ..ratio import solve_pi_star
@@ -84,7 +83,8 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
     no quoting, because an int or a float repr holds no delimiter, quote
     or line break, and csv writes a float with str, which equals repr.
     The tails of an episode's price lines, and of each optimum path's opt
-    lines, are formatted once and shared by every run of the episode.
+    lines, are formatted once and shared by every run of the episode; the
+    "{t},charge," "{t},eta," and "{t},ratio," keys once per episode length.
 
     Each distinct nonzero value is repr'd once per call and looked up
     after that (prices repeat across episodes, the optimum stays flat).
@@ -95,10 +95,15 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
     writer = csv.writer(cells, lineterminator="\n")  # write_report's dialect
     head = "date,policy,slot,metric,value\n"
     rows = []
+    keys = {}  # episode length -> its slots' charge, eta and ratio keys
     for prices, paths, runs in walk:
         price_tails = [f"{t},price,{memo[x] if x else repr(x)}\n" for t, x in enumerate(prices)]
         opt_tails = {kind: [f"{t},opt,{memo[x] if x else repr(x)}\n" for t, x in enumerate(path)]
                      for kind, path in paths.items()}
+        n = len(prices)
+        if n not in keys:
+            keys[n] = [[f"{t},{metric}," for t in range(n)] for metric in ("charge", "eta", "ratio")]
+        charge_keys, eta_keys, ratio_keys = keys[n]
         for kind, row, charges, etas, ratios in runs:
             rows.append(row)
             cells.seek(0)
@@ -106,10 +111,11 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
             writer.writerow((row.date, row.policy, ""))
             p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
             lines = [head]
-            for t, pt, ot, c, e, r in zip(count(), price_tails, opt_tails[kind], charges, etas, ratios):
-                lines.append(f"{p}{pt}{p}{t},charge,{memo[c] if c else repr(c)}\n"
-                             f"{p}{t},eta,{memo[e] if e else repr(e)}\n{p}{ot}"
-                             f"{p}{t},ratio,{memo[r] if r else repr(r)}\n")
+            for pt, ck, c, ek, e, ot, rk, r in zip(price_tails, charge_keys, charges, eta_keys, etas,
+                                                   opt_tails[kind], ratio_keys, ratios):
+                lines.append(f"{p}{pt}{p}{ck}{memo[c] if c else repr(c)}\n"
+                             f"{p}{ek}{memo[e] if e else repr(e)}\n{p}{ot}"
+                             f"{p}{rk}{memo[r] if r else repr(r)}\n")
             fh.write("".join(lines))
             head = ""
     return rows

@@ -68,7 +68,7 @@ def capped(policy: str) -> bool:
 
 def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
     """The optimum of each prefix of prices, capped at one unit a slot or not."""
-    return list(map((RateLimitedOptimum if capped else NoLimitOptimum)(spec).step, prices))
+    return (RateLimitedOptimum if capped else NoLimitOptimum)(spec).path(prices)
 
 
 def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...],
@@ -86,7 +86,7 @@ def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...
     if not prices:
         raise InternalConsistencyError("cannot run a zero-slot episode")
     runner = make_policy(policy, spec)
-    step, need = runner.step, runner.lookahead_needed  # need is non-zero only for rhc:h
+    charge, need = runner.charge, runner.lookahead_needed  # need is non-zero only for rhc:h
     guard = policy in RATIO_POLICIES
     target = solve_pi_star(spec).pi_star if guard else None
     limit = target + RATIO_GUARD_TOL if guard else math.inf
@@ -97,7 +97,7 @@ def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...
     charged = 0.0
     charges, etas, ratios = [], [], []  # the run's columns, one value per slot
     for t, price in enumerate(prices):
-        v = step(price, prices[t + 1 : t + 1 + need] if need else ()).charge
+        v = charge(price, prices[t + 1 : t + 1 + need]) if need else charge(price)
         if v < CHARGE_FLOOR or v > rate_cap:
             raise InternalConsistencyError(f"{policy}: slot charge {v} out of range at t={t}")
         charged += v

@@ -6,10 +6,11 @@ the cap, the optimum fills the cheapest slots priced below alpha at full
 rate, plus one fractional slot when capacity is not a whole number of
 slots; everything else is paid as dissatisfaction.
 
-Both trackers are shaped like the policies: build one per episode and
-call step(price) once per slot; it returns the optimum of the prefix so
-far.  The batch opt_rate_limited feeds its prices through the capped
-tracker, so the capped value is computed in one place.
+Build one tracker per episode; path(prices) takes a run of slots and
+returns the optimum of the prefix after each, and a later call goes on
+from where the last one stopped.  step(price) is path on one price, and
+the batch opt_rate_limited is the capped tracker's path, so the capped
+value is computed in one place.
 """
 
 from __future__ import annotations
@@ -30,11 +31,20 @@ class NoLimitOptimum:
         self.capacity = spec.capacity_f
         self.opt = spec.alpha * self.capacity
 
+    def path(self, prices) -> list[float]:
+        """The optimum after each of prices, taken as the next slots."""
+        capacity, opt = self.capacity, self.opt
+        out = []
+        for price in prices:
+            scaled = price * capacity
+            if scaled < opt:
+                opt = scaled
+            out.append(opt)
+        self.opt = opt
+        return out
+
     def step(self, price: float) -> float:
-        scaled = price * self.capacity
-        if scaled < self.opt:
-            self.opt = scaled
-        return self.opt
+        return self.path((price,))[0]
 
 
 class RateLimitedOptimum:
@@ -65,55 +75,56 @@ class RateLimitedOptimum:
         self.t = 0  # slots seen
         self.opt = self.alpha * spec.capacity_f
 
-    def admit(self, price: float) -> bool:
-        """Take the next slot into kept if it belongs there; True when kept
-        changed (every admitted slot changes it)."""
-        slot = self.t
-        self.t = slot + 1
-        kept = self.kept
-        if not (price < self.alpha and (len(kept) < self.keep or price < kept[-1])):
-            return False
-        i = bisect_right(kept, price)
-        kept.insert(i, price)
-        self.slots.insert(i, slot)
-        if len(kept) > self.keep:
-            kept.pop()  # evict the most expensive, latest on price ties
-            self.slots.pop()
-        return True
-
-    def value(self) -> float:
-        """fsum of each kept price times its fill, plus alpha * unmet need."""
-        kept, whole = self.kept, self.whole
-        terms = kept[:whole]  # fill 1: price * 1.0 == price
-        if len(kept) > whole:
-            terms.append(kept[whole] * self.frac)
-        unmet = max(self.num - len(kept) * self.den, 0) / self.den
-        terms.append(self.alpha * unmet)
-        return math.fsum(terms)
+    def path(self, prices) -> list[float]:
+        """The optimum after each of prices, taken as the next slots.  At a
+        whole capacity with kept full the unmet term is alpha * 0.0, so the
+        value is fsum(kept) itself."""
+        alpha, keep, whole, frac, num, den = self.alpha, self.keep, self.whole, self.frac, self.num, self.den
+        kept, slots, opt, n = self.kept, self.slots, self.opt, len(self.kept)
+        out = []
+        for t, price in enumerate(prices, self.t):
+            if price < alpha and (n < keep or price < kept[-1]):
+                i = bisect_right(kept, price)
+                kept.insert(i, price)
+                slots.insert(i, t)
+                if n == keep:
+                    kept.pop()  # evict the most expensive, latest on price ties
+                    slots.pop()
+                else:
+                    n += 1
+                if n == keep and not frac:
+                    opt = math.fsum(kept)
+                else:
+                    terms = kept[:whole]  # fill 1: price * 1.0 == price
+                    if n > whole:
+                        terms.append(kept[whole] * frac)
+                    terms.append(alpha * (max(num - n * den, 0) / den))
+                    opt = math.fsum(terms)
+            out.append(opt)
+        self.t += len(out)
+        self.opt = opt
+        return out
 
     def step(self, price: float) -> float:
-        if self.admit(price):
-            self.opt = self.value()
-        return self.opt
+        return self.path((price,))[0]
 
 
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
     """Optimal value and per-slot charges achieving it under the per-slot cap
     of 1: the capped tracker's final value, and each kept slot's fill."""
     tracker = RateLimitedOptimum(spec)
-    for price in prices:
-        tracker.admit(price)
+    tracker.path(prices)
     if tracker.t == 0:
         raise ValidationError("empty price prefix")
     v = [0.0] * tracker.t
     for rank, slot in enumerate(tracker.slots):
         v[slot] = 1.0 if rank < tracker.whole else tracker.frac
-    return tracker.value(), tuple(v)
+    return tracker.opt, tuple(v)
 
 
 # Compatibility for perfbench/layers.replay_offline, which still streams
 # through these and counts the steps whose .kept differs from the last
-# one's.  Delete them when the benchmark moves to RateLimitedOptimum.step.
+# one's.  ROADMAP item 1 deletes them with the move to RateLimitedOptimum.
 class _OfflineSnapshot(NamedTuple):
     tracker: RateLimitedOptimum
     kept: tuple[float, ...]
@@ -126,9 +137,10 @@ def new_offline_state(spec: ProblemSpec) -> _OfflineSnapshot:
 
 
 def offline_step(state: _OfflineSnapshot, price: float) -> _OfflineSnapshot:
-    """Step state's tracker; a new snapshot only when its kept set changed."""
+    """Step state's tracker; a new snapshot only when its kept set changed,
+    that is when the slot just seen entered kept."""
     tracker = state.tracker
-    if not tracker.admit(price):
+    opt = tracker.step(price)
+    if tracker.t - 1 not in tracker.slots:
         return state
-    tracker.opt = tracker.value()
-    return _OfflineSnapshot(tracker, tuple(tracker.kept), tracker.opt)
+    return _OfflineSnapshot(tracker, tuple(tracker.kept), opt)

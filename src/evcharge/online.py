@@ -1,11 +1,11 @@
 """Online charging policies, one small mutable object per episode.
 
-Each policy's step takes the current price (and, for lookahead baselines,
-the next prices) and returns only the charge it places now.  Scoring, the
-running cost and the offline optimum belong to the episode loop in
-`harness.runner`.  The ratio policies never clamp at the top level (the
-target keeps totals within capacity); distributor sub-problems clamp only
-as a guard, and treat any material clamp as a bug.
+Each policy's charge takes the current price (and, for lookahead
+baselines, the next prices) and returns only the float charge it places
+now.  Scoring, the running cost and the offline optimum belong to the
+episode loop in `harness.runner`.  The ratio policies never clamp at the
+top level (the target keeps totals within capacity); distributor
+sub-problems clamp only as a guard, and treat any material clamp as a bug.
 """
 
 from __future__ import annotations
@@ -33,8 +33,16 @@ class Policy:
 
     lookahead_needed: int = 0
 
-    def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
+    def charge(self, price: float, lookahead: tuple[float, ...] = ()) -> float:
+        """Take the next slot at price and return the charge placed in it."""
         raise NotImplementedError
+
+    def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
+        """charge, boxed; every zero charge is the shared NO_CHARGE (no policy
+        charges -0.0).  Kept for perfbench's replay; ROADMAP item 1 deletes
+        it with PolicyStep."""
+        v = self.charge(price, lookahead)
+        return PolicyStep(v) if v else NO_CHARGE
 
 
 class FixedRatioPolicy(Policy):
@@ -53,10 +61,10 @@ class FixedRatioPolicy(Policy):
         self.eta = spec.alpha * self.capacity
         self.charged = 0.0
 
-    def step(self, price, lookahead=()):
+    def charge(self, price, lookahead=()):
         if price >= self.low:
-            return NO_CHARGE
-        return PolicyStep(self._charge_at_new_low(price, math.inf))
+            return 0.0
+        return self._charge_at_new_low(price, math.inf)
 
     def copy(self) -> FixedRatioPolicy:
         """A twin in the same state, for the members of a distributor group
@@ -100,10 +108,10 @@ class AdaptivePolicy(FixedRatioPolicy):
         super().__init__(spec, None)
         self.spec = spec
 
-    def step(self, price, lookahead=()):
+    def charge(self, price, lookahead=()):
         if price < self.low:
             self.pi = solve_pi_t(self.spec, price, self.charged, self.eta)
-        return super().step(price)
+        return super().charge(price)
 
 
 class DistributorPolicy(Policy):
@@ -133,10 +141,10 @@ class DistributorPolicy(Policy):
         self.fanout = n
         self.held = [(-spec.alpha, 0, m, FixedRatioPolicy(spec._replace(capacity=Fraction(1, n)), pi))]
 
-    def step(self, price, lookahead=()):
+    def charge(self, price, lookahead=()):
         held = self.held
         if -held[0][0] <= price:
-            return NO_CHARGE
+            return 0.0
         left = self.fanout
         total = 0.0
         # a group charged at `price` fails the `> price` test, so it can go
@@ -156,7 +164,7 @@ class DistributorPolicy(Policy):
                 for _ in range(size):
                     total += v
             left -= size
-        return PolicyStep(total)
+        return total
 
 
 def rhc_step(remaining: float, price: float, lookahead: tuple[float, ...]) -> float:
@@ -192,12 +200,10 @@ class BaselinePolicy(Policy):
         self.lookahead_needed = lookahead_needed
         self.remaining = spec.capacity_f
 
-    def step(self, price, lookahead=()):
+    def charge(self, price, lookahead=()):
         v = self.rule(self.remaining, price, lookahead)
-        if v == 0.0:  # a rule's zero is a literal 0.0, never -0.0
-            return NO_CHARGE
-        self.remaining -= v
-        return PolicyStep(v)
+        self.remaining -= v  # a rule's zero is a literal 0.0, and x - 0.0 is x
+        return v
 
 
 RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import settings, strategies as st
 
 from evcharge.core import ProblemSpec, validate_spec
-from evcharge.online import PolicyStep, make_policy
+from evcharge.online import make_policy
 
 # The same examples on every run, whatever an example database holds, and
 # no per-example deadline, which a CPU running at half speed would trip.
@@ -104,29 +104,29 @@ ROOT_BOUND = 4e-16
 ALPHA_STAR_BOUND = 7e-16
 
 
-def drive(policy_name: str, spec: ProblemSpec, prices) -> list[PolicyStep]:
-    """Step a fresh policy down a price list and collect every output."""
+def drive(policy_name: str, spec: ProblemSpec, prices) -> list[float]:
+    """Run a fresh policy down a price list and collect every charge."""
     runner = make_policy(policy_name, spec)
     out = []
     prices = list(prices)
     for t, p in enumerate(prices):
         look = tuple(prices[t + 1 : t + 1 + runner.lookahead_needed])
-        out.append(runner.step(p, look))
+        out.append(runner.charge(p, look))
     return out
 
 
-def total_charge(steps: list[PolicyStep]) -> float:
-    return math.fsum(s.charge for s in steps)
+def total_charge(charges: list[float]) -> float:
+    return math.fsum(charges)
 
 
-def eta_path(spec: ProblemSpec, prices, steps: list[PolicyStep]) -> list[float]:
+def eta_path(spec: ProblemSpec, prices, charges: list[float]) -> list[float]:
     """Cost-so-far after each slot, as if the window ended there, derived
     from the charges: it starts at alpha * c and each charge v at price p
     lowers it by (alpha - p) * v."""
     eta = spec.alpha * spec.capacity_f
     out = []
-    for p, s in zip(prices, steps):
-        eta -= (spec.alpha - p) * s.charge
+    for p, v in zip(prices, charges):
+        eta -= (spec.alpha - p) * v
         out.append(eta)
     return out
 

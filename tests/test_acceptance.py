@@ -74,7 +74,7 @@ def policy_suite():
         etas = []
         opts = [] if capped else opt_no_limit_path(spec, prices)
         for p in prices:
-            v = policy.step(p).charge
+            v = policy.charge(p)
             total += v
             eta -= (alpha - p) * v
             etas.append(eta)
@@ -165,7 +165,7 @@ def test_03_worst_case_formula_matches_simulation():
             formula = max_total_charge(spec, pi)
             trace = worst_case_no_limit(spec, pi, 100_000).slots
             runner = FixedRatioPolicy(spec, pi)
-            total = math.fsum(runner.step(p).charge for p in trace)
+            total = math.fsum(runner.charge(p) for p in trace)
             assert abs(total - formula) <= 1e-3, (p_min, p_max, alpha, pi)
         assert time.perf_counter() - t0 <= 10.0
 
@@ -188,8 +188,8 @@ def test_06_worst_case_construction_is_tight():
         pi = solve_pi_star(spec).pi_star
         runner = make_policy("fixed", spec)
         descent = worst_case_no_limit(spec, pi, 10_000).slots
-        steps = [runner.step(p) for p in descent]
-        final_ratio = eta_path(spec, descent, steps)[-1] / opt_no_limit_path(spec, descent)[-1]
+        charges = [runner.charge(p) for p in descent]
+        final_ratio = eta_path(spec, descent, charges)[-1] / opt_no_limit_path(spec, descent)[-1]
         assert pi * 0.99 <= final_ratio <= pi + 1e-6
         policies = ("fixed", "adaptive", "int", "rat", "rhc:0", "rhc:8", "naive", "never")
         for name in policies:
@@ -217,7 +217,7 @@ def test_07_capacity_split_is_exact():
             offline = RateLimitedOptimum(spec)
             eta = alpha * c
             for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
-                eta -= (alpha - p) * policy.step(p).charge
+                eta -= (alpha - p) * policy.charge(p)
                 opt = offline.step(p)
                 assert abs(eta - math.fsum(s.eta for _, s in sub_problems(policy))) <= 1e-12
                 assert abs(sub_opt_sum(policy) - opt) <= 1e-12
@@ -283,16 +283,16 @@ def test_09_adaptive_target_behavior(policy_suite):
             runner = make_policy("adaptive", spec)
             targets = []
             for p in prices:
-                runner.step(p)
+                runner.charge(p)
                 targets.append(runner.pi)
             assert all(b <= a + 1e-9 for a, b in zip(targets, targets[1:]))
             assert all(t <= pi + 1e-9 for t in targets)
 
         spec = spec_of(1, 5, 5, 1)
         runner = make_policy("adaptive", spec)
-        out = runner.step(1.0)
+        out = runner.charge(1.0)
         assert runner.pi == 1.0
-        assert out.charge == 1.0
+        assert out == 1.0
 
         assert policy_suite["dominance"] == 0
 
@@ -312,8 +312,8 @@ def test_10_non_minimum_insertions_are_inert():
             mutated = base[:k] + [inserted] + base[k:]
             runner_a = make_policy("fixed", spec)
             runner_b = make_policy("fixed", spec)
-            total_a = math.fsum(runner_a.step(p).charge for p in base)
-            total_b = math.fsum(runner_b.step(p).charge for p in mutated)
+            total_a = math.fsum(runner_a.charge(p) for p in base)
+            total_b = math.fsum(runner_b.charge(p) for p in mutated)
             assert abs(total_a - total_b) <= 1e-12
 
 

@@ -147,7 +147,7 @@ class TestDescentExhaustsTarget:
         for n in (2, 10, 50, 100, 1000, 10_000):
             runner = make_policy("fixed", spec)
             trace = worst_case_no_limit(spec, pi, n)
-            totals.append(math.fsum(runner.step(p).charge for p in trace.slots))
+            totals.append(math.fsum(runner.charge(p) for p in trace.slots))
         assert totals[0] == pytest.approx(0.7768091842729072, rel=1e-12)
         assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
         assert all(t <= ceiling + 1e-9 for t in totals)

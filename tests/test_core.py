@@ -19,7 +19,7 @@ from evcharge.core import (
     validate_spec,
 )
 from evcharge.harness.config import ExperimentConfig
-from evcharge.online import Policy, PolicyStep
+from evcharge.online import Policy
 from evcharge.ratio import solve_pi_star
 
 
@@ -132,8 +132,8 @@ class _Replay(Policy):
     def __init__(self, charges):
         self.charges = iter(charges)
 
-    def step(self, price, lookahead=()):
-        return PolicyStep(next(self.charges))
+    def charge(self, price, lookahead=()):
+        return next(self.charges)
 
 
 def _score(spec, prices, charges, policy="naive"):

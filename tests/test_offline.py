@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import capped_optimum_reference, lattice_optimum
+from conftest import capped_optimum_reference, lattice_optimum, opt_no_limit_path
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import (
     NoLimitOptimum,
@@ -248,6 +248,43 @@ def test_tracker_value_equals_reference_on_every_prefix(case):
     tracker = RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
         assert tracker.step(price) == capped_optimum_reference(spec, prices[: t + 1])[0]
+
+
+# whole capacities whose kept set fills within 60 slots (1, 2, 24) take the
+# fsum(kept) shortcut; 1/2, 7/2 and 240/13 always add the fractional and
+# unmet terms, and 10**6 never fills
+_PATH_CAPACITIES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2), Fraction(24),
+                    Fraction(240, 13), Fraction(10**6)]
+
+
+@st.composite
+def _path_case(draw):
+    """A spec at one of _PATH_CAPACITIES, 0-60 prices (ties, alpha itself,
+    prices above it) and a cut where the path is split into two calls."""
+    spec = validate_spec(1.0, 10.0, draw(st.sampled_from([1.5, 3.0, 4.5, 10.0])),
+                         draw(st.sampled_from(_PATH_CAPACITIES)))
+    price = st.one_of(st.sampled_from(_TIED + [spec.alpha]), st.floats(1.0, 10.0))
+    prices = draw(st.lists(price, max_size=60))
+    return spec, prices, draw(st.integers(0, len(prices)))
+
+
+@given(case=_path_case())
+@example(case=(validate_spec(1.0, 10.0, 4.5, 24), [1 + 3 / k for k in range(1, 41)], 25))  # kept full at 24
+@example(case=(validate_spec(1.0, 10.0, 4.5, 2), [1.5, 1.5, 1.0, 1.5, 1.0], 2))  # ties past c
+def test_optimum_paths_equal_steps_and_reference_bit_for_bit(case):
+    # both kinds: one path call, the same run cut into two calls, one step
+    # per price, and the test-side optimum of every prefix (uncapped:
+    # min(cheapest, alpha) * c; capped: one fsum of the kept prices' fills
+    # plus alpha * unmet) agree to the last bit
+    spec, prices, cut = case
+    capped_reference = [capped_optimum_reference(spec, prices[: t + 1])[0] for t in range(len(prices))]
+    for kind, reference in ((NoLimitOptimum, opt_no_limit_path(spec, prices)),
+                            (RateLimitedOptimum, capped_reference)):
+        split = kind(spec)
+        stepper = kind(spec)
+        paths = (kind(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
+                 [stepper.step(p) for p in prices], reference)
+        assert len({tuple(x.hex() for x in path) for path in paths}) == 1, kind
 
 
 @given(case=_capped_case())

@@ -36,35 +36,35 @@ class TestFixedStep:
     def test_floor_price_first(self):
         spec = spec_of(1, 5, 5, 1)
         pi = solve_pi_star(spec).pi_star
-        steps = drive("fixed", spec, [1.0])
-        (eta,) = eta_path(spec, [1.0], steps)
+        charges = drive("fixed", spec, [1.0])
+        (eta,) = eta_path(spec, [1.0], charges)
         (opt,) = opt_no_limit_path(spec, [1.0])
-        assert steps[0].charge == pytest.approx(0.7768091842729072, rel=1e-12)
+        assert charges[0] == pytest.approx(0.7768091842729072, rel=1e-12)
         assert eta == pytest.approx(pi, rel=1e-12)
         assert eta / opt == pytest.approx(pi, rel=1e-12)
 
     def test_price_at_or_above_alpha_only_tracks(self):
         spec = spec_of(1, 5, 3, 1)
         policy = FixedRatioPolicy(spec, 1.5)
-        assert policy.step(3.0).charge == 0.0
+        assert policy.charge(3.0) == 0.0
         assert policy.eta == spec.alpha
         assert policy.low * policy.capacity == spec.alpha
-        assert policy.step(4.0).charge == 0.0
+        assert policy.charge(4.0) == 0.0
 
     def test_repeat_price_charges_nothing(self):
         spec = spec_of(1, 5, 5, 1)
-        steps = drive("fixed", spec, [2.0, 2.0, 2.5])
-        assert steps[0].charge > 0.0
-        assert steps[1].charge == 0.0
-        assert steps[2].charge == 0.0
+        charges = drive("fixed", spec, [2.0, 2.0, 2.5])
+        assert charges[0] > 0.0
+        assert charges[1] == 0.0
+        assert charges[2] == 0.0
 
     def test_no_charge_without_a_new_low(self):
         # 1.3 sets no new low, so the optimum and the target stay put; the
         # rounding residue of the first charge must not become a charge
         spec = spec_of(1, 2, 6, 1)
-        steps = drive("fixed", spec, [1.1, 1.3])
-        assert steps[0].charge > 0.0
-        assert steps[1].charge == 0.0
+        charges = drive("fixed", spec, [1.1, 1.3])
+        assert charges[0] > 0.0
+        assert charges[1] == 0.0
 
     def test_eta_recurrence(self):
         # the policy's own cost-so-far follows the charges it returns
@@ -73,7 +73,7 @@ class TestFixedStep:
         policy = FixedRatioPolicy(spec, 1.9)
         eta = policy.eta
         for p, opt in zip(prices, opt_no_limit_path(spec, prices)):
-            eta -= (spec.alpha - p) * policy.step(p).charge
+            eta -= (spec.alpha - p) * policy.charge(p)
             assert policy.eta == pytest.approx(eta, rel=1e-12)
             assert policy.low * policy.capacity == opt
 
@@ -82,17 +82,17 @@ class TestAdaptiveStep:
     def test_floor_start_fills_everything(self):
         spec = spec_of(1, 5, 5, 1)
         policy = make_policy("adaptive", spec)
-        out = policy.step(1.0)
+        out = policy.charge(1.0)
         assert policy.pi == 1.0
-        assert out.charge == 1.0
+        assert out == 1.0
         assert eta_path(spec, [1.0], [out])[0] / opt_no_limit_path(spec, [1.0])[0] == 1.0
 
     def test_no_new_minimum_skips(self):
         # first price low enough to act on; the repeat is not a new minimum
         spec = spec_of(1, 5, 5, 1)
-        steps = drive("adaptive", spec, [2.0, 2.0])
-        assert steps[0].charge > 0.0
-        assert steps[1].charge == 0.0
+        charges = drive("adaptive", spec, [2.0, 2.0])
+        assert charges[0] > 0.0
+        assert charges[1] == 0.0
 
     def test_tracks_fixed_policy_on_its_worst_case(self):
         spec = spec_of(1, 5, 5, 2)
@@ -100,7 +100,7 @@ class TestAdaptiveStep:
         trace = worst_case_no_limit(spec, pi, 10_000)
         fixed = drive("fixed", spec, trace)
         adaptive = drive("adaptive", spec, trace)
-        worst = max(abs(f.charge - a.charge) for f, a in zip(fixed, adaptive))
+        worst = max(abs(f - a) for f, a in zip(fixed, adaptive))
         assert worst <= 1e-6
 
     def test_never_beaten_by_fixed(self):
@@ -119,13 +119,13 @@ class TestIntStep:
     def test_hand_traced_assignments(self):
         spec = spec_of(1, 8, 10, 2)
         policy = make_policy("int", spec)
-        policy.step(5.0)
+        policy.charge(5.0)
         assert held_prices(policy) == [5.0, 10.0]
-        policy.step(3.0)
+        policy.charge(3.0)
         assert held_prices(policy) == [5.0, 3.0]
-        out = policy.step(7.0)
-        assert out.charge == 0.0 and held_prices(policy) == [5.0, 3.0]
-        policy.step(2.0)
+        out = policy.charge(7.0)
+        assert out == 0.0 and held_prices(policy) == [5.0, 3.0]
+        policy.charge(2.0)
         assert held_prices(policy) == [2.0, 3.0]
 
     def test_fresh_subproblems_fill_in_order(self):
@@ -134,16 +134,16 @@ class TestIntStep:
         # fresh subproblems hold the highest threshold, so each new price
         # lands on an untouched one until all of them are in play
         for p, expect in [(4.0, [4.0, 10.0, 10.0]), (3.0, [4.0, 3.0, 10.0]), (3.5, [4.0, 3.0, 3.5])]:
-            policy.step(p)
+            policy.charge(p)
             assert held_prices(policy) == expect
 
     def test_price_equal_to_max_held_is_discarded(self):
         spec = spec_of(1, 8, 10, 2)
         policy = make_policy("int", spec)
-        policy.step(4.0)
-        policy.step(3.0)
-        out = policy.step(4.0)
-        assert out.charge == 0.0
+        policy.charge(4.0)
+        policy.charge(3.0)
+        out = policy.charge(4.0)
+        assert out == 0.0
         assert held_prices(policy) == [4.0, 3.0]
 
     def test_rejects_fractional_capacity(self):
@@ -155,8 +155,8 @@ class TestIntStep:
         rng = np.random.default_rng(23)
         spec = spec_of(1, 5, 8, 3)
         for _ in range(50):
-            steps = drive("int", spec, random_prices(rng, spec, 60))
-            assert all(s.charge <= 1.0 + 1e-9 for s in steps)
+            charges = drive("int", spec, random_prices(rng, spec, 60))
+            assert all(v <= 1.0 + 1e-9 for v in charges)
 
 
 class TestRatStep:
@@ -166,22 +166,22 @@ class TestRatStep:
         policy = make_policy("rat", spec)
         assert held_prices(policy) == [10.0, 10.0, 10.0]
         assert sub_problems(policy)[0][1].capacity == pytest.approx(0.5)
-        out = policy.step(4.0)
+        out = policy.charge(4.0)
         assert held_prices(policy) == [4.0, 4.0, 10.0]
         # 4.0 sits above alpha / pi, so the assigned pair only lowers thresholds
-        assert out.charge == 0.0
-        out = policy.step(3.0)
+        assert out == 0.0
+        out = policy.charge(3.0)
         # 3.0 beats the fresh subproblem and one of the pair holding 4.0
         assert held_prices(policy) == [3.0, 4.0, 3.0]
         per_sub = (spec.alpha * 0.5 - 3.0 * 0.5 * pi) / (spec.alpha - 3.0)
-        assert out.charge == pytest.approx(2 * per_sub, rel=1e-12)
-        assert out.charge > 0.0
+        assert out == pytest.approx(2 * per_sub, rel=1e-12)
+        assert out > 0.0
 
     def test_price_above_all_held_is_discarded(self):
         spec = spec_of(1, 8, 10, Fraction(3, 2))
         policy = make_policy("rat", spec)
-        policy.step(4.0)
-        assert policy.step(9.0).charge == 0.0
+        policy.charge(4.0)
+        assert policy.charge(9.0) == 0.0
 
     def test_unit_denominator_equals_integer_variant(self):
         rng = np.random.default_rng(31)
@@ -191,7 +191,7 @@ class TestRatStep:
             a = make_policy("int", spec)
             b = make_policy("rat", spec)
             for p in prices:
-                assert a.step(p).charge == b.step(p).charge
+                assert a.charge(p) == b.charge(p)
                 assert held_prices(a) == held_prices(b)
 
     def test_small_capacity_equals_unlimited_policy(self):
@@ -204,7 +204,7 @@ class TestRatStep:
                 rat = drive("rat", spec, prices)
                 fixed = drive("fixed", spec, prices)
                 for r, f in zip(rat, fixed):
-                    assert r.charge == f.charge
+                    assert r == f
 
     def test_held_prices_only_fall(self):
         rng = np.random.default_rng(41)
@@ -212,7 +212,7 @@ class TestRatStep:
         policy = make_policy("rat", spec)
         prev = held_prices(policy)
         for p in random_prices(rng, spec, 80):
-            policy.step(p)
+            policy.charge(p)
             assert all(new <= old for new, old in zip(held_prices(policy), prev))
             prev = held_prices(policy)
 
@@ -229,7 +229,7 @@ class TestGroups:
         spec = spec_of(1, 8, 10, Fraction(240, 13))
         policy = make_policy("rat", spec)
         assert self._groups(policy) == [(0, 240, 10.0)]
-        policy.step(4.0)
+        policy.charge(4.0)
         assert self._groups(policy) == [(0, 13, 4.0), (13, 227, 10.0)]
 
     def test_groups_grow_with_accepted_prices_not_capacity(self):
@@ -240,7 +240,7 @@ class TestGroups:
         policy, offline = make_policy("int", spec), RateLimitedOptimum(spec)
         prices = [float(x) for x in rng.uniform(spec.p_min, spec.p_max, 180)]
         for p in prices:
-            policy.step(p)
+            policy.charge(p)
             opt = offline.step(p)
         accepted = sum(p < spec.alpha for p in prices)
         assert 0 < accepted < len(prices)
@@ -266,7 +266,7 @@ class TestDecomposition:
             policy = make_policy("rat", spec)
             eta = spec.alpha * spec.capacity_f
             for p in random_prices(rng, spec, 50):
-                eta -= (spec.alpha - p) * policy.step(p).charge
+                eta -= (spec.alpha - p) * policy.charge(p)
                 assert eta == pytest.approx(math.fsum(s.eta for _, s in sub_problems(policy)), abs=1e-12)
 
     def test_subproblem_optima_sum_to_offline_optimum(self):
@@ -276,7 +276,7 @@ class TestDecomposition:
             policy = make_policy("rat", spec)
             offline = RateLimitedOptimum(spec)
             for p in random_prices(rng, spec, 60):
-                policy.step(p)
+                policy.charge(p)
                 assert sub_opt_sum(policy) == pytest.approx(offline.step(p), abs=1e-12)
 
     def test_subproblem_capacity_is_one_over_n_bit_for_bit(self):
@@ -289,7 +289,7 @@ class TestDecomposition:
             for name in ["rat"] + (["int"] if n == 1 else []):
                 policy = make_policy(name, spec)
                 for p in random_prices(rng, spec, 30):
-                    policy.step(p)
+                    policy.charge(p)
                 assert {sub.capacity.hex() for _, sub in sub_problems(policy)} == {(1 / n).hex()}
 
     def test_held_prices_mirror_offline_kept_set(self):
@@ -298,7 +298,7 @@ class TestDecomposition:
         policy = make_policy("int", spec)
         offline = RateLimitedOptimum(spec)
         for p in random_prices(rng, spec, 40):
-            policy.step(p)
+            policy.charge(p)
             offline.step(p)
             kept = list(offline.kept)
             padding = [spec.alpha] * (3 - len(kept))
@@ -335,17 +335,17 @@ def test_ratio_guarantee_and_feasibility_random_suite():
         for name in names:
             capped = name in ("int", "rat")
             policy = make_policy(name, spec)
-            steps = []
+            charges = []
             opts = [] if capped else opt_no_limit_path(spec, prices)
             for p in prices:
-                steps.append(policy.step(p))
+                charges.append(policy.charge(p))
                 if capped:
                     opts.append(sub_opt_sum(policy))
-            assert total_charge(steps) <= spec.capacity_f + 1e-9
+            assert total_charge(charges) <= spec.capacity_f + 1e-9
             if capped:
-                assert all(s.charge <= 1.0 + 1e-9 for s in steps)
+                assert all(v <= 1.0 + 1e-9 for v in charges)
             # cost-so-far never exceeds the target times the tracked optimum
-            for eta, opt in zip(eta_path(spec, prices, steps), opts):
+            for eta, opt in zip(eta_path(spec, prices, charges), opts):
                 assert eta <= pi * opt + 1e-6
 
 
@@ -388,7 +388,7 @@ class _ListDistributor:
         self.mu = [spec.alpha] * count
         self.subs = [FixedRatioPolicy(spec._replace(capacity=sub_capacity), pi) for _ in range(count)]
 
-    def step(self, price):
+    def charge(self, price):
         mu = self.mu
         top = max(mu)
         if price >= top:
@@ -438,13 +438,13 @@ def test_distributor_and_adaptive_match_references_bit_for_bit(case):
     for name in _distributor_names(spec):
         policy, ref = make_policy(name, spec), _ListDistributor(name, spec, pi)
         for p in prices:
-            assert policy.step(p).charge.hex() == ref.step(p).hex()
+            assert policy.charge(p).hex() == ref.charge(p).hex()
             assert held_prices(policy) == ref.mu
             assert _sub_state(s for _, s in sub_problems(policy)) == _sub_state(ref.subs)
     adaptive = make_policy("adaptive", spec)
     for p, (charge, target) in zip(prices, _reference_adaptive(spec, prices)):
-        out = adaptive.step(p)
-        assert (out.charge, adaptive.pi) == (charge, target)
+        out = adaptive.charge(p)
+        assert (out, adaptive.pi) == (charge, target)
 
 
 @given(case=_rate_limited_case())
@@ -457,7 +457,7 @@ def test_rate_limited_guarantee_on_random_traces(case):
         policy, offline = make_policy(name, spec), RateLimitedOptimum(spec)
         eta, total = spec.alpha * spec.capacity_f, 0.0
         for p in prices:
-            v = policy.step(p).charge
+            v = policy.charge(p)
             opt = offline.step(p)
             eta -= (spec.alpha - p) * v
             total += v
@@ -475,7 +475,7 @@ def test_ratio_policies_charge_only_at_a_new_low(case):
         low = spec.alpha
         for p, out in zip(prices, drive(name, spec, prices)):
             if p >= low:
-                assert out.charge == 0.0, (name, p, low)
+                assert out == 0.0, (name, p, low)
             low = min(low, p)
 
 
@@ -493,8 +493,29 @@ def test_single_subproblem_matches_fixed_bit_for_bit(case):
         policy, ref = make_policy(name, spec), _ListDistributor(name, spec, pi)
         assert type(policy) is FixedRatioPolicy
         for p in prices:
-            assert policy.step(p).charge.hex() == ref.step(p).hex()
+            assert policy.charge(p).hex() == ref.charge(p).hex()
             assert policy.eta.hex() == ref.subs[0].eta.hex()
+
+
+def step_all(name, spec, prices):
+    """drive through the boxed wrapper: the PolicyStep of every slot."""
+    runner = make_policy(name, spec)
+    need = runner.lookahead_needed
+    return [runner.step(p, tuple(prices[t + 1 : t + 1 + need])) for t, p in enumerate(prices)]
+
+
+@given(case=st.one_of(_rate_limited_case(), _rate_limited_case(on_grid=False)),
+       horizon=st.integers(0, 5))
+@example(case=(spec_of(1, 5, 5, 2), [5.0, 5.0, 5.0]), horizon=0)  # rhc:0 stops at c
+def test_step_boxes_charge_bit_for_bit(case, horizon):
+    # every kind: step(p).charge of one policy is charge(p) of its twin to
+    # the last bit, and a zero charge is the one shared NO_CHARGE
+    spec, prices = case
+    names = ["fixed", "adaptive", "rat", f"rhc:{horizon}", "naive", "never"]
+    for name in names + (["int"] if spec.capacity.denominator == 1 else []):
+        for out, v in zip(step_all(name, spec, prices), drive(name, spec, prices)):
+            assert out.charge.hex() == v.hex(), name
+            assert (out is NO_CHARGE) == (v == 0.0), name
 
 
 def _rhc_step_by_fill(remaining, window):
@@ -527,14 +548,14 @@ class TestRhc:
     def test_zero_lookahead_is_max_rate(self):
         spec = spec_of(1, 5, 5, 2)
         assert rhc_step(2.0, 5.0, ()) == 1.0
-        steps = drive("rhc:0", spec, [5.0, 5.0, 5.0])
+        steps = step_all("rhc:0", spec, [5.0, 5.0, 5.0])
         assert [s.charge for s in steps] == [1.0, 1.0, 0.0]
         assert steps[2] is NO_CHARGE  # a zero step is the one shared instance
 
     def test_waits_for_cheaper_window_slot(self):
         spec = spec_of(1, 5, 5, 1)
         assert rhc_step(1.0, 5.0, (3.0, 4.0)) == 0.0
-        steps = drive("rhc:2", spec, [5.0, 3.0, 4.0])
+        steps = step_all("rhc:2", spec, [5.0, 3.0, 4.0])
         assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
         assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 
@@ -560,7 +581,7 @@ class TestNaiveThreshold:
         assert naive_threshold_step(2.0, 3.0, spec) == 1.0
         assert naive_threshold_step(2.0, 3.601, spec) == 0.0
         assert naive_threshold_step(2.0, 3.7, spec) == 0.0
-        steps = drive("naive", spec, [3.7, 3.0, 3.601])
+        steps = step_all("naive", spec, [3.7, 3.0, 3.601])
         assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
         assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 

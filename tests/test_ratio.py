@@ -103,7 +103,7 @@ class TestMaxTotalCharge:
             spec = validate_spec(p_min, p_max, alpha, c)
             trace = worst_case_no_limit(spec, pi, 100_000)
             runner = FixedRatioPolicy(spec, pi)
-            total = math.fsum(runner.step(p).charge for p in trace)
+            total = math.fsum(runner.charge(p) for p in trace)
             assert total == pytest.approx(max_total_charge(spec, pi), abs=1e-3)
 
 
