@@ -19,13 +19,16 @@ that each episode's optimum path is shared within a single kind, and
 `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
 the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
 grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
-corpus), so the closed-form `pi*` branch is run as well as the root one:
-paths no workload takes.  It also compares
-the stdout of `adversary`, without --rate-limited and with it at whole
-capacities 1, 3 and 24, and of `solve-ratio` on each branch of the
-solver and at the edges of its start bounds (a narrow band, each side of
-a threshold, a wide band with a large alpha).  Last it runs
-commands that must fail: `solve-ratio` on each rejected spec (a zero
+corpus), so the closed-form `pi*` branch is run as well as the root one.
+On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
+with a --config file that sets capacity 7/2, and with one that sets
+240/13, so the capped optimum's fractional fill and unmet terms are taken
+while its kept set churns on every slot: paths no workload takes.  It
+also compares the stdout of `adversary`, without --rate-limited and
+with it at whole capacities 1, 3 and 24, and of `solve-ratio` on each
+branch of the solver and at the edges of its start bounds (a narrow
+band, each side of a threshold, a wide band with a large alpha).  Last
+it runs commands that must fail: `solve-ratio` on each rejected spec (a zero
 p_min, inverted bounds, alpha below p_min, a zero capacity, and a
 p_max * capacity that overflows), `adversary` with alpha == p_min and at
 --pi 1 with alpha inside the band, and `simulate` on a header-only price
@@ -65,6 +68,8 @@ UNIT_CAPACITY_POLICIES = "fixed,int,rat"  # `int` runs only at whole capacities
 ONE_KIND_POLICIES = {"capped": "int,rhc:0,naive", "uncapped": "fixed,adaptive,never"}
 NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
+FRACTIONAL_ALPHA_GRID = "2,7,20"
+FRACTIONAL_ALPHA_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}  # set through --config
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -259,6 +264,14 @@ def main() -> int:
             differ += compare_command(tmp, trees, f"sweep-alpha-closed-form seed {seed}",
                                       lambda out: ["sweep", "--prices", corpus, "--alpha-grid",
                                                    CLOSED_FORM_ALPHA_GRID, "--out", out])
+            descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")  # written above
+            for tag, capacity in FRACTIONAL_ALPHA_CAPACITIES.items():
+                config = tmp / f"capacity-{tag}.cfg"
+                config.write_text(f"capacity = {capacity}\n", encoding="utf-8")
+                differ += compare_command(tmp, trees, f"sweep-alpha-{tag} seed {seed}",
+                                          lambda out, config=config: [
+                                              "sweep", "--prices", descending, "--config", str(config),
+                                              "--alpha-grid", FRACTIONAL_ALPHA_GRID, "--out", out])
         for name, argv in STDOUT_COMMANDS.items():
             differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
         for fname, text in BAD_PRICE_FILES.items():

@@ -39,44 +39,47 @@ def _parse_rows(path: str, tz_offset_minutes: int) -> tuple[dict[datetime, float
     the last row wins) and its number of data rows.  A line the csv module
     rejects (such as a field past csv.field_size_limit()) raises ParseError."""
     local = timezone(timedelta(minutes=tz_offset_minutes))
+    parse_time, isfinite = datetime.fromisoformat, math.isfinite
     by_time: dict[datetime, float] = {}
     n_rows = 0
+    rows_aware = None  # whether the first data row's timestamp has a UTC offset
     with open_text(path, ParseError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
                 raise ParseError(f"{path}: expected header 'timestamp,price', got {header}")
+            # reader.line_num is where the record ends, if it spans lines
             for row in reader:
-                lineno = reader.line_num  # where the record ends, if it spans lines
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
                 if len(row) < 2:
-                    raise ParseError(f"{path}:{lineno}: expected 2 columns, got {row}")
+                    if not row or not row[0].strip():
+                        continue
+                    raise ParseError(f"{path}:{reader.line_num}: expected 2 columns, got {row}")
                 try:
-                    ts = datetime.fromisoformat(row[0].strip())
+                    ts = parse_time(row[0].strip())
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+                    raise ParseError(f"{path}:{reader.line_num}: bad timestamp {row[0]!r}") from exc
                 aware = ts.tzinfo is not None
-                if n_rows and aware != rows_aware:
-                    raise ParseError(
-                        f"{path}:{lineno}: timestamp {row[0]!r} has {'a' if aware else 'no'} UTC "
-                        f"offset, unlike the first data row's; use one kind throughout the file"
-                    )
-                rows_aware = aware
+                if aware is not rows_aware:
+                    if rows_aware is not None:
+                        raise ParseError(
+                            f"{path}:{reader.line_num}: timestamp {row[0]!r} has "
+                            f"{'a' if aware else 'no'} UTC offset, unlike the first data row's; "
+                            f"use one kind throughout the file"
+                        )
+                    rows_aware = aware
                 if aware:
                     try:
                         ts = ts.astimezone(local).replace(tzinfo=None)
                     except OverflowError:
-                        raise ParseError(
-                            f"{path}:{lineno}: timestamp {row[0]!r} is out of range in local time"
-                        ) from None
+                        raise ParseError(f"{path}:{reader.line_num}: timestamp {row[0]!r} "
+                                         f"is out of range in local time") from None
                 try:
                     price = float(row[1])
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad price {row[1]!r}") from exc
-                if not math.isfinite(price):
-                    raise ParseError(f"{path}:{lineno}: non-finite price {row[1]!r}")
+                    raise ParseError(f"{path}:{reader.line_num}: bad price {row[1]!r}") from exc
+                if not isfinite(price):
+                    raise ParseError(f"{path}:{reader.line_num}: non-finite price {row[1]!r}")
                 by_time[ts] = price
                 n_rows += 1
         except csv.Error as exc:
@@ -124,8 +127,8 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
         )
 
     start = _parse_hhmm(cfg.window_start)
-    n_slots = episode_slot_count(cfg)
     step = timedelta(minutes=cfg.slot_minutes)
+    offsets = [k * step for k in range(episode_slot_count(cfg))]
 
     episodes: list[Episode] = []
     dropped_incomplete = 0
@@ -134,16 +137,16 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
     for day in sorted({ts.date() for ts in by_time}):
         t0 = datetime.combine(day, start)
         present = []
-        for k in range(n_slots):
+        for offset in offsets:
             try:
-                p = by_time.get(t0 + k * step)
+                p = by_time.get(t0 + offset)
             except OverflowError:  # past year 9999: the later slots cannot exist
                 break
             if p is not None:
                 present.append(p)
         if not present:
             continue
-        if len(present) < n_slots:
+        if len(present) < len(offsets):
             dropped_incomplete += 1
             continue
         outside = sum(p < p_min or p > p_max for p in present)
@@ -151,7 +154,9 @@ def ingest_prices(path: str, cfg: ExperimentConfig) -> IngestResult:
             dropped_range += 1
             continue
         n_clamped += outside
-        trace = PriceTrace([min(max(p, p_min), p_max) for p in present])
+        # min(max(p, p_min), p_max), without a builtin call per price
+        raised = [p_min if p_min > p else p for p in present]
+        trace = PriceTrace([p_max if p_max < p else p for p in raised])
         episodes.append(Episode(date=day.isoformat(), trace=trace))
 
     calib = Calibration(p_min=p_min, p_max=p_max, n_rows=n_rows, n_clamped=n_clamped)

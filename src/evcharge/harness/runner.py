@@ -72,11 +72,13 @@ def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
 
 
 def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...],
-              opts: list[float], policy: str,
-              date: str = "") -> tuple[EpisodeRow, list[float], list[float], list[float]]:
+              opts: list[float], policy: str, date: str = "",
+              columns: bool = True) -> tuple[EpisodeRow, list[float], list[float], list[float]]:
     """Step a fresh policy down prices and score it against opts, its
     kind's optimum path (optimum_path at capped(policy)); returns the
-    episode's row and its charge, eta and ratio columns.
+    episode's row and its charge, eta and ratio columns.  With columns
+    False, for a caller that reads only the row and the run's end, the
+    eta and ratio columns hold only the last slot's value.
 
     Every slot's charge must lie within the floor and the rate cap, and
     the total within the capacity.  The four ratio policies are also
@@ -108,8 +110,9 @@ def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...
                 f"{policy}: ratio {ratio} exceeded target {target} at t={t}"
             )
         charges.append(v)
-        etas.append(eta)
-        ratios.append(ratio)
+        if columns:
+            etas.append(eta)
+            ratios.append(ratio)
     if charged > cap + CAPACITY_SLACK:
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 
@@ -127,7 +130,7 @@ def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...
         charged_fraction=fraction,
         charged_kwh=charged * slot_energy_kwh(cfg),
     )
-    return row, charges, etas, ratios
+    return row, charges, etas if columns else [eta], ratios if columns else [ratio]
 
 
 def run_episode(
@@ -147,7 +150,7 @@ def run_episode(
     """
     prices = trace.slots
     opts = optimum_path(spec, prices, capped(policy))
-    row, charges, etas, ratios = score_run(cfg, spec, prices, opts, policy, date)
-    first = 0 if collect_slots else len(prices) - 1
-    columns = (c[first:] for c in (prices, charges, etas, opts, ratios))
+    row, charges, etas, ratios = score_run(cfg, spec, prices, opts, policy, date, collect_slots)
+    first = len(prices) - len(etas)
+    columns = (prices[first:], charges[first:], etas, opts[first:], ratios)
     return row, list(map(SlotRow, repeat(date), repeat(policy), count(first), *columns))

@@ -10,8 +10,8 @@ from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, valid
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
-from .runner import (EpisodeRow, SlotRow, capped, optimum_path, run_episode, score_run,
-                     slot_energy_kwh, spec_from_calibration)
+from .runner import (EpisodeRow, capped, optimum_path, score_run, slot_energy_kwh,
+                     spec_from_calibration)
 
 
 def _mean(xs) -> float:
@@ -45,15 +45,20 @@ class CompareRow(NamedTuple):
 
 
 def _run_distributor(cfg: ExperimentConfig, spec: ProblemSpec,
-                     data: IngestResult) -> tuple[str, list[tuple[EpisodeRow, list[SlotRow]]]]:
-    """The capacity-splitting policy for spec, and its (row, [last slot])
-    on every episode."""
+                     data: IngestResult) -> tuple[str, list[tuple[EpisodeRow, float]]]:
+    """The capacity-splitting policy for spec, and its (row, the optimum
+    of the whole window) on every episode."""
     if spec.capacity <= 1:
         policy = "fixed"
     else:
         policy = "int" if spec.capacity.denominator == 1 else "rat"
-    return policy, [run_episode(cfg, spec, ep.trace, policy, ep.date, collect_slots=False)
-                    for ep in data.episodes]
+    kind = capped(policy)
+    runs = []
+    for ep in data.episodes:
+        prices = ep.trace.slots
+        opts = optimum_path(spec, prices, kind)
+        runs.append((score_run(cfg, spec, prices, opts, policy, ep.date, columns=False)[0], opts[-1]))
+    return policy, runs
 
 
 def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow]:
@@ -104,7 +109,7 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
                 capacity=str(capacity),
                 policy=policy,
                 mean_alg_objective=_mean(row.objective * scale for row, _ in runs),
-                mean_opt_objective=_mean(last.opt * scale for _, (last,) in runs),
+                mean_opt_objective=_mean(opt * scale for _, opt in runs),
             )
         )
     return rows

@@ -16,10 +16,17 @@ value is computed in one place.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import insort
 from typing import NamedTuple
 
 from .core import ProblemSpec, ValidationError
+
+_EXACT = -1074  # every float is a whole multiple of 2**-1074
+
+
+def _binade_ulp(x: float) -> int:
+    """The exponent of the ulp of x's binade."""
+    return max(math.frexp(x)[1] - 53, _EXACT)
 
 
 class NoLimitOptimum:
@@ -51,16 +58,28 @@ class RateLimitedOptimum:
     """The capped optimum of each prefix.
 
     kept holds the prices of the cheapest slots priced below alpha, at
-    most ceil(c) of them, ascending, and slots the slot index of each, in
-    the same order.  Ties keep the earlier slot: the incoming slot is
-    always the latest, so it enters a full kept set only when strictly
-    cheaper than the last kept price, and it is placed after equal ones.
+    most ceil(c) of them, ascending.  Ties keep the earlier slot: the
+    incoming slot is always the latest, so it enters a full kept set only
+    when strictly cheaper than the last kept price, and it is placed after
+    equal ones.
 
-    The value is recomputed only when kept changes.  With c = num/den the
-    first floor(c) kept prices are filled at rate 1, the one at rank
-    floor(c) (if kept reaches it) at the remainder's fraction, and the
-    need left unmet is paid at alpha; fsum rounds the sum once, so the
-    value does not depend on the order the slots arrived in.
+    With c = num/den the first floor(c) kept prices are filled at rate 1,
+    the one at rank floor(c) (if kept reaches it) at the remainder's
+    fraction, and the need left unmet is paid at alpha.  The value is the
+    exact sum of those terms rounded once, the bits one fsum over them
+    gives, so it does not depend on the order the slots arrived in.
+
+    Every float is a whole multiple of its ulp, so the sums are held
+    exactly as ints in units of 2**e.  total is kept's sum, and a change to
+    kept costs O(1): add the new price, subtract the evicted one.  e is k
+    bits below the ulp of p_min's binade or of the finest binade admitted
+    since, where 2**-k <= 1/den, so the fractional fill and the unmet term
+    are whole units too.  While every kept price is zero or in [floor,
+    alpha), with floor the bottom of that binade, x converts as
+    int(x * inv) and units back as float(units) * scale, both exact.  A
+    negative price, or a binade so fine that those leave the float range,
+    makes the tracker count in units of 2**-1074 from then on, converting
+    through as_integer_ratio and correctly rounded int division.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -71,37 +90,83 @@ class RateLimitedOptimum:
         self.frac = (self.num - self.whole * self.den) / self.den
         self.keep = math.ceil(c)
         self.kept: list[float] = []
-        self.slots: list[int] = []
-        self.t = 0  # slots seen
         self.opt = self.alpha * spec.capacity_f
+        self.bound = self.alpha * (spec.capacity_f + 1.0)  # above kept's sum and the unmet term
+        self.k = (self.den - 1).bit_length()
+        self.e = _binade_ulp(spec.p_min) - self.k
+        self.total = self._rescale(0, self.e)
+
+    def _rescale(self, total: int, e: int) -> int:
+        """total, in units of 2**e rather than 2**self.e (e no larger).  The
+        float conversions stay exact while 2**e is a normal float, so every
+        nonzero multiple of it is one too, and no sum of terms nears 2**1023
+        units."""
+        if -1022 <= e <= 0 and self.bound < math.ldexp(1.0, e + 1022):
+            self.inv, self.scale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+            self.floor = math.ldexp(1.0, e + self.k + 52)
+        else:
+            e = _EXACT
+            self.inv, self.scale, self.floor = 0.0, 0.0, math.inf
+        total <<= self.e - e
+        self.e = e
+        return total
+
+    def _units(self, x: float) -> int:
+        """x, a whole number of units, as an int."""
+        if self.scale:
+            return int(x * self.inv)
+        n, d = x.as_integer_ratio()
+        return (n << -_EXACT) // d
+
+    def _add_exact(self, total: int, price: float, evict: bool) -> int:
+        """total plus price, less kept[-1] if evict: the loop's path for a
+        price below floor (a finer binade, zero or a negative price), and
+        for every price once the units are 2**-1074."""
+        if price < 0.0:
+            total = self._rescale(total, _EXACT)  # a negative kept price may be evicted at any scale
+        elif price:
+            total = self._rescale(total, min(self.e, _binade_ulp(price) - self.k))
+        total += self._units(price)
+        return total - self._units(self.kept[-1]) if evict else total
+
+    def _value(self, total: int, n: int) -> float:
+        """The optimum when kept, n prices long, sums to total units."""
+        total += self._units(self.alpha * (max(self.num - n * self.den, 0) / self.den))
+        if n > self.whole:
+            top = self.kept[self.whole]
+            total += self._units(top * self.frac) - self._units(top)
+        return float(total) * self.scale if self.scale else total / (1 << -_EXACT)
 
     def path(self, prices) -> list[float]:
         """The optimum after each of prices, taken as the next slots.  At a
         whole capacity with kept full the unmet term is alpha * 0.0, so the
-        value is fsum(kept) itself."""
-        alpha, keep, whole, frac, num, den = self.alpha, self.keep, self.whole, self.frac, self.num, self.den
-        kept, slots, opt, n = self.kept, self.slots, self.opt, len(self.kept)
+        value is total's nearest float."""
+        alpha, keep, frac = self.alpha, self.keep, self.frac
+        kept, n, total, opt = self.kept, len(self.kept), self.total, self.opt
+        inv, scale, floor = self.inv, self.scale, self.floor
         out = []
-        for t, price in enumerate(prices, self.t):
+        for price in prices:
             if price < alpha and (n < keep or price < kept[-1]):
-                i = bisect_right(kept, price)
-                kept.insert(i, price)
-                slots.insert(i, t)
-                if n == keep:
+                full = n == keep
+                if floor <= price:  # in floor's binade or above: price * inv is exact
+                    total += int(price * inv) - (int(kept[-1] * inv) if full else 0)
+                else:
+                    total = self._add_exact(total, price, full)
+                    inv, scale, floor = self.inv, self.scale, self.floor
+                insort(kept, price)
+                if full:
                     kept.pop()  # evict the most expensive, latest on price ties
-                    slots.pop()
                 else:
                     n += 1
-                if n == keep and not frac:
-                    opt = math.fsum(kept)
+                if n < keep or not scale:
+                    opt = self._value(total, n)
+                elif frac:  # the top price takes the fraction; nothing is unmet
+                    top = kept[-1]
+                    opt = float(total + int(top * frac * inv) - int(top * inv)) * scale
                 else:
-                    terms = kept[:whole]  # fill 1: price * 1.0 == price
-                    if n > whole:
-                        terms.append(kept[whole] * frac)
-                    terms.append(alpha * (max(num - n * den, 0) / den))
-                    opt = math.fsum(terms)
+                    opt = float(total) * scale
             out.append(opt)
-        self.t += len(out)
+        self.total = total
         self.opt = opt
         return out
 
@@ -111,14 +176,25 @@ class RateLimitedOptimum:
 
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
     """Optimal value and per-slot charges achieving it under the per-slot cap
-    of 1: the capped tracker's final value, and each kept slot's fill."""
+    of 1: the capped tracker's final value, and the fill of each slot in
+    its final kept set.  Every slot priced below the last kept price is
+    kept, and so are the earliest slots priced at it, as many as kept
+    holds; the latest of those is the one at rank floor(c)."""
+    prices = tuple(prices)
     tracker = RateLimitedOptimum(spec)
-    tracker.path(prices)
-    if tracker.t == 0:
+    if not tracker.path(prices):
         raise ValidationError("empty price prefix")
-    v = [0.0] * tracker.t
-    for rank, slot in enumerate(tracker.slots):
-        v[slot] = 1.0 if rank < tracker.whole else tracker.frac
+    kept = tracker.kept
+    v = [0.0] * len(prices)
+    if kept:
+        top, ties = kept[-1], kept.count(kept[-1])
+        for t, price in enumerate(prices):
+            if price < top or price == top and ties:
+                v[t] = 1.0
+                if price == top:
+                    ties, last = ties - 1, t
+        if len(kept) > tracker.whole:
+            v[last] = tracker.frac
     return tracker.opt, tuple(v)
 
 
@@ -141,6 +217,5 @@ def offline_step(state: _OfflineSnapshot, price: float) -> _OfflineSnapshot:
     that is when the slot just seen entered kept."""
     tracker = state.tracker
     opt = tracker.step(price)
-    if tracker.t - 1 not in tracker.slots:
-        return state
-    return _OfflineSnapshot(tracker, tuple(tracker.kept), opt)
+    kept = tuple(tracker.kept)
+    return state if kept == state.kept else _OfflineSnapshot(tracker, kept, opt)

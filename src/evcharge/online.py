@@ -64,7 +64,7 @@ class FixedRatioPolicy(Policy):
     def charge(self, price, lookahead=()):
         if price >= self.low:
             return 0.0
-        return self._charge_at_new_low(price, math.inf)
+        return self.charge_at_new_low(price, math.inf)
 
     def copy(self) -> FixedRatioPolicy:
         """A twin in the same state, for the members of a distributor group
@@ -75,15 +75,12 @@ class FixedRatioPolicy(Policy):
         twin.capacity, twin.eta, twin.charged = self.capacity, self.eta, self.charged
         return twin
 
-    def assign(self, price: float) -> float:
-        """Step as a distributor sub-problem that was just assigned `price`,
-        a new low; returns the charge, at most the capacity left."""
-        return self._charge_at_new_low(price, self.capacity - self.charged)
-
-    def _charge_at_new_low(self, price: float, room: float) -> float:
+    def charge_at_new_low(self, price: float, room: float) -> float:
         """Take `price` as the new low and charge to bring eta down to pi times
-        its optimum.  The clamp to `room` is only a guard: the target leaves
-        headroom, so a clamp beyond tolerance is a distributor bug."""
+        its optimum, at most `room`: inf for the policy on its own, and the
+        capacity left for a distributor sub-problem just assigned `price`.
+        The clamp is only a guard: the target leaves headroom, so a clamp
+        beyond tolerance is a distributor bug."""
         self.low = price
         gap = self.alpha - price
         excess = self.eta - price * self.capacity * self.pi
@@ -131,9 +128,9 @@ class DistributorPolicy(Policy):
     never compare `sub`).  All sub-problems start as one group at alpha.
     A group larger than the fan-out left splits: its lowest indices are
     charged and the rest keep mu in a copy of the state.  Each group taken
-    runs `assign` once, and its members' equal charges are added to the
-    total one by one, in index order, so it rounds as a sum over the
-    sub-problems would.
+    runs `charge_at_new_low` once, with the group's capacity left as the
+    room, and its members' equal charges are added to the total one by
+    one, in index order, so it rounds as a sum over the sub-problems would.
     """
 
     def __init__(self, spec: ProblemSpec, pi: float):
@@ -157,7 +154,7 @@ class DistributorPolicy(Policy):
                 size = left
             else:
                 heapq.heapreplace(held, (-price, first, size, sub))
-            v = sub.assign(price)
+            v = sub.charge_at_new_low(price, sub.capacity - sub.charged)
             if size == 1:  # every group at fan-out 1; spares building a range
                 total += v
             else:

@@ -279,6 +279,32 @@ class TestIngest:
             with pytest.raises(ParseError, match=name):
                 ingest_prices(str(path), ExperimentConfig(prices=str(path)))
 
+    @pytest.mark.parametrize("row, message", [
+        ("2021-03-01 17:10", "expected 2 columns, got ['2021-03-01 17:10']"),
+        ("2021-03-01 17:10,cheap", "bad price 'cheap'"),
+        ("2021-03-01 17:10,-inf", "non-finite price '-inf'"),
+        ("2021-03-01 17:10+01:00,2", "timestamp '2021-03-01 17:10+01:00' has a UTC offset, unlike "
+                                     "the first data row's; use one kind throughout the file"),
+        ("x" * (csv.field_size_limit() + 1) + ",2",
+         f"field larger than field limit ({csv.field_size_limit()})"),
+    ])
+    def test_row_errors_name_the_line_and_the_fault(self, tmp_path, row, message):
+        # a blank line before the faulty row: the line number counts it
+        path = tmp_path / "rows.csv"
+        path.write_text(f"timestamp,price\n2021-03-01 17:00,2\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            _parse_rows(str(path), 0)
+        assert str(info.value) == f"{path}:4: {message}"
+
+    def test_out_of_range_local_time_names_the_line(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("timestamp,price\n2021-03-01T17:00:00-01:00,2\n\n9999-12-31T23:59:00-01:00,2\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            _parse_rows(str(path), 0)
+        assert str(info.value) == (f"{path}:4: timestamp '9999-12-31T23:59:00-01:00' is out of "
+                                   f"range in local time")
+
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("timestamp,price\n", encoding="utf-8")
@@ -405,6 +431,33 @@ class TestRunEpisode:
             row, slots = run_episode(cfg, spec, trace, policy, "2021-03-01")
             assert run_episode(cfg, spec, trace, policy, "2021-03-01", collect_slots=False) == (
                 row, slots[-1:])
+
+    @given(policy=st.sampled_from(["fixed", "adaptive", "int", "rat", "rhc:0", "rhc:4", "naive",
+                                   "never"]),
+           alpha=st.sampled_from([1.5, 3.0, 6.0]),
+           capacity=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2),
+                                     Fraction(24)]),
+           prices=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=60))
+    @example(policy="fixed", alpha=3.0, capacity=Fraction(7, 2), prices=[4.0, 2.0, 1.5, 3.0])
+    @example(policy="adaptive", alpha=3.0, capacity=Fraction(1, 2), prices=[4.0, 2.0, 1.5, 3.0])
+    @example(policy="int", alpha=6.0, capacity=Fraction(3), prices=[4.0, 2.0, 1.5, 1.0, 3.0])
+    @example(policy="rat", alpha=6.0, capacity=Fraction(7, 2), prices=[4.0, 2.0, 1.5, 1.0, 3.0])
+    @example(policy="rhc:4", alpha=3.0, capacity=Fraction(3), prices=[4.0, 2.0, 1.5, 1.0, 3.0])
+    @example(policy="naive", alpha=3.0, capacity=Fraction(24), prices=[4.0, 2.0, 1.5, 1.0, 3.0])
+    @example(policy="never", alpha=1.5, capacity=Fraction(1), prices=[4.0, 2.0])
+    def test_score_run_without_columns_keeps_the_row_and_the_end(self, policy, alpha, capacity, prices):
+        # the sweeps turn the eta and ratio columns off; the row, the charges
+        # and the final eta and ratio must not move by a bit
+        assume(policy != "int" or capacity.denominator == 1)
+        cfg, spec, prices = ExperimentConfig(), validate_spec(1.0, 5.0, alpha, capacity), tuple(prices)
+        opts = runner.optimum_path(spec, prices, runner.capped(policy))
+        row, charges, etas, ratios = runner.score_run(cfg, spec, prices, opts, policy, "2021-03-01")
+        off = runner.score_run(cfg, spec, prices, opts, policy, "2021-03-01", columns=False)
+        assert repr(off) == repr((row, charges, etas[-1:], ratios[-1:]))  # repr keeps every bit
+        trace = PriceTrace(prices)
+        full = run_episode(cfg, spec, trace, policy, "2021-03-01")
+        assert run_episode(cfg, spec, trace, policy, "2021-03-01", collect_slots=False) == (
+            full[0], full[1][-1:])
 
     def test_zero_slot_episode_rejected(self):
         spec = validate_spec(1, 5, 5, "1")

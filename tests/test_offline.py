@@ -148,7 +148,7 @@ class TestOfflineStep:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert (tracker.kept, tracker.slots) == ([2.0, 4.0], [2, 0])
+        assert tracker.kept == [2.0, 4.0]
         assert opts[-1] == value == 2.0 + 4.0 + 5 * (1e6 - 2)
         assert schedule == (1.0, 0.0, 1.0)
 
@@ -166,13 +166,15 @@ class TestOfflineStep:
 @example(prices=[3.0, 1.0, 3.0, 1.0, 2.0], alpha=2.0, m=1, n=7)
 def test_compat_state_kept_changes_with_the_tracker(prices, alpha, m, n):
     # the benchmark counts kept-set changes through the compatibility
-    # wrapper: its .kept must differ from the last exactly on those slots
+    # wrapper: its .kept must differ from the last exactly on the slots
+    # that enter the kept set, those the test-side optimum of their own
+    # prefix fills
     spec = validate_spec(0.5, 10.0, alpha, Fraction(m, n))
     state, tracker = new_offline_state(spec), RateLimitedOptimum(spec)
-    for price in prices:
-        before = (list(tracker.kept), list(tracker.slots))
+    for t, price in enumerate(prices):
+        entered = capped_optimum_reference(spec, prices[: t + 1])[1][t] > 0.0
         nxt, opt = offline_step(state, price), tracker.step(price)
-        assert (nxt.kept != state.kept) == ((tracker.kept, tracker.slots) != before)
+        assert (nxt.kept != state.kept) == entered
         assert nxt.kept == tuple(tracker.kept)
         assert nxt.opt_value == opt
         state = nxt
@@ -285,6 +287,42 @@ def test_optimum_paths_equal_steps_and_reference_bit_for_bit(case):
         paths = (kind(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
                  [stepper.step(p) for p in prices], reference)
         assert len({tuple(x.hex() for x in path) for path in paths}) == 1, kind
+
+
+_TINY = 2.0**-1022  # the smallest normal float
+
+
+@st.composite
+def _far_case(draw):
+    """A spec at one of _PATH_CAPACITIES and 1-40 prices that the band does
+    not bound: below p_min down to 1e-200 and to the subnormals, mixed with
+    prices up to 10."""
+    spec = validate_spec(1.0, 10.0, draw(st.sampled_from([1.5, 4.5, 12.0])),
+                         draw(st.sampled_from(_PATH_CAPACITIES)))
+    price = st.one_of(st.floats(1e-200, 10.0), st.floats(0.0, _TINY, exclude_max=True),
+                      st.sampled_from([1e-300, 10.0, 1.0, 5e-324]))
+    return spec, draw(st.lists(price, min_size=1, max_size=40))
+
+
+@given(case=_far_case())
+@example(case=(validate_spec(1.0, 10.0, 12.0, 24), [5e-324 * k for k in range(1, 40)]))  # subnormal only
+@example(case=(validate_spec(1.0, 10.0, 12.0, Fraction(7, 2)), [1e-300, 10.0, 1e-300, 1e-300, 10.0]))
+@example(case=(validate_spec(1.0, 10.0, 12.0, Fraction(240, 13)), [1e-300, 10.0] * 15))
+@example(case=(validate_spec(1.0, 10.0, 1.5, Fraction(1, 2)), [1e-310, 2.5e-320, 1.0]))  # sum subnormal
+@example(case=(validate_spec(1.0, 10.0, 12.0, 24), [11.0 - k / 8 for k in range(40)]))  # above 2**53 units
+@example(case=(validate_spec(1.0, 10.0, 4.5, 2), [0.3, 0.7, 0.9, 1.1]))  # binades just below p_min's
+@example(case=(validate_spec(1e-300, 1e-299, 5e-300, Fraction(7, 2)), [2e-300, 3e-300, 1e-310, 4e-300]))
+@example(case=(validate_spec(1.0, 10.0, 4.5, Fraction(7, 2)), [3.0, 0.0, -2.5, 1e-200, -0.0, 2.0, -1e300]))
+def test_capped_path_is_exact_far_outside_the_band(case):
+    # the kept sum is exact however far apart its prices lie: one path
+    # call, the run cut in two, and the test-side fsum of every prefix
+    # agree to the last bit
+    spec, prices = case
+    cut = len(prices) // 2
+    split = RateLimitedOptimum(spec)
+    paths = (RateLimitedOptimum(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
+             [capped_optimum_reference(spec, prices[: t + 1])[0] for t in range(len(prices))])
+    assert len({tuple(x.hex() for x in path) for path in paths}) == 1
 
 
 @given(case=_capped_case())

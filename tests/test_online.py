@@ -252,7 +252,7 @@ class TestGroups:
         # to the copy fails here; the same order keeps the same layout
         spec = spec_of(1, 8, 10, 3)
         sub = FixedRatioPolicy(spec._replace(capacity=Fraction(1, 2)), solve_pi_star(spec).pi_star)
-        sub.assign(3.0)
+        sub.charge_at_new_low(3.0, sub.capacity - sub.charged)
         twin = sub.copy()
         assert twin is not sub and type(twin) is FixedRatioPolicy
         assert list(vars(twin).items()) == list(vars(sub).items())
@@ -401,7 +401,8 @@ class _ListDistributor:
         total = 0.0
         for i in chosen:
             mu[i] = price
-            total += self.subs[i].assign(price)
+            sub = self.subs[i]
+            total += sub.charge_at_new_low(price, sub.capacity - sub.charged)
         return total
 
 

@@ -321,12 +321,18 @@ def _root_specs(draw):
 @example(spec=spec_of(1, 5, math.nextafter(2.124269801003613, 3.0)))
 @example(spec=spec_of(1, 1 + 1e-13, 1 + 1e-13))
 @example(spec=spec_of(1, 1e8, 1e15))
+@example(spec=spec_of(1.1549552294059122, 6.1096869543329095, 5.665577170099268))  # two ulps off
 def test_root_pi_star_matches_a_decimal_oracle(spec):
     # bisection missed by up to 1.6e-12 on specs drawn this way, and refused
-    # those with alpha / p_min - 1 below about 1e-6
+    # those with alpha / p_min - 1 below about 1e-6.  The Newton root is
+    # within one ulp of the exact one in the 1 - 1/pi form, and within two
+    # in the 1/pi form above 4/3 (68 of 6,000 random specs there miss by two)
     sol = solve_pi_star(spec)
     assume(sol.branch == "root")
-    assert relative_miss(sol.pi_star, root_pi_star_oracle(spec)) <= ROOT_BOUND
+    oracle = root_pi_star_oracle(spec)
+    assert relative_miss(sol.pi_star, oracle) <= ROOT_BOUND
+    ulps = 2 if sol.pi_star > 4 / 3 else 1
+    assert abs(sol.pi_star - float(oracle)) <= ulps * math.ulp(sol.pi_star)
 
 
 @given(p_min=st.floats(-2, 2).map(lambda e: 10.0**e), band=st.floats(-13, 8).map(lambda e: 10.0**e))
