@@ -31,9 +31,12 @@ band, each side of a threshold, a wide band with a large alpha).  Last
 it runs commands that must fail: `solve-ratio` on each rejected spec (a zero
 p_min, inverted bounds, alpha below p_min, a zero capacity, and a
 p_max * capacity that overflows), `adversary` with alpha == p_min and at
---pi 1 with alpha inside the band, and `simulate` on a header-only price
-file (exit 1) and on one with a bad timestamp (exit 2).  Each must give
-its expected exit code in both trees, with the same stdout and stderr.
+--pi 1 with alpha inside the band, `simulate` on a header-only price
+file (exit 1) and on one with a bad timestamp (exit 2), and on the seed-1
+regime corpus `sweep --rate-grid 0.7,0.00006` (a factor whose denominator
+is above the bound) and `sweep --rate-grid 0.7,-1` (exit 1 each, after a
+good first factor).  Each must give its expected exit code in both trees,
+with the same stdout and stderr.
 Exits 1 when any output differs, is missing on one side, or a command
 fails (a failing one: exits otherwise than expected).
 
@@ -101,13 +104,14 @@ BAD_PRICE_FILES = {"header-only.csv": "timestamp,price\n",
                    "bad-timestamp.csv": "timestamp,price\n2021-03-01 17:00,2.0\n2021-03-01 17:5x,2.0\n"}
 
 
-def error_commands(tmp: Path) -> dict[str, tuple[int, list[str]]]:
+def error_commands(tmp: Path, corpus: str) -> dict[str, tuple[int, list[str]]]:
     """label: (the exit code both trees must give, argv), reading the
-    BAD_PRICE_FILES written into tmp."""
+    BAD_PRICE_FILES written into tmp and the price file corpus."""
     band = ["--p-min", "1", "--p-max", "5"]
+    out = ["--out", str(tmp / "error-out")]
 
     def simulate(fname):
-        return ["simulate", "--prices", str(tmp / fname), "--out", str(tmp / "error-out")]
+        return ["simulate", "--prices", str(tmp / fname), *out]
 
     return {
         "solve-ratio zero p-min": (1, ["solve-ratio", "--p-min", "0", "--p-max", "5",
@@ -122,6 +126,9 @@ def error_commands(tmp: Path) -> dict[str, tuple[int, list[str]]]:
         "adversary pi 1 inside band": (1, ["adversary", *band, "--alpha", "5", "--pi", "1"]),
         "simulate header-only": (1, simulate("header-only.csv")),
         "simulate bad timestamp": (2, simulate("bad-timestamp.csv")),
+        "sweep rate factor past the denominator bound": (
+            1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,0.00006", *out]),
+        "sweep negative rate factor": (1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,-1", *out]),
     }
 
 
@@ -276,7 +283,7 @@ def main() -> int:
             differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
         for fname, text in BAD_PRICE_FILES.items():
             (tmp / fname).write_text(text, encoding="utf-8")
-        for name, (code, argv) in error_commands(tmp).items():
+        for name, (code, argv) in error_commands(tmp, str(tmp / "simulate-regime-1.csv")).items():
             differ += compare_failure(trees, name, code, argv)
     print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0

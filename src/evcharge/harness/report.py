@@ -75,8 +75,8 @@ class _ReprMemo(dict):
 def write_slot_table(walk, fh) -> list[EpisodeRow]:
     """Write a walk (sweeps.run_policies' episodes) as the long csv table
     date,policy,slot,metric,value, one line per slot and metric (price,
-    charge, eta, opt, ratio): the bytes write_report writes for those
-    lines as dicts.  Returns the walk's episode rows, in order.
+    charge, eta, opt, ratio; opt from paths[key] for the run's key): the
+    bytes write_report writes for them as dicts.  Returns the walk's rows.
 
     Each run is one fh.write, made as soon as the run is drawn.  The csv
     writer quotes the run's date,policy prefix once; the other cells need
@@ -95,16 +95,16 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
     writer = csv.writer(cells, lineterminator="\n")  # write_report's dialect
     head = "date,policy,slot,metric,value\n"
     rows = []
-    keys = {}  # episode length -> its slots' charge, eta and ratio keys
-    for prices, paths, runs in walk:
+    slot_keys = {}  # episode length -> its slots' charge, eta and ratio keys
+    for prices, paths, scored in walk:
         price_tails = [f"{t},price,{memo[x] if x else repr(x)}\n" for t, x in enumerate(prices)]
-        opt_tails = {kind: [f"{t},opt,{memo[x] if x else repr(x)}\n" for t, x in enumerate(path)]
-                     for kind, path in paths.items()}
+        opt_tails = [[f"{t},opt,{memo[x] if x else repr(x)}\n" for t, x in enumerate(path)]
+                     for path in paths]
         n = len(prices)
-        if n not in keys:
-            keys[n] = [[f"{t},{metric}," for t in range(n)] for metric in ("charge", "eta", "ratio")]
-        charge_keys, eta_keys, ratio_keys = keys[n]
-        for kind, row, charges, etas, ratios in runs:
+        if n not in slot_keys:
+            slot_keys[n] = [[f"{t},{metric}," for t in range(n)] for metric in ("charge", "eta", "ratio")]
+        charge_keys, eta_keys, ratio_keys = slot_keys[n]
+        for key, (row, charges, etas, ratios) in scored:
             rows.append(row)
             cells.seek(0)
             cells.truncate()
@@ -112,7 +112,7 @@ def write_slot_table(walk, fh) -> list[EpisodeRow]:
             p = cells.getvalue()[:-1]  # "date,policy," without the line terminator
             lines = [head]
             for pt, ck, c, ek, e, ot, rk, r in zip(price_tails, charge_keys, charges, eta_keys, etas,
-                                                   opt_tails[kind], ratio_keys, ratios):
+                                                   opt_tails[key], ratio_keys, ratios):
                 lines.append(f"{p}{pt}{p}{ck}{memo[c] if c else repr(c)}\n"
                              f"{p}{ek}{memo[e] if e else repr(e)}\n{p}{ot}"
                              f"{p}{rk}{memo[r] if r else repr(r)}\n")
@@ -133,7 +133,7 @@ def write_simulate_reports(cfg: ExperimentConfig, spec: ProblemSpec, data: Inges
     fh = open(partial, "w", encoding="utf-8", newline="")
     try:
         with fh:
-            summary = write_slot_table(run_policies(cfg, spec, data), fh)
+            summary = write_slot_table(run_policies(cfg, data, [(spec, p) for p in cfg.policies]), fh)
         os.replace(partial, slots)
     except BaseException:
         os.remove(partial)

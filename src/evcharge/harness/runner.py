@@ -74,8 +74,8 @@ def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
 def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...],
               opts: list[float], policy: str, date: str = "",
               columns: bool = True) -> tuple[EpisodeRow, list[float], list[float], list[float]]:
-    """Step a fresh policy down prices and score it against opts, its
-    kind's optimum path (optimum_path at capped(policy)); returns the
+    """Step a fresh policy down prices and score it against opts, which is
+    optimum_path(spec, prices, capped(policy)); returns the
     episode's row and its charge, eta and ratio columns.  With columns
     False, for a caller that reads only the row and the run's end, the
     eta and ratio columns hold only the last slot's value.

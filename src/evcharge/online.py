@@ -209,6 +209,11 @@ RATIO_POLICIES = ("fixed", "adaptive", "int", "rat")
 NO_LIMIT_POLICIES = ("fixed", "adaptive", "never")
 
 
+def splitting_policy(capacity: Fraction) -> str:
+    """The capacity-splitting policy: `fixed` at c <= 1, `int` at a whole c, else `rat`."""
+    return "fixed" if capacity <= 1 else "int" if capacity.denominator == 1 else "rat"
+
+
 def make_policy(name: str, spec: ProblemSpec) -> Policy:
     """Build a fresh episode policy; a ratio policy aims at the solved target."""
     pi = solve_pi_star(spec).pi_star if name in RATIO_POLICIES else None

@@ -26,10 +26,10 @@ from .core import InternalConsistencyError, ProblemSpec, ValidationError
 
 
 class NoBracket(ValidationError):
-    """The defining equation has no root that a float holds: a band flat
-    to within an ulp, a threshold alpha* past the largest float, p_min/alpha
-    or p_min/p_max below the normal floats, or alpha so far above p_max
-    that the closed form underflows."""
+    """The defining equation has no root that a float holds: a flat band,
+    a threshold alpha* past the largest float, p_min/alpha or p_min/p_max
+    below the normal floats, or alpha so far above p_max that the closed
+    form underflows."""
 
 
 def log_price_ratio(alpha: float, p_hi: float, p_lo: float) -> float:
@@ -106,15 +106,20 @@ def solve_alpha_star(spec: ProblemSpec) -> float:
     p_min, p_max = spec.p_min, spec.p_max
     what = f"threshold price for p_min={p_min}, p_max={p_max}"
     rho = p_min / p_max
-    if not sys.float_info.min <= rho < math.nextafter(1.0, 0.0):
-        # at the float below 1, the start 1 - (1 - rho) / e rounds onto the pole at u = 1
-        raise NoBracket(f"{what}: p_min / p_max = {rho} is subnormal, zero or an ulp from 1")
-    u = _monotone_newton(lambda u: ((u * u * _x_minus_log1p_over_x2(-u) + math.log1p(-rho * u))
-                                    / (u / (1.0 - u) - rho / (1.0 - rho * u))),
-                         min(1.0 - (1.0 - rho) / math.e, 2.0 * rho))
-    if p_max / u == math.inf:
-        raise NoBracket(f"{what}: alpha* = p_max / {u} overflows")
-    return p_max / u
+    if not sys.float_info.min <= rho < 1.0:
+        raise NoBracket(f"{what}: p_min / p_max = {rho} is subnormal, zero or 1")
+    if rho == math.nextafter(1.0, 0.0):
+        # u lies in the last ulp below 1, onto whose pole the start rounds; to
+        # first order in the band there, p_max / u is p_max + band / (e - 1)
+        alpha_star = p_max + (p_max - p_min) / (math.e - 1.0)
+    else:
+        alpha_star = p_max / _monotone_newton(
+            lambda u: ((u * u * _x_minus_log1p_over_x2(-u) + math.log1p(-rho * u))
+                       / (u / (1.0 - u) - rho / (1.0 - rho * u))),
+            min(1.0 - (1.0 - rho) / math.e, 2.0 * rho))
+    if alpha_star == math.inf:
+        raise NoBracket(f"{what}: alpha* overflows a float")
+    return alpha_star
 
 
 def pi_star_upper_bound(spec: ProblemSpec) -> float:
@@ -129,8 +134,8 @@ class RatioSolution(NamedTuple):
     and "degenerate" when the instance forces pi_star = 1 outright
     (alpha == p_min, a flat price band, or alpha so near p_min that the
     root rounds to 1).  alpha_star is None on a flat band, and at
-    alpha == p_min on a band flat to within an ulp or too wide for a float
-    threshold.  residual is |V(pi_star) - c|;
+    alpha == p_min on a band too wide for a float threshold.  residual is
+    |V(pi_star) - c|;
     it is only meaningful outside the degenerate branch, where V is
     identically zero or trivially equal to capacity.
     """

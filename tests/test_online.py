@@ -23,10 +23,12 @@ from evcharge.offline import RateLimitedOptimum
 from evcharge.online import (
     NO_CHARGE,
     RATIO_POLICIES,
+    DistributorPolicy,
     FixedRatioPolicy,
     make_policy,
     naive_threshold_step,
     rhc_step,
+    splitting_policy,
 )
 from evcharge.adversary import worst_case_no_limit
 from evcharge.ratio import solve_pi_star, solve_pi_t
@@ -599,3 +601,15 @@ def test_make_policy_names():
     assert make_policy("never", spec).step(1.0) is NO_CHARGE
     with pytest.raises(ValidationError):
         make_policy("clairvoyant", spec)
+
+
+@pytest.mark.parametrize("capacity, name, kind", [
+    ("1/2", "fixed", FixedRatioPolicy), ("1", "fixed", FixedRatioPolicy),
+    ("24", "int", DistributorPolicy), ("7/2", "rat", DistributorPolicy),
+    ("240/13", "rat", DistributorPolicy)])
+def test_splitting_policy_by_capacity(capacity, name, kind):
+    # fixed at one slot or less, int at a whole capacity, rat otherwise; each
+    # builds the layout its capacity needs
+    spec = spec_of(1, 5, 5, capacity)
+    assert splitting_policy(spec.capacity) == name
+    assert type(make_policy(name, spec)) is kind

@@ -124,6 +124,23 @@ class TestSolveAlphaStar:
         with pytest.raises(NoBracket):
             solve_alpha_star(spec_of(3, 3, 10, 1))
 
+    @pytest.mark.parametrize("p_min", [1.5, 3.7, 0.1, 1e-300, 1e300, math.nextafter(2.0, 0.0)])
+    def test_one_ulp_band_matches_the_oracle(self, p_min):
+        # p_min / p_max is the float below 1, where the Newton start would
+        # round onto the pole at u = 1
+        spec = spec_of(p_min, math.nextafter(p_min, math.inf), 2 * p_min)
+        assert spec.p_min / spec.p_max == math.nextafter(1.0, 0.0)
+        alpha_star = solve_alpha_star(spec)
+        assert spec.p_max <= alpha_star <= math.nextafter(spec.p_max, math.inf)
+        assert relative_miss(alpha_star, alpha_star_oracle(spec)) <= ALPHA_STAR_BOUND
+        sol = solve_pi_star(spec)
+        assert sol.branch == "closed_form" and 1.0 <= sol.pi_star <= spec.theta
+
+    def test_one_ulp_band_at_the_top_of_the_floats_overflows(self):
+        top = sys.float_info.max
+        with pytest.raises(NoBracket, match="overflows"):
+            solve_alpha_star(spec_of(math.nextafter(top, 0.0), top, top))
+
     def test_narrow_band_root_hugs_ceiling(self):
         # as the band narrows the log term must blow up to hit 1, which
         # pins the root just above p_max; for any larger dissatisfaction
