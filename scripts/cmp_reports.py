@@ -20,6 +20,12 @@ that each episode's optimum path is shared within a single kind, and
 the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
 grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
 corpus), so the closed-form `pi*` branch is run as well as the root one.
+It also scales each seed's simulate corpus by 2**-1000 and by 2**950
+(exact in floats, so only the units change) and runs `simulate` on each
+at capacity 7/2 over `fixed`, `adaptive`, `rat`, `rhc:0`, `naive` and
+`never`, and at capacity 24 over the default policies: p_min's unit is
+then outside the range the capped optimum's float conversions need, so it
+counts in units of 2**-1074 from the first slot.
 On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
 with a --config file that sets capacity 7/2, and with one that sets
 240/13, so the capped optimum's fractional fill and unmet terms are taken
@@ -73,6 +79,8 @@ NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
 FRACTIONAL_ALPHA_GRID = "2,7,20"
 FRACTIONAL_ALPHA_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}  # set through --config
+PRICE_SCALES = {"2^-1000": 2.0**-1000, "2^950": 2.0**950}  # powers of two: every product is exact
+SCALED_POLICIES = "fixed,adaptive,rat,rhc:0,naive,never"
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -130,6 +138,16 @@ def error_commands(tmp: Path, corpus: str) -> dict[str, tuple[int, list[str]]]:
             1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,0.00006", *out]),
         "sweep negative rate factor": (1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,-1", *out]),
     }
+
+
+def write_scaled(src: str, dest: Path, factor: float) -> str:
+    """Copy the price file src to dest with every price multiplied by factor."""
+    with open(src, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    cells = (row.rsplit(",", 1) for row in rows)
+    lines = [header] + [f"{stamp},{float(price) * factor!r}" for stamp, price in cells]
+    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(dest)
 
 
 def export_tree(ref: str, dest: Path) -> None:
@@ -271,6 +289,13 @@ def main() -> int:
             differ += compare_command(tmp, trees, f"sweep-alpha-closed-form seed {seed}",
                                       lambda out: ["sweep", "--prices", corpus, "--alpha-grid",
                                                    CLOSED_FORM_ALPHA_GRID, "--out", out])
+            for tag, factor in PRICE_SCALES.items():
+                scaled = write_scaled(corpus, tmp / f"simulate-regime-{seed}-{tag}.csv", factor)
+                differ += compare_command(tmp, trees, f"simulate-times-{tag}-7-2 seed {seed}",
+                                          policy_paths_argv(scaled, "7/2", SCALED_POLICIES))
+                differ += compare_command(tmp, trees, f"simulate-times-{tag}-24 seed {seed}",
+                                          lambda out, scaled=scaled: ["simulate", "--prices", scaled,
+                                                                      "--capacity", "24", "--out", out])
             descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")  # written above
             for tag, capacity in FRACTIONAL_ALPHA_CAPACITIES.items():
                 config = tmp / f"capacity-{tag}.cfg"

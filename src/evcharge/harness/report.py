@@ -44,8 +44,7 @@ def write_report(rows, fmt: str, fh) -> None:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
     rows = rows_to_dicts(rows)
     if fmt == "json":
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(rows, indent=1) + "\n")
         return
     if not rows:
         return

@@ -24,11 +24,6 @@ from .core import ProblemSpec, ValidationError
 _EXACT = -1074  # every float is a whole multiple of 2**-1074
 
 
-def _binade_ulp(x: float) -> int:
-    """The exponent of the ulp of x's binade."""
-    return max(math.frexp(x)[1] - 53, _EXACT)
-
-
 class NoLimitOptimum:
     """The uncapped optimum of each prefix, min(cheapest, alpha) * c.
     Rounding price * c is monotone in price, so the running minimum of
@@ -72,14 +67,14 @@ class RateLimitedOptimum:
     Every float is a whole multiple of its ulp, so the sums are held
     exactly as ints in units of 2**e.  total is kept's sum, and a change to
     kept costs O(1): add the new price, subtract the evicted one.  e is k
-    bits below the ulp of p_min's binade or of the finest binade admitted
-    since, where 2**-k <= 1/den, so the fractional fill and the unmet term
-    are whole units too.  While every kept price is zero or in [floor,
-    alpha), with floor the bottom of that binade, x converts as
-    int(x * inv) and units back as float(units) * scale, both exact.  A
-    negative price, or a binade so fine that those leave the float range,
-    makes the tracker count in units of 2**-1074 from then on, converting
-    through as_integer_ratio and correctly rounded int division.
+    bits below the ulp of p_min's binade, where 2**-k <= 1/den, so the
+    fractional fill and the unmet term are whole units too.  While every
+    kept price is in [floor, alpha), with floor the bottom of that binade,
+    x converts as int(x * inv) and units back as float(units) * scale, both
+    exact.  The first price below floor (a finer binade, zero or a negative
+    price) switches the tracker to units of 2**-1074 for the rest of the
+    episode, converting through as_integer_ratio and correctly rounded int
+    division; so does a p_min whose units would leave the float range.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -91,24 +86,21 @@ class RateLimitedOptimum:
         self.keep = math.ceil(c)
         self.kept: list[float] = []
         self.opt = self.alpha * spec.capacity_f
-        self.bound = self.alpha * (spec.capacity_f + 1.0)  # above kept's sum and the unmet term
-        self.k = (self.den - 1).bit_length()
-        self.e = _binade_ulp(spec.p_min) - self.k
-        self.total = self._rescale(0, self.e)
-
-    def _rescale(self, total: int, e: int) -> int:
-        """total, in units of 2**e rather than 2**self.e (e no larger).  The
-        float conversions stay exact while 2**e is a normal float, so every
-        nonzero multiple of it is one too, and no sum of terms nears 2**1023
-        units."""
-        if -1022 <= e <= 0 and self.bound < math.ldexp(1.0, e + 1022):
+        self.total = 0
+        k = (self.den - 1).bit_length()
+        self.e = e = max(math.frexp(spec.p_min)[1] - 53, _EXACT) - k
+        # every nonzero multiple of a normal 2**e is a normal float, and
+        # kept's sum and the unmet term stay below alpha * (c + 1)
+        if -1022 <= e <= 0 and self.alpha * (spec.capacity_f + 1.0) < math.ldexp(1.0, e + 1022):
             self.inv, self.scale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-            self.floor = math.ldexp(1.0, e + self.k + 52)
+            self.floor = math.ldexp(1.0, e + k + 52)
         else:
-            e = _EXACT
-            self.inv, self.scale, self.floor = 0.0, 0.0, math.inf
-        total <<= self.e - e
-        self.e = e
+            self._exact(0)
+
+    def _exact(self, total: int) -> int:
+        """Count in units of 2**-1074 from now on; returns total in them."""
+        total <<= self.e - _EXACT
+        self.e, self.inv, self.scale, self.floor = _EXACT, 0.0, 0.0, math.inf
         return total
 
     def _units(self, x: float) -> int:
@@ -117,17 +109,6 @@ class RateLimitedOptimum:
             return int(x * self.inv)
         n, d = x.as_integer_ratio()
         return (n << -_EXACT) // d
-
-    def _add_exact(self, total: int, price: float, evict: bool) -> int:
-        """total plus price, less kept[-1] if evict: the loop's path for a
-        price below floor (a finer binade, zero or a negative price), and
-        for every price once the units are 2**-1074."""
-        if price < 0.0:
-            total = self._rescale(total, _EXACT)  # a negative kept price may be evicted at any scale
-        elif price:
-            total = self._rescale(total, min(self.e, _binade_ulp(price) - self.k))
-        total += self._units(price)
-        return total - self._units(self.kept[-1]) if evict else total
 
     def _value(self, total: int, n: int) -> float:
         """The optimum when kept, n prices long, sums to total units."""
@@ -150,9 +131,11 @@ class RateLimitedOptimum:
                 full = n == keep
                 if floor <= price:  # in floor's binade or above: price * inv is exact
                     total += int(price * inv) - (int(kept[-1] * inv) if full else 0)
-                else:
-                    total = self._add_exact(total, price, full)
-                    inv, scale, floor = self.inv, self.scale, self.floor
+                else:  # below floor: units of 2**-1074 from here on
+                    if scale:
+                        total = self._exact(total)
+                        inv, scale, floor = 0.0, 0.0, math.inf
+                    total += self._units(price) - (self._units(kept[-1]) if full else 0)
                 insort(kept, price)
                 if full:
                     kept.pop()  # evict the most expensive, latest on price ties

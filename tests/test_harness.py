@@ -558,9 +558,7 @@ def test_score_run_float_error_is_within_its_bound_of_exact_rationals(spec, seed
     # Over 3,000 random specs of this domain at these capacities (10,477
     # runs), eta missed by at most 0.71 of its bound, opt by 2.4 u and ratio
     # by 0.63 of its bound; the largest relative misses were 4.8e-12 for eta
-    # and ratio (alpha / p_min = 8,800) and 2.6e-16 for opt.  score_run
-    # refused 23 more: adaptive's total passed the capacity by more than
-    # CAPACITY_SLACK, with alpha within 2e-6 of p_min at capacity 24 or 240/13.
+    # and ratio (alpha / p_min = 8,800) and 2.6e-16 for opt.
     prices = tuple(random_prices(np.random.default_rng(seed), spec, n))
     cfg = ExperimentConfig()
     for policy in RATIO_POLICIES:
@@ -1193,6 +1191,27 @@ class TestCli:
         path = tmp_path / "bad.csv"
         path.write_text("when,price\n2021-03-01,2\n", encoding="utf-8")
         assert cli.main(["simulate", "--prices", str(path)]) == 2
+
+    # alpha = p_min * (1 + 3e-7) on each corpus: adaptive's charges divide by
+    # alpha - price, so their float error is large; unclamped, it took the
+    # total past the capacity by 6.3e-9 and 1.4e-9, beyond CAPACITY_SLACK
+    @pytest.mark.parametrize("model, days, seed, alpha", [
+        ("descending", 10, 7, 1.4464858837129562),
+        ("regime", 30, 1, 1.3285429979490724),
+    ])
+    def test_adaptive_with_alpha_near_p_min_stays_within_capacity(self, tmp_path, model, days, seed,
+                                                                   alpha):
+        path = str(tmp_path / "prices.csv")
+        write_corpus(path, model, days=days, seed=seed)
+        data = ingest_prices(path, ExperimentConfig())
+        assert alpha == data.calibration.p_min * (1 + 3e-7)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--prices", path, "--policies", "adaptive", "--capacity", "240/13",
+                         "--alpha", repr(alpha), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            charged = [float(row["charged_units"]) for row in csv.DictReader(fh)]
+        assert len(charged) == len(data.episodes)
+        assert max(charged) <= 240 / 13 + runner.CAPACITY_SLACK
 
     def test_internal_violation_exits_three(self, capsys, monkeypatch):
         def boom(args):
