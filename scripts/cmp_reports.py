@@ -20,12 +20,16 @@ that each episode's optimum path is shared within a single kind, and
 the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
 grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
 corpus), so the closed-form `pi*` branch is run as well as the root one.
-It also scales each seed's simulate corpus by 2**-1000 and by 2**950
-(exact in floats, so only the units change) and runs `simulate` on each
-at capacity 7/2 over `fixed`, `adaptive`, `rat`, `rhc:0`, `naive` and
-`never`, and at capacity 24 over the default policies: p_min's unit is
-then outside the range the capped optimum's float conversions need, so it
-counts in units of 2**-1074 from the first slot.
+It also scales each seed's simulate corpus by 2**-1000, by 2**950 and by
+2**-1020 (exact in floats, so only the units change) and runs on each
+`simulate` at capacities 7/2 and 240/13 over `fixed`, `adaptive`, `rat`,
+`rhc:0`, `naive` and `never`, `simulate` at capacity 24 over the default
+policies, and `sweep --rate-grid 0.7,0.9,1.1,1.25,1.3` (the rate
+workload's grid): p_min's units then leave the float range, so the capped
+optimum takes each value from its definition, one fsum over its terms,
+from the first slot.  Against a REF older than that fallback, the
+2**-1020 cases at 240/13 and of the rate sweep fail on the REF side
+(negative shift count).
 On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
 with a --config file that sets capacity 7/2, and with one that sets
 240/13, so the capped optimum's fractional fill and unmet terms are taken
@@ -79,8 +83,11 @@ NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
 CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
 FRACTIONAL_ALPHA_GRID = "2,7,20"
 FRACTIONAL_ALPHA_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}  # set through --config
-PRICE_SCALES = {"2^-1000": 2.0**-1000, "2^950": 2.0**950}  # powers of two: every product is exact
+PRICE_SCALES = {"2^-1000": 2.0**-1000, "2^950": 2.0**950,  # powers of two: every product is exact
+                "2^-1020": 2.0**-1020}
 SCALED_POLICIES = "fixed,adaptive,rat,rhc:0,naive,never"
+SCALED_POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}
+SCALED_RATE_GRID = "0.7,0.9,1.1,1.25,1.3"
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -200,11 +207,14 @@ def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
     """Run `argv(out_dir)` with both trees; the number of report files that
     differ (a failed command counts as one)."""
     outs = {side: tmp / label.replace(" ", "-") / side for side in trees}
-    try:
-        for side, src in trees.items():
+    failed = []
+    for side, src in trees.items():
+        try:
             run_command(src, argv(str(outs[side])))
-    except subprocess.CalledProcessError as exc:
-        print(f"{label}: command failed: {exc}")
+        except subprocess.CalledProcessError as exc:
+            failed.append(f"{side} (exit {exc.returncode})")
+    if failed:
+        print(f"{label}: command failed in tree {' and '.join(failed)}")
         return 1
     differ = 0
     for fname in sorted({p.name for out in outs.values() for p in out.iterdir()}):
@@ -291,11 +301,16 @@ def main() -> int:
                                                    CLOSED_FORM_ALPHA_GRID, "--out", out])
             for tag, factor in PRICE_SCALES.items():
                 scaled = write_scaled(corpus, tmp / f"simulate-regime-{seed}-{tag}.csv", factor)
-                differ += compare_command(tmp, trees, f"simulate-times-{tag}-7-2 seed {seed}",
-                                          policy_paths_argv(scaled, "7/2", SCALED_POLICIES))
+                for cap_tag, capacity in SCALED_POLICY_CAPACITIES.items():
+                    differ += compare_command(tmp, trees, f"simulate-times-{tag}-{cap_tag} seed {seed}",
+                                              policy_paths_argv(scaled, capacity, SCALED_POLICIES))
                 differ += compare_command(tmp, trees, f"simulate-times-{tag}-24 seed {seed}",
                                           lambda out, scaled=scaled: ["simulate", "--prices", scaled,
                                                                       "--capacity", "24", "--out", out])
+                differ += compare_command(tmp, trees, f"sweep-rate-times-{tag} seed {seed}",
+                                          lambda out, scaled=scaled: ["sweep", "--prices", scaled,
+                                                                      "--rate-grid", SCALED_RATE_GRID,
+                                                                      "--out", out])
             descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")  # written above
             for tag, capacity in FRACTIONAL_ALPHA_CAPACITIES.items():
                 config = tmp / f"capacity-{tag}.cfg"

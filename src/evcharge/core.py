@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-# Denominator cap used when a capacity arrives as a float (real-valued
-# inputs are snapped to a nearby rational before any slot arithmetic).
+# Denominator cap on a capacity: a float one is snapped to a nearby rational
+# under it before any slot arithmetic, and a text one above it is refused.
 MAX_CAPACITY_DENOMINATOR = 10_000
 
 
@@ -67,19 +68,29 @@ def _as_fraction(capacity) -> Fraction:
             raise ValidationError(f"capacity must be finite, got {capacity!r}")
         return Fraction(capacity).limit_denominator(MAX_CAPACITY_DENOMINATOR)
     try:
-        return Fraction(capacity)
-    except (ValueError, TypeError, ZeroDivisionError):
+        value = capacity
+        if isinstance(capacity, str) and "/" not in capacity:
+            # Fraction would expand any exponent; below 10**-5 and past 10**309 sign and side decide
+            value = Decimal(capacity)
+            if value.is_finite() and value and not -5 <= value.adjusted() <= 309:
+                value = Decimal(1).scaleb(-6 if value.adjusted() < 0 else 310).copy_sign(value)
+        cap = Fraction(value)
+    except (ValueError, TypeError, ArithmeticError):
         raise ValidationError(f"capacity: expected a number or m/n, got {capacity!r}") from None
+    if isinstance(capacity, str) and cap.denominator > MAX_CAPACITY_DENOMINATOR:
+        raise ValidationError(f"capacity {capacity}: its denominator is above {MAX_CAPACITY_DENOMINATOR}")
+    return cap
 
 
 def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minutes: int = 5) -> ProblemSpec:
     """Check parameter sanity and return a normalized spec.
 
-    Capacity accepts int, Fraction, "m/n" strings, or floats (floats are
-    snapped to a rational with denominator <= 10**4).  A p_min below the
-    smallest normal float is rejected, and so is alpha below p_min: the
-    optimum there is to never charge, which makes every ratio question
-    vacuous.  So is a spec whose alpha * c or p_max * c overflows a float.
+    Capacity accepts int or Fraction, text (a decimal or "m/n", read
+    exactly, whose denominator must be <= 10**4) or a float, snapped to a
+    rational with denominator <= 10**4.  A p_min below the smallest normal
+    float is rejected, and so is alpha below p_min: the optimum there is
+    to never charge, which makes every ratio question vacuous.  So is a
+    spec whose alpha * c or p_max * c overflows a float.
     """
     p_min = float(p_min)
     p_max = float(p_max)
@@ -94,7 +105,7 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
         raise ValidationError(f"alpha={alpha} must be >= p_min={p_min}")
     cap = _as_fraction(capacity)
     if cap <= 0:
-        raise ValidationError(f"capacity must be positive, got {cap}")
+        raise ValidationError(f"capacity must be positive, got {capacity}")
     try:
         c = float(cap)
     except OverflowError:
@@ -102,7 +113,8 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     for name, price in (("alpha", alpha), ("p_max", p_max)):
         # the largest cost and dissatisfaction an episode can accrue
         if not math.isfinite(price * c):
-            raise ValidationError(f"{name} * capacity overflows a float: {name}={price}, capacity={cap}")
+            raise ValidationError(f"{name} * capacity overflows a float: {name}={price}, "
+                                  f"capacity={capacity}")
     if slot_minutes <= 0:
         raise ValidationError(f"slot_minutes must be positive, got {slot_minutes}")
     return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap, slot_minutes=int(slot_minutes))

@@ -53,8 +53,9 @@ def run_policies(cfg: ExperimentConfig, data: IngestResult, runs: list[tuple[Pro
     episode: paths holds one optimum path per distinct (spec,
     runner.capped(policy)), computed once and read by every run that needs
     it; scored yields (key, score_run's result) per run, in order, scored
-    as it is drawn against paths[key].  The keys are fixed before the
-    walk, so no spec is hashed per episode."""
+    as it is drawn against paths[key].  So an episode builds one optimum
+    path per (spec, capped) pair, not per run; make_policy and score_run
+    still look a ratio policy's spec up in solve_pi_star's cache per episode."""
     needs: dict[tuple[ProblemSpec, bool], int] = {}
     keys = [needs.setdefault((spec, capped(policy)), len(needs)) for spec, policy in runs]
     for ep in data.episodes:

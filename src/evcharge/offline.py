@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 from .core import ProblemSpec, ValidationError
 
-_EXACT = -1074  # every float is a whole multiple of 2**-1074
-
 
 class NoLimitOptimum:
     """The uncapped optimum of each prefix, min(cheapest, alpha) * c.
@@ -64,17 +62,18 @@ class RateLimitedOptimum:
     exact sum of those terms rounded once, the bits one fsum over them
     gives, so it does not depend on the order the slots arrived in.
 
-    Every float is a whole multiple of its ulp, so the sums are held
-    exactly as ints in units of 2**e.  total is kept's sum, and a change to
-    kept costs O(1): add the new price, subtract the evicted one.  e is k
-    bits below the ulp of p_min's binade, where 2**-k <= 1/den, so the
-    fractional fill and the unmet term are whole units too.  While every
-    kept price is in [floor, alpha), with floor the bottom of that binade,
-    x converts as int(x * inv) and units back as float(units) * scale, both
-    exact.  The first price below floor (a finer binade, zero or a negative
-    price) switches the tracker to units of 2**-1074 for the rest of the
-    episode, converting through as_integer_ratio and correctly rounded int
-    division; so does a p_min whose units would leave the float range.
+    Every float is a whole multiple of its ulp, so while it can, the
+    tracker holds kept's sum exactly as an int, total, in units of 2**e,
+    and a change to kept costs O(1): add the new price, subtract the
+    evicted one.  e is k bits below the ulp of p_min's binade, where
+    2**-k <= 1/den, so the fractional fill and the unmet term are whole
+    units too.  A price x in [floor, alpha), with floor the bottom of that
+    binade, converts as int(x * inv) and units back as float(units) *
+    scale, both exact.  When p_min's units would leave the float range,
+    and from the first kept price below floor (a finer binade, zero or a
+    negative price) on, scale is 0.0 and each change to kept computes the
+    value from its definition, one fsum over the terms: O(min(n, floor(c)))
+    per change instead of O(1).
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -88,41 +87,27 @@ class RateLimitedOptimum:
         self.opt = self.alpha * spec.capacity_f
         self.total = 0
         k = (self.den - 1).bit_length()
-        self.e = e = max(math.frexp(spec.p_min)[1] - 53, _EXACT) - k
+        e = math.frexp(spec.p_min)[1] - 53 - k
         # every nonzero multiple of a normal 2**e is a normal float, and
         # kept's sum and the unmet term stay below alpha * (c + 1)
         if -1022 <= e <= 0 and self.alpha * (spec.capacity_f + 1.0) < math.ldexp(1.0, e + 1022):
             self.inv, self.scale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
             self.floor = math.ldexp(1.0, e + k + 52)
         else:
-            self._exact(0)
+            self.inv, self.scale, self.floor = 0.0, 0.0, math.inf
 
-    def _exact(self, total: int) -> int:
-        """Count in units of 2**-1074 from now on; returns total in them."""
-        total <<= self.e - _EXACT
-        self.e, self.inv, self.scale, self.floor = _EXACT, 0.0, 0.0, math.inf
-        return total
-
-    def _units(self, x: float) -> int:
-        """x, a whole number of units, as an int."""
-        if self.scale:
-            return int(x * self.inv)
-        n, d = x.as_integer_ratio()
-        return (n << -_EXACT) // d
-
-    def _value(self, total: int, n: int) -> float:
-        """The optimum when kept, n prices long, sums to total units."""
-        total += self._units(self.alpha * (max(self.num - n * self.den, 0) / self.den))
-        if n > self.whole:
-            top = self.kept[self.whole]
-            total += self._units(top * self.frac) - self._units(top)
-        return float(total) * self.scale if self.scale else total / (1 << -_EXACT)
+    def _value(self, n: int) -> float:
+        """The optimum when kept is n prices long, from its definition."""
+        kept, whole = self.kept, self.whole
+        return math.fsum([*kept[:whole], *(top * self.frac for top in kept[whole:]),
+                          self.alpha * (max(self.num - n * self.den, 0) / self.den)])
 
     def path(self, prices) -> list[float]:
-        """The optimum after each of prices, taken as the next slots.  At a
-        whole capacity with kept full the unmet term is alpha * 0.0, so the
-        value is total's nearest float."""
-        alpha, keep, frac = self.alpha, self.keep, self.frac
+        """The optimum after each of prices, taken as the next slots.  While
+        kept fills, only the unmet term joins total; once it is full, the
+        top price takes the fraction and nothing is unmet, and at a whole
+        capacity the value is total's nearest float."""
+        alpha, keep, frac, num, den = self.alpha, self.keep, self.frac, self.num, self.den
         kept, n, total, opt = self.kept, len(self.kept), self.total, self.opt
         inv, scale, floor = self.inv, self.scale, self.floor
         out = []
@@ -131,26 +116,24 @@ class RateLimitedOptimum:
                 full = n == keep
                 if floor <= price:  # in floor's binade or above: price * inv is exact
                     total += int(price * inv) - (int(kept[-1] * inv) if full else 0)
-                else:  # below floor: units of 2**-1074 from here on
-                    if scale:
-                        total = self._exact(total)
-                        inv, scale, floor = 0.0, 0.0, math.inf
-                    total += self._units(price) - (self._units(kept[-1]) if full else 0)
+                else:  # below floor: the value from its definition from here on
+                    scale, floor = 0.0, math.inf
                 insort(kept, price)
                 if full:
                     kept.pop()  # evict the most expensive, latest on price ties
                 else:
                     n += 1
-                if n < keep or not scale:
-                    opt = self._value(total, n)
-                elif frac:  # the top price takes the fraction; nothing is unmet
+                if not scale:
+                    opt = self._value(n)
+                elif n < keep:
+                    opt = float(total + int(alpha * ((num - n * den) / den) * inv)) * scale
+                elif frac:
                     top = kept[-1]
                     opt = float(total + int(top * frac * inv) - int(top * inv)) * scale
                 else:
                     opt = float(total) * scale
             out.append(opt)
-        self.total = total
-        self.opt = opt
+        self.total, self.opt, self.scale, self.floor = total, opt, scale, floor
         return out
 
     def step(self, price: float) -> float:

@@ -4,16 +4,19 @@ episode runner applies them to a given schedule."""
 import dataclasses
 import importlib
 import itertools
+import math
 import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import evcharge
 import evcharge.harness.runner as runner
 from evcharge.core import (
     InternalConsistencyError,
+    MAX_CAPACITY_DENOMINATOR,
     PriceTrace,
     ValidationError,
     validate_spec,
@@ -124,6 +127,62 @@ class TestValidateSpec:
             with pytest.raises(ValidationError, match=key):
                 validate_spec(*args)
         assert validate_spec(1, 5, 1e306, 24).alpha == 1e306
+
+    def test_text_capacity_past_the_denominator_bound_rejected(self):
+        # a text capacity is read exactly, so it is not snapped as a float is;
+        # ints and Fractions keep any denominator
+        with pytest.raises(ValidationError, match=r"^capacity 1e-5: its denominator is above 10000$"):
+            validate_spec(1, 5, 5, "1e-5")
+        with pytest.raises(ValidationError, match=r"^capacity 1/10001: its denominator"):
+            validate_spec(1, 5, 5, "1/10001")
+        assert validate_spec(1, 5, 5, "2/20000").capacity == Fraction(1, MAX_CAPACITY_DENOMINATOR)
+        assert validate_spec(1, 5, 5, Fraction(1, 10**6)).capacity == Fraction(1, 10**6)
+        assert validate_spec(1, 5, 5, 10**30).capacity == 10**30
+
+    def test_messages_name_the_capacity_as_given(self):
+        # a huge or tiny exponent is clamped before Fraction expands it
+        for text, message in (("1e5000", r"^alpha \* capacity overflows a float: alpha=5\.0, "
+                                         r"capacity=1e5000$"),
+                              ("1e999999999", r"capacity=1e999999999$"),
+                              ("-1e5000", r"^capacity must be positive, got -1e5000$"),
+                              ("0e-999999999", r"^capacity must be positive, got 0e-999999999$"),
+                              ("1e-5000", r"^capacity 1e-5000: its denominator"),
+                              ("-0.5", r"^capacity must be positive, got -0\.5$")):
+            with pytest.raises(ValidationError, match=message):
+                validate_spec(1, 5, 5, text)
+
+
+def _digits(low: int, high: int):
+    return st.integers(low, high).map(str)
+
+
+_CAPACITY_TEXT = st.one_of(
+    # sign, digits, a fraction up to 60 digits long and an exponent up to 10**12
+    st.builds(lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+              st.sampled_from(["", "+", "-"]), _digits(0, 10**30),
+              st.one_of(st.just(""), st.text("0123456789", max_size=60).map(".{}".format)),
+              st.one_of(st.just(""), st.integers(-10**12, 10**12).map("e{}".format),
+                        st.sampled_from(["e309", "e-5", "e-4", "e308", "e-320", "e5000"]))),
+    # m/n with parts up to 10**400, and one part past the int-text digit limit
+    st.builds("{}/{}".format, _digits(-10**400, 10**400), _digits(0, 10**400)),
+    st.builds("{}/{}".format, _digits(1, 9), st.sampled_from(["1" * 5000, "1" * 4301])),
+    st.sampled_from(["inf", "-inf", "nan", "Infinity", "sNaN", "", " ", "abc", "1/0", "3/", "1e",
+                     "0", "1e-4", "1/10000", "1" * 5000]),
+)
+
+
+@given(text=_CAPACITY_TEXT)
+@example(text="1e5000")
+@example(text="1e-5000")
+@example(text="1e-400")
+@example(text="1.000000000000000000000001")
+def test_capacity_text_raises_nothing_but_validation_error(text):
+    try:
+        spec = validate_spec(1, 5, 5, text)
+    except ValidationError:
+        return
+    assert sys.float_info.min <= spec.capacity_f < math.inf
+    assert spec.capacity.denominator <= MAX_CAPACITY_DENOMINATOR
 
 
 class _Replay(Policy):

@@ -79,6 +79,20 @@ def corpus_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def regime_paths(tmp_path_factory):
+    """The seed-1 30-day regime corpus, and a copy with every price times
+    2**-1020 (exact in floats, so only the units change)."""
+    folder = tmp_path_factory.mktemp("regime")
+    path, scaled = folder / "regime.csv", folder / "regime-2^-1020.csv"
+    write_corpus(str(path), "regime", days=30, seed=1)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = (row.rsplit(",", 1) for row in rows)
+    scaled.write_text("\n".join([header] + [f"{stamp},{float(price) * 2.0**-1020!r}"
+                                            for stamp, price in cells]) + "\n", encoding="utf-8")
+    return str(path), str(scaled)
+
+
+@pytest.fixture(scope="module")
 def corpus_cfg(corpus_path):
     return ExperimentConfig(prices=corpus_path)
 
@@ -1183,6 +1197,46 @@ class TestCli:
         assert code == 0 and payload["branch"] == "closed_form"
         assert payload["alpha_star"] == 1.5000000000000004
         assert payload["pi_star"] == payload["theta"] == 1.0000000000000002
+
+    @pytest.mark.parametrize("argv, message", [
+        # the distributor added a group of 10**24 sub-problems one at a time
+        (["simulate", "--capacity", "1.000000000000000000000001", "--policies", "rat"],
+         "error: capacity 1.000000000000000000000001: its denominator is above 10000\n"),
+        # 1e-320 has a subnormal float value, and fixed tripped its ratio guard
+        (["simulate", "--capacity", "1e-320", "--policies", "fixed"],
+         "error: capacity 1e-320: its denominator is above 10000\n"),
+        # float value 0.0
+        (["simulate", "--capacity", "1e-400"], "error: capacity 1e-400: its denominator is above 10000\n"),
+        # the overflow message printed the 5001-digit Fraction
+        (["simulate", "--capacity", "1e5000"], "capacity=1e5000\n"),
+        (["solve-ratio", "--p-min", "1", "--p-max", "2", "--alpha", "3", "--capacity", "1e5000"],
+         "error: alpha * capacity overflows a float: alpha=3.0, capacity=1e5000\n"),
+        (["solve-ratio", "--p-min", "1", "--p-max", "2", "--alpha", "3", "--capacity", "1e-5000"],
+         "error: capacity 1e-5000: its denominator is above 10000\n"),
+    ], ids=["long-fraction", "subnormal", "zero-float", "huge", "solve-huge", "solve-tiny"])
+    def test_text_capacity_out_of_bounds_exits_one(self, regime_paths, tmp_path, argv, message):
+        # in a child with a time limit: the first case ran for minutes
+        if argv[0] == "simulate":
+            argv = argv + ["--prices", regime_paths[0], "--out", str(tmp_path / "out")]
+        src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), "..", ".."))
+        done = subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.endswith(message)
+        assert "Traceback" not in done.stderr and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--capacity", "240/13", "--policies", "fixed,adaptive,rat,rhc:0,naive,never"],
+        ["sweep", "--rate-grid", "0.7,0.9,1.1,1.25,1.3"],
+    ])
+    def test_prices_near_the_smallest_normal_float_run(self, regime_paths, tmp_path, capsys, argv):
+        # p_min is about 1.3 * 2**-1020 here, so the capped optimum's units
+        # would leave the float range and its value is taken from its definition
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--prices", regime_paths[1], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert any(out.iterdir())
 
     def test_simulate_missing_file_exits_two(self, capsys, tmp_path):
         assert cli.main(["simulate", "--prices", str(tmp_path / "ghost.csv")]) == 2

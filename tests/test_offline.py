@@ -253,19 +253,33 @@ def test_tracker_value_equals_reference_on_every_prefix(case):
 
 
 # whole capacities whose kept set fills within 60 slots (1, 2, 24) take the
-# fsum(kept) shortcut; 1/2, 7/2 and 240/13 always add the fractional and
+# total-only shortcut; 1/2, 7/2 and 240/13 always add the fractional and
 # unmet terms, and 10**6 never fills
 _PATH_CAPACITIES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2), Fraction(24),
                     Fraction(240, 13), Fraction(10**6)]
+# p_min, by which the drawn band and prices are scaled: at the three tiny
+# ones p_min's units leave the float range at most capacities, so the value
+# is taken from its definition from the first slot
+_P_MINS = [1.0, 1e-300, 2.0**-1020, 2.0**-1022]
+_LOW_SPEC = validate_spec(2.3e-308, 1e-307, 5e-307, Fraction(7, 2))  # units below 2**-1074
+
+
+def _scaled_spec(draw, alphas):
+    """A spec with p_min from _P_MINS, p_max 10 p_min, alpha one of alphas
+    times p_min and a capacity from _PATH_CAPACITIES."""
+    p_min = draw(st.sampled_from(_P_MINS))
+    return validate_spec(p_min, 10.0 * p_min, draw(st.sampled_from(alphas)) * p_min,
+                         draw(st.sampled_from(_PATH_CAPACITIES)))
 
 
 @st.composite
 def _path_case(draw):
-    """A spec at one of _PATH_CAPACITIES, 0-60 prices (ties, alpha itself,
-    prices above it) and a cut where the path is split into two calls."""
-    spec = validate_spec(1.0, 10.0, draw(st.sampled_from([1.5, 3.0, 4.5, 10.0])),
-                         draw(st.sampled_from(_PATH_CAPACITIES)))
-    price = st.one_of(st.sampled_from(_TIED + [spec.alpha]), st.floats(1.0, 10.0))
+    """A scaled spec, 0-60 prices (ties, alpha itself, prices above it) and
+    a cut where the path is split into two calls."""
+    spec = _scaled_spec(draw, [1.5, 3.0, 4.5, 10.0])
+    p_min = spec.p_min
+    price = st.one_of(st.sampled_from([p * p_min for p in _TIED] + [spec.alpha]),
+                      st.floats(1.0, 10.0).map(lambda x: x * p_min))
     prices = draw(st.lists(price, max_size=60))
     return spec, prices, draw(st.integers(0, len(prices)))
 
@@ -273,6 +287,7 @@ def _path_case(draw):
 @given(case=_path_case())
 @example(case=(validate_spec(1.0, 10.0, 4.5, 24), [1 + 3 / k for k in range(1, 41)], 25))  # kept full at 24
 @example(case=(validate_spec(1.0, 10.0, 4.5, 2), [1.5, 1.5, 1.0, 1.5, 1.0], 2))  # ties past c
+@example(case=(_LOW_SPEC, [3e-308, 2.5e-308, 4e-308, 2.3e-308, 9e-308, 2.4e-308, 2.3e-308], 3))
 def test_optimum_paths_equal_steps_and_reference_bit_for_bit(case):
     # both kinds: one path call, the same run cut into two calls, one step
     # per price, and the test-side optimum of every prefix (uncapped:
@@ -294,13 +309,14 @@ _TINY = 2.0**-1022  # the smallest normal float
 
 @st.composite
 def _far_case(draw):
-    """A spec at one of _PATH_CAPACITIES and 1-40 prices that the band does
-    not bound: below p_min down to 1e-200 and to the subnormals, mixed with
-    prices up to 10."""
-    spec = validate_spec(1.0, 10.0, draw(st.sampled_from([1.5, 4.5, 12.0])),
-                         draw(st.sampled_from(_PATH_CAPACITIES)))
-    price = st.one_of(st.floats(1e-200, 10.0), st.floats(0.0, _TINY, exclude_max=True),
-                      st.sampled_from([1e-300, 10.0, 1.0, 5e-324]))
+    """A scaled spec and 1-40 prices that the band does not bound: below
+    p_min down to 1e-200 of it and to the subnormals, mixed with prices up
+    to 10 p_min."""
+    spec = _scaled_spec(draw, [1.5, 4.5, 12.0])
+    p_min = spec.p_min
+    price = st.one_of(st.floats(1e-200, 10.0).map(lambda x: x * p_min),
+                      st.floats(0.0, _TINY, exclude_max=True),
+                      st.sampled_from([1e-300, 10.0 * p_min, p_min, 5e-324]))
     return spec, draw(st.lists(price, min_size=1, max_size=40))
 
 
@@ -313,6 +329,7 @@ def _far_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, 2), [0.3, 0.7, 0.9, 1.1]))  # binades just below p_min's
 @example(case=(validate_spec(1e-300, 1e-299, 5e-300, Fraction(7, 2)), [2e-300, 3e-300, 1e-310, 4e-300]))
 @example(case=(validate_spec(1.0, 10.0, 4.5, Fraction(7, 2)), [3.0, 0.0, -2.5, 1e-200, -0.0, 2.0, -1e300]))
+@example(case=(_LOW_SPEC, [3e-308, 1e-310, 2.4e-308, 0.0, 4e-308, 5e-324, -1e-307]))
 def test_capped_path_is_exact_far_outside_the_band(case):
     # the kept sum is exact however far apart its prices lie: one path
     # call, the run cut in two, and the test-side fsum of every prefix
