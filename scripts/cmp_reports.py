@@ -24,10 +24,12 @@ It also scales each seed's simulate corpus by 2**-1000, by 2**950 and by
 2**-1020 (exact in floats, so only the units change) and runs on each
 `simulate` at capacities 7/2 and 240/13 over `fixed`, `adaptive`, `rat`,
 `rhc:0`, `naive` and `never`, `simulate` at capacity 24 over the default
-policies, and `sweep --rate-grid 0.7,0.9,1.1,1.25,1.3` (the rate
-workload's grid): p_min's units then leave the float range, so the capped
-optimum takes each value from its definition, one fsum over its terms,
-from the first slot.  Against a REF older than that fallback, the
+policies, `sweep --rate-grid 0.7,0.9,1.1,1.25,1.3` (the rate workload's
+grid) and `sweep --rate-grid 24,48`: p_min's units then leave the float
+range, so the capped optimum takes each value from its definition, one
+fsum over its terms, from the first slot, and so does the capacity-1
+tracker that the uncapped optimum scales by c, which the last sweep's
+`fixed` runs at capacities 1 and 1/2 are scored against.  Against a REF older than that fallback, the
 2**-1020 cases at 240/13 and of the rate sweep fail on the REF side
 (negative shift count).
 On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
@@ -307,10 +309,11 @@ def main() -> int:
                 differ += compare_command(tmp, trees, f"simulate-times-{tag}-24 seed {seed}",
                                           lambda out, scaled=scaled: ["simulate", "--prices", scaled,
                                                                       "--capacity", "24", "--out", out])
-                differ += compare_command(tmp, trees, f"sweep-rate-times-{tag} seed {seed}",
-                                          lambda out, scaled=scaled: ["sweep", "--prices", scaled,
-                                                                      "--rate-grid", SCALED_RATE_GRID,
-                                                                      "--out", out])
+                for grid_tag, grid in (("", SCALED_RATE_GRID), ("-no-limit", NO_LIMIT_RATE_GRID)):
+                    differ += compare_command(tmp, trees, f"sweep-rate{grid_tag}-times-{tag} seed {seed}",
+                                              lambda out, scaled=scaled, grid=grid: [
+                                                  "sweep", "--prices", scaled, "--rate-grid", grid,
+                                                  "--out", out])
             descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")  # written above
             for tag, capacity in FRACTIONAL_ALPHA_CAPACITIES.items():
                 config = tmp / f"capacity-{tag}.cfg"

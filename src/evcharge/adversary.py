@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .core import PriceTrace, ProblemSpec, ValidationError, objective_parts
-from .offline import NoLimitOptimum
+from .offline import optimum_path
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
@@ -87,9 +87,10 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     """Duel `policy` against the reference on the worst-case descent.
 
     Returns the (possibly truncated) trace actually played and the
-    candidate's objective (its cost plus dissatisfaction, as run_episode
-    scores it) over the unlimited-rate optimum: a certified lower bound up
-    to the descent's discretization.
+    candidate's objective over the unlimited-rate optimum: a certified
+    lower bound up to the descent's discretization.  The objective is the
+    fsum of its price * charge terms plus alpha times the unmet need, taken
+    as one fsum of c - sum(v) rather than as score_run's running total.
     """
     pi_star = solve_pi_star(spec).pi_star
     plan = worst_case_no_limit(spec, pi_star, steps).slots
@@ -108,4 +109,4 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     unmet = math.fsum([spec.capacity_f, *(-v for v in charges)])
     cost, diss = objective_parts(spec, (p * v for p, v in zip(plan, charges)), unmet)
     trace = PriceTrace(plan[:played])
-    return trace, (cost + diss) / NoLimitOptimum(spec).path(trace)[-1]
+    return trace, (cost + diss) / optimum_path(spec, trace, False)[-1]

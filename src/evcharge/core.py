@@ -82,6 +82,16 @@ def _as_fraction(capacity) -> Fraction:
     return cap
 
 
+def _named(capacity, cap: Fraction) -> str:
+    """capacity as given, or, past the int-to-text digit limit, its sign
+    and rough size: str would raise a plain ValueError."""
+    try:
+        return str(capacity)
+    except ValueError:
+        size = math.log10(abs(cap.numerator)) - math.log10(cap.denominator)
+        return f"about {'-' if cap < 0 else ''}10**{round(size)}"
+
+
 def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minutes: int = 5) -> ProblemSpec:
     """Check parameter sanity and return a normalized spec.
 
@@ -105,16 +115,18 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
         raise ValidationError(f"alpha={alpha} must be >= p_min={p_min}")
     cap = _as_fraction(capacity)
     if cap <= 0:
-        raise ValidationError(f"capacity must be positive, got {capacity}")
+        raise ValidationError(f"capacity must be positive, got {_named(capacity, cap)}")
     try:
         c = float(cap)
     except OverflowError:
         c = math.inf
+    if c == 0.0:
+        raise ValidationError(f"capacity {_named(capacity, cap)} rounds to 0.0 as a float")
     for name, price in (("alpha", alpha), ("p_max", p_max)):
         # the largest cost and dissatisfaction an episode can accrue
         if not math.isfinite(price * c):
             raise ValidationError(f"{name} * capacity overflows a float: {name}={price}, "
-                                  f"capacity={capacity}")
+                                  f"capacity={_named(capacity, cap)}")
     if slot_minutes <= 0:
         raise ValidationError(f"slot_minutes must be positive, got {slot_minutes}")
     return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap, slot_minutes=int(slot_minutes))

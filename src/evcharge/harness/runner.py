@@ -14,7 +14,7 @@ from ..core import (
     objective_parts,
     validate_spec,
 )
-from ..offline import NoLimitOptimum, RateLimitedOptimum
+from ..offline import optimum_path
 from ..online import NO_LIMIT_POLICIES, RATIO_POLICIES, make_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
@@ -66,16 +66,11 @@ def capped(policy: str) -> bool:
     return policy not in NO_LIMIT_POLICIES
 
 
-def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
-    """The optimum of each prefix of prices, capped at one unit a slot or not."""
-    return (RateLimitedOptimum if capped else NoLimitOptimum)(spec).path(prices)
-
-
 def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...],
               opts: list[float], policy: str, date: str = "",
               columns: bool = True) -> tuple[EpisodeRow, list[float], list[float], list[float]]:
     """Step a fresh policy down prices and score it against opts, which is
-    optimum_path(spec, prices, capped(policy)); returns the
+    offline.optimum_path(spec, prices, capped(policy)); returns the
     episode's row and its charge, eta and ratio columns.  With columns
     False, for a caller that reads only the row and the run's end, the
     eta and ratio columns hold only the last slot's value.

@@ -8,12 +8,12 @@ from itertools import starmap
 from typing import NamedTuple
 
 from ..core import MAX_CAPACITY_DENOMINATOR, ProblemSpec, ValidationError, validate_spec
+from ..offline import optimum_path
 from ..online import splitting_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
-from .runner import (EpisodeRow, capped, optimum_path, score_run, slot_energy_kwh,
-                     spec_from_calibration)
+from .runner import EpisodeRow, capped, score_run, slot_energy_kwh, spec_from_calibration
 
 
 def _mean(xs) -> float:

@@ -1,15 +1,15 @@
 """Offline optima for a price prefix, one small mutable tracker per episode.
 
-Without a per-slot cap the optimum charges the whole capacity at the
-cheapest price seen (or abstains when dissatisfaction is cheaper).  With
-the cap, the optimum fills the cheapest slots priced below alpha at full
-rate, plus one fractional slot when capacity is not a whole number of
-slots; everything else is paid as dissatisfaction.
+With the per-slot cap, the optimum fills the cheapest slots priced below
+alpha at full rate, plus one fractional slot when capacity is not a whole
+number of slots; everything else is paid as dissatisfaction.  Without the
+cap it charges the whole capacity at the cheapest price seen (or abstains
+when dissatisfaction is cheaper): the capped optimum at capacity 1, times c.
 
 Build one tracker per episode; path(prices) takes a run of slots and
 returns the optimum of the prefix after each, and a later call goes on
-from where the last one stopped.  step(price) is path on one price, and
-the batch opt_rate_limited is the capped tracker's path, so the capped
+from where the last one stopped.  optimum_path builds either kind of path
+from it, and the batch opt_rate_limited is the tracker's path, so the
 value is computed in one place.
 """
 
@@ -17,34 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from fractions import Fraction
 from typing import NamedTuple
 
 from .core import ProblemSpec, ValidationError
-
-
-class NoLimitOptimum:
-    """The uncapped optimum of each prefix, min(cheapest, alpha) * c.
-    Rounding price * c is monotone in price, so the running minimum of
-    the products is that value exactly."""
-
-    def __init__(self, spec: ProblemSpec):
-        self.capacity = spec.capacity_f
-        self.opt = spec.alpha * self.capacity
-
-    def path(self, prices) -> list[float]:
-        """The optimum after each of prices, taken as the next slots."""
-        capacity, opt = self.capacity, self.opt
-        out = []
-        for price in prices:
-            scaled = price * capacity
-            if scaled < opt:
-                opt = scaled
-            out.append(opt)
-        self.opt = opt
-        return out
-
-    def step(self, price: float) -> float:
-        return self.path((price,))[0]
 
 
 class RateLimitedOptimum:
@@ -136,8 +112,17 @@ class RateLimitedOptimum:
         self.total, self.opt, self.scale, self.floor = total, opt, scale, floor
         return out
 
-    def step(self, price: float) -> float:
-        return self.path((price,))[0]
+
+def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
+    """The optimum of each prefix of prices, capped at one unit a slot or
+    not.  Uncapped, it is the capped optimum at capacity 1, min(cheapest,
+    alpha), times c: rounding is monotone, so one product rounds it as the
+    running minimum of price * c would.  Adding 0.0 makes a zero +0.0, as
+    the capped optimum's fsum does."""
+    if capped:
+        return RateLimitedOptimum(spec).path(prices)
+    c = spec.capacity_f
+    return [opt * c + 0.0 for opt in RateLimitedOptimum(spec._replace(capacity=Fraction(1))).path(prices)]
 
 
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
@@ -182,6 +167,6 @@ def offline_step(state: _OfflineSnapshot, price: float) -> _OfflineSnapshot:
     """Step state's tracker; a new snapshot only when its kept set changed,
     that is when the slot just seen entered kept."""
     tracker = state.tracker
-    opt = tracker.step(price)
+    opt = tracker.path((price,))[0]
     kept = tuple(tracker.kept)
     return state if kept == state.kept else _OfflineSnapshot(tracker, kept, opt)

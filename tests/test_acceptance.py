@@ -218,7 +218,7 @@ def test_07_capacity_split_is_exact():
             eta = alpha * c
             for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
                 eta -= (alpha - p) * policy.charge(p)
-                opt = offline.step(p)
+                (opt,) = offline.path((p,))
                 assert abs(eta - math.fsum(s.eta for _, s in sub_problems(policy))) <= 1e-12
                 assert abs(sub_opt_sum(policy) - opt) <= 1e-12
 

@@ -151,6 +151,22 @@ class TestValidateSpec:
             with pytest.raises(ValidationError, match=message):
                 validate_spec(1, 5, 5, text)
 
+    def test_capacity_past_the_int_text_limit_named_by_its_size(self):
+        # str of an int past 4300 digits raises a plain ValueError
+        with pytest.raises(ValidationError, match=r"^alpha \* capacity overflows a float: alpha=5\.0, "
+                                                  r"capacity=about 10\*\*5000$"):
+            validate_spec(1, 5, 5, 10**5000)
+        with pytest.raises(ValidationError, match=r"^capacity must be positive, got about -10\*\*5000$"):
+            validate_spec(1, 5, 5, -(10**5000))
+
+    def test_capacity_whose_float_is_zero_rejected(self):
+        # score_run divides by the float capacity
+        with pytest.raises(ValidationError, match=r"^capacity 1/10{400} rounds to 0\.0 as a float$"):
+            validate_spec(1, 5, 5, Fraction(1, 10**400))
+        with pytest.raises(ValidationError, match=r"^capacity about 10\*\*-5000 rounds to 0\.0"):
+            validate_spec(1, 5, 5, Fraction(1, 10**5000))
+        assert validate_spec(1, 5, 5, Fraction(1, 10**320)).capacity_f == 1e-320
+
 
 def _digits(low: int, high: int):
     return st.integers(low, high).map(str)

@@ -53,7 +53,7 @@ from evcharge.harness.runner import (
 )
 from evcharge.harness.sweeps import compare_policies, compare_rows, sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import synthetic_prices, write_corpus
-from evcharge.offline import NoLimitOptimum, RateLimitedOptimum, opt_rate_limited
+from evcharge.offline import RateLimitedOptimum, opt_rate_limited
 from evcharge.online import NO_LIMIT_POLICIES, RATIO_POLICIES
 from evcharge.ratio import solve_pi_star
 
@@ -466,7 +466,7 @@ class TestRunEpisode:
         # and the final eta and ratio must not move by a bit
         assume(policy != "int" or capacity.denominator == 1)
         cfg, spec, prices = ExperimentConfig(), validate_spec(1.0, 5.0, alpha, capacity), tuple(prices)
-        opts = runner.optimum_path(spec, prices, runner.capped(policy))
+        opts = offline.optimum_path(spec, prices, runner.capped(policy))
         row, charges, etas, ratios = runner.score_run(cfg, spec, prices, opts, policy, "2021-03-01")
         off = runner.score_run(cfg, spec, prices, opts, policy, "2021-03-01", columns=False)
         assert repr(off) == repr((row, charges, etas[-1:], ratios[-1:]))  # repr keeps every bit
@@ -579,7 +579,7 @@ def test_score_run_float_error_is_within_its_bound_of_exact_rationals(spec, seed
         if policy == "int" and spec.capacity.denominator != 1:
             continue
         capped = runner.capped(policy)
-        opts = runner.optimum_path(spec, prices, capped)
+        opts = offline.optimum_path(spec, prices, capped)
         _, charges, etas, ratios = runner.score_run(cfg, spec, prices, opts, policy)
         alpha = Fraction(spec.alpha)
         eta, k = alpha * spec.capacity, 0
@@ -1055,23 +1055,20 @@ class TestCli:
     def test_simulate_builds_one_optimum_per_kind_and_episode(
             self, corpus_path, corpus_data, tmp_path, monkeypatch, policies, capped_paths,
             uncapped_paths):
-        built = []
+        built = []  # each tracker's capacity: 24 capped, 1 for an uncapped path
 
-        def counted(cls):
-            class Counted(cls):
-                def __init__(self, spec):
-                    built.append(cls)
-                    super().__init__(spec)
-            return Counted
+        class Counted(RateLimitedOptimum):
+            def __init__(self, spec):
+                built.append(spec.capacity)
+                super().__init__(spec)
 
         for module in (cli, sweeps, runner, report, offline):
-            for cls in (RateLimitedOptimum, NoLimitOptimum):
-                monkeypatch.setattr(module, cls.__name__, counted(cls), raising=False)
+            monkeypatch.setattr(module, "RateLimitedOptimum", Counted, raising=False)
         argv = ["simulate", "--prices", corpus_path, "--out", str(tmp_path / "out")]
         assert cli.main(argv + (["--policies", policies] if policies else [])) == 0
         episodes = len(corpus_data.episodes)
-        assert built.count(RateLimitedOptimum) == capped_paths * episodes
-        assert built.count(NoLimitOptimum) == uncapped_paths * episodes
+        assert built.count(Fraction(24)) == capped_paths * episodes
+        assert built.count(Fraction(1)) == uncapped_paths * episodes
         assert len(built) == (capped_paths + uncapped_paths) * episodes
 
     def test_guard_trip_leaves_no_partial_slot_table(self, corpus_path, tmp_path, capsys,

@@ -12,20 +12,22 @@ from hypothesis import example, given, strategies as st
 from conftest import capped_optimum_reference, lattice_optimum, opt_no_limit_path
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import (
-    NoLimitOptimum,
     RateLimitedOptimum,
     new_offline_state,
     offline_step,
     opt_rate_limited,
+    optimum_path,
 )
 
 
 def _no_limit_opt(spec, prices):
-    """The uncapped optimum of the whole prefix: the tracker's last value."""
-    tracker = NoLimitOptimum(spec)
-    for price in prices:
-        opt = tracker.step(price)
-    return opt
+    """The uncapped optimum of the whole prefix: the path's last value."""
+    return optimum_path(spec, prices, False)[-1]
+
+
+def _step(tracker, price):
+    """The tracker's optimum after one more slot."""
+    return tracker.path((price,))[0]
 
 
 class TestOptNoLimit:
@@ -97,10 +99,10 @@ class TestOfflineStep:
         spec = validate_spec(1, 8, 10, 2)
         tracker = RateLimitedOptimum(spec)
         assert tracker.opt == pytest.approx(20.0)
-        assert tracker.step(3.0) == pytest.approx(13.0)
-        assert tracker.step(7.0) == pytest.approx(10.0)
+        assert _step(tracker, 3.0) == pytest.approx(13.0)
+        assert _step(tracker, 7.0) == pytest.approx(10.0)
         assert tracker.kept == [3.0, 7.0]
-        assert tracker.step(2.0) == pytest.approx(5.0)
+        assert _step(tracker, 2.0) == pytest.approx(5.0)
         assert tracker.kept == [2.0, 3.0]
 
     def test_streaming_equals_batch_exactly(self):
@@ -112,7 +114,7 @@ class TestOfflineStep:
             tracker = RateLimitedOptimum(spec)
             for t in range(T):
                 batch, _ = opt_rate_limited(spec, prices[: t + 1])
-                assert tracker.step(prices[t]) == batch  # bit-exact, same summation
+                assert _step(tracker, prices[t]) == batch  # bit-exact, same summation
 
     def test_opt_non_increasing_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -122,7 +124,7 @@ class TestOfflineStep:
             tracker = RateLimitedOptimum(spec)
             prev = spec.alpha * spec.capacity_f
             for p in prices:
-                opt = tracker.step(float(p))
+                opt = _step(tracker, float(p))
                 assert opt <= prev + 1e-12
                 prev = opt
             assert opt <= spec.alpha * spec.capacity_f + 1e-12
@@ -131,7 +133,7 @@ class TestOfflineStep:
         spec = validate_spec(1, 8, 10, 2)
         tracker = RateLimitedOptimum(spec)
         for p in [4.0, 2.0, 3.0, 5.0]:
-            opt = tracker.step(p)
+            opt = _step(tracker, p)
         assert len(tracker.kept) == 2
         assert opt == pytest.approx(2.0 + 3.0)
 
@@ -142,7 +144,7 @@ class TestOfflineStep:
         tracemalloc.start()
         try:
             tracker = RateLimitedOptimum(spec)
-            opts = [tracker.step(p) for p in [4.0, 6.0, 2.0]]
+            opts = tracker.path([4.0, 6.0, 2.0])
             value, schedule = opt_rate_limited(spec, [4.0, 6.0, 2.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -173,7 +175,7 @@ def test_compat_state_kept_changes_with_the_tracker(prices, alpha, m, n):
     state, tracker = new_offline_state(spec), RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
         entered = capped_optimum_reference(spec, prices[: t + 1])[1][t] > 0.0
-        nxt, opt = offline_step(state, price), tracker.step(price)
+        nxt, opt = offline_step(state, price), _step(tracker, price)
         assert (nxt.kept != state.kept) == entered
         assert nxt.kept == tuple(tracker.kept)
         assert nxt.opt_value == opt
@@ -216,7 +218,7 @@ def test_streamed_optimum_matches_batch_and_lattice(prices, alpha, m, n):
     spec = validate_spec(1, 5, alpha, Fraction(m, n))
     tracker = RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
-        opt = tracker.step(price)
+        opt = _step(tracker, price)
         batch, _ = opt_rate_limited(spec, prices[: t + 1])
         assert opt == batch  # bit-exact
         assert opt == pytest.approx(lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9)
@@ -249,7 +251,7 @@ def test_tracker_value_equals_reference_on_every_prefix(case):
     spec, prices = case
     tracker = RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
-        assert tracker.step(price) == capped_optimum_reference(spec, prices[: t + 1])[0]
+        assert _step(tracker, price) == capped_optimum_reference(spec, prices[: t + 1])[0]
 
 
 # whole capacities whose kept set fills within 60 slots (1, 2, 24) take the
@@ -289,19 +291,21 @@ def _path_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, 2), [1.5, 1.5, 1.0, 1.5, 1.0], 2))  # ties past c
 @example(case=(_LOW_SPEC, [3e-308, 2.5e-308, 4e-308, 2.3e-308, 9e-308, 2.4e-308, 2.3e-308], 3))
 def test_optimum_paths_equal_steps_and_reference_bit_for_bit(case):
-    # both kinds: one path call, the same run cut into two calls, one step
-    # per price, and the test-side optimum of every prefix (uncapped:
-    # min(cheapest, alpha) * c; capped: one fsum of the kept prices' fills
-    # plus alpha * unmet) agree to the last bit
+    # both kinds: one optimum_path call, the same run cut into two tracker
+    # calls, one call per price, and the test-side optimum of every prefix
+    # (uncapped: min(cheapest, alpha) * c; capped: one fsum of the kept
+    # prices' fills plus alpha * unmet) agree to the last bit.  The uncapped
+    # tracker runs at capacity 1 and its values are scaled by c
     spec, prices, cut = case
     capped_reference = [capped_optimum_reference(spec, prices[: t + 1])[0] for t in range(len(prices))]
-    for kind, reference in ((NoLimitOptimum, opt_no_limit_path(spec, prices)),
-                            (RateLimitedOptimum, capped_reference)):
-        split = kind(spec)
-        stepper = kind(spec)
-        paths = (kind(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
-                 [stepper.step(p) for p in prices], reference)
-        assert len({tuple(x.hex() for x in path) for path in paths}) == 1, kind
+    for capped, tracked, c, reference in (
+            (False, spec._replace(capacity=Fraction(1)), spec.capacity_f, opt_no_limit_path(spec, prices)),
+            (True, spec, 1.0, capped_reference)):
+        split, stepper = RateLimitedOptimum(tracked), RateLimitedOptimum(tracked)
+        paths = (optimum_path(spec, prices, capped),
+                 [opt * c for opt in split.path(prices[:cut]) + split.path(prices[cut:])],
+                 [_step(stepper, p) * c for p in prices], reference)
+        assert len({tuple(x.hex() for x in path) for path in paths}) == 1, capped
 
 
 _TINY = 2.0**-1022  # the smallest normal float
@@ -353,14 +357,20 @@ def test_batch_schedule_equals_reference_fills(case):
 
 
 @given(
-    prices=st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.5, 10.0)),
+    prices=st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 0.0, -0.0, -1.5]), st.floats(0.5, 10.0),
+                              st.floats(-10.0, 0.0)),
                     min_size=1, max_size=30),
     alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]),
     capacity=st.integers(1, 7).flatmap(lambda n: st.builds(Fraction, st.integers(1, n), st.just(n))),
 )
 @example(prices=[3.0, 4.0], alpha=2.0, capacity=Fraction(1, 3))  # nothing below alpha
+@example(prices=[-0.0], alpha=2.0, capacity=Fraction(1))  # a signed zero price
+@example(prices=[3.0, -5e-324], alpha=2.0, capacity=Fraction(1, 2))  # a product that rounds to -0.0
 def test_optima_agree_bit_for_bit_at_capacity_up_to_one(prices, alpha, capacity):
     # at c <= 1 one slot takes the whole need: fills[0] is float(c) and the
-    # unmet term is alpha * 0.0, so the cap never binds
+    # unmet term is alpha * 0.0, so the cap never binds; the paths agree on
+    # every prefix, the sign of a zero included
     spec = validate_spec(0.5, 10.0, alpha, capacity)
-    assert _no_limit_opt(spec, prices) == opt_rate_limited(spec, prices)[0]
+    paths = [[opt.hex() for opt in optimum_path(spec, prices, capped)] for capped in (False, True)]
+    assert paths[0] == paths[1]
+    assert _no_limit_opt(spec, prices).hex() == opt_rate_limited(spec, prices)[0].hex()

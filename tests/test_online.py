@@ -243,7 +243,7 @@ class TestGroups:
         prices = [float(x) for x in rng.uniform(spec.p_min, spec.p_max, 180)]
         for p in prices:
             policy.charge(p)
-            opt = offline.step(p)
+            (opt,) = offline.path((p,))
         accepted = sum(p < spec.alpha for p in prices)
         assert 0 < accepted < len(prices)
         assert len(policy.held) <= accepted + 1
@@ -279,7 +279,7 @@ class TestDecomposition:
             offline = RateLimitedOptimum(spec)
             for p in random_prices(rng, spec, 60):
                 policy.charge(p)
-                assert sub_opt_sum(policy) == pytest.approx(offline.step(p), abs=1e-12)
+                assert sub_opt_sum(policy) == pytest.approx(offline.path((p,))[0], abs=1e-12)
 
     def test_subproblem_capacity_is_one_over_n_bit_for_bit(self):
         # a sub-problem is the fixed policy on the spec at capacity 1/n, and
@@ -452,7 +452,7 @@ def test_rate_limited_guarantee_on_random_traces(case):
         eta, total = spec.alpha * spec.capacity_f, 0.0
         for p in prices:
             v = policy.charge(p)
-            opt = offline.step(p)
+            (opt,) = offline.path((p,))
             eta -= (spec.alpha - p) * v
             total += v
             assert 0.0 <= v <= 1.0 + 1e-9
@@ -488,7 +488,7 @@ def test_whole_capacity_distributor_holds_the_capped_optimums_kept_set(case):
     held, kept = [spec.alpha] * m, []
     for t, p in enumerate(prices):
         policy.charge(p)
-        offline.step(p)
+        offline.path((p,))
         took, changed = sorted(held_prices(policy)) != held, offline.kept != kept
         held, kept = sorted(held_prices(policy)), list(offline.kept)
         assert held == kept + [spec.alpha] * (m - len(kept)), t
