@@ -29,9 +29,9 @@ grid) and `sweep --rate-grid 24,48`: p_min's units then leave the float
 range, so the capped optimum takes each value from its definition, one
 fsum over its terms, from the first slot, and so does the capacity-1
 tracker that the uncapped optimum scales by c, which the last sweep's
-`fixed` runs at capacities 1 and 1/2 are scored against.  Against a REF older than that fallback, the
-2**-1020 cases at 240/13 and of the rate sweep fail on the REF side
-(negative shift count).
+`fixed` runs at capacities 1 and 1/2 are scored against.  Against a REF
+older than that fallback, the 2**-1020 cases at 240/13 and of the rate
+sweep fail on the REF side (negative shift count).
 On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
 with a --config file that sets capacity 7/2, and with one that sets
 240/13, so the capped optimum's fractional fill and unmet terms are taken
