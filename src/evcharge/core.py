@@ -35,8 +35,8 @@ class ProblemSpec(NamedTuple):
     """Validated instance parameters.  Build via :func:`validate_spec`.
 
     Nothing reads slot_minutes: reports convert to kWh from the config's
-    (slot_energy_kwh), and the policies work in normalized units.  It goes
-    with ROADMAP item 1.
+    (slot_energy_kwh), and the policies work in normalized units.  It stays
+    while perfbench's pipeline passes it to validate_spec.
     """
 
     p_min: float

@@ -151,7 +151,7 @@ def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...
 
 # Compatibility for perfbench/layers.replay_offline, which still streams
 # through these and counts the steps whose .kept differs from the last
-# one's.  ROADMAP item 1 deletes them with the move to RateLimitedOptimum.
+# one's.  They stay while that replay calls them.
 class _OfflineSnapshot(NamedTuple):
     tracker: RateLimitedOptimum
     kept: tuple[float, ...]

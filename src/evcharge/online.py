@@ -46,8 +46,8 @@ class Policy:
 
     def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
         """charge, boxed; every zero charge is the shared NO_CHARGE (no policy
-        charges -0.0).  Kept for perfbench's replay; ROADMAP item 1 deletes
-        it with PolicyStep."""
+        charges -0.0).  Kept, with PolicyStep, while perfbench's replay calls
+        it."""
         v = self.charge(price, lookahead)
         return PolicyStep(v) if v else NO_CHARGE
 

@@ -1,10 +1,13 @@
-"""Shared helpers: spec builders, trace generators, policy drivers."""
+"""Shared helpers: spec builders, trace generators, policy drivers, and the
+two offline-optimum oracles, GreedyOptimum and lattice_optimum_path."""
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -131,33 +134,43 @@ def eta_path(spec: ProblemSpec, prices, charges: list[float]) -> list[float]:
     return out
 
 
-def opt_no_limit_path(spec: ProblemSpec, prices) -> list[float]:
-    """Unlimited-rate optimum of each prefix, in closed form."""
-    low = math.inf
-    out = []
-    for p in prices:
-        low = min(low, p)
-        out.append(min(low, spec.alpha) * spec.capacity_f)
-    return out
+class GreedyOptimum:
+    """Greedy oracle: the offline optimum of a price list, capped at one
+    unit a slot or not.  The slots priced below alpha are taken cheapest
+    first, the earlier slot first on ties: capped, the k-th (from 0) fills
+    min(c - k, 1); uncapped, the first fills c.  The need left is paid at
+    alpha.  path holds each prefix's float value, the program's contract:
+    each exact fill or need rounded to float, times its price or alpha,
+    added by one fsum, recomputed only when a slot enters kept.  value is
+    the whole list's, schedule its fills by slot, exact() its exact value."""
 
+    def __init__(self, spec: ProblemSpec, prices, capped: bool):
+        c, self.alpha = spec.capacity, spec.alpha
+        self.fills = ([min(c - k, Fraction(1)) for k in range(min(math.ceil(c), len(prices)))]
+                      if capped else [c])
+        unmet = [c - charged for charged in accumulate(self.fills, initial=Fraction(0))]
+        fills_f, unmet_f = [float(q) for q in self.fills], [float(q) for q in unmet]
+        kept = self.kept = []  # (price, slot) pairs, cheapest first
 
-def capped_optimum_reference(spec: ProblemSpec, prices) -> tuple[float, list[float]]:
-    """Independent capped optimum of a price list, as (value, schedule).
+        def value() -> float:
+            return math.fsum([p * q for (p, _), q in zip(kept, fills_f)] + [self.alpha * unmet_f[len(kept)]])
 
-    Keeps the ceil(c) cheapest (price, slot) pairs priced below alpha,
-    earlier slot first on ties; the k-th (from 0) takes min(c - k, 1) and
-    the need left, max(c - kept, 0), is paid at alpha, each amount exact
-    in Fraction until one rounding to float.  One fsum adds every term.
-    """
-    c = spec.capacity
-    kept = sorted((p, i) for i, p in enumerate(prices) if p < spec.alpha)[: math.ceil(c)]
-    fills = [float(min(c - k, Fraction(1))) for k in range(len(kept))]
-    unmet = float(max(c - len(kept), Fraction(0)))
-    value = math.fsum([p * q for (p, _), q in zip(kept, fills)] + [spec.alpha * unmet])
-    schedule = [0.0] * len(prices)
-    for (_, slot), q in zip(kept, fills):
-        schedule[slot] = q
-    return value, schedule
+        self.value, self.path = value(), []
+        for t, p in enumerate(prices):
+            if p < self.alpha and (len(kept) < len(self.fills) or p < kept[-1][0]):
+                insort(kept, (p, t))
+                del kept[len(self.fills):]
+                self.value = value()
+            self.path.append(self.value)
+        self.unmet = unmet[len(kept)]
+        self.schedule = [0.0] * len(prices)
+        for (_, slot), q in zip(kept, fills_f):
+            self.schedule[slot] = q
+
+    def exact(self) -> Fraction:
+        """The whole list's value in exact rationals, at the exact capacity."""
+        return sum((Fraction(p) * q for (p, _), q in zip(self.kept, self.fills)),
+                   Fraction(self.alpha) * self.unmet)
 
 
 def sub_problems(policy) -> list[tuple[float, object]]:
@@ -199,26 +212,21 @@ def random_prices(rng: np.random.Generator, spec: ProblemSpec, T: int) -> list[f
     return [float(x) for x in np.clip(vals, lo, hi)]
 
 
-def lattice_optimum(spec: ProblemSpec, prices, step: int = 8) -> float:
-    """Independent offline oracle: exact DP over charge amounts on a 1/step grid.
-
-    States count grid units charged so far; each slot may add 0..step units.
-    Valid as an equality oracle whenever capacity sits on the grid.
-    """
+def lattice_optimum_path(spec: ProblemSpec, prices, step: int = 8) -> list[float]:
+    """Exhaustive oracle: the capped optimum of each prefix, by an exact DP
+    over charge amounts on a 1/step grid.  States count grid units charged
+    so far, and each slot may add 0..step of them.  An equality oracle
+    whenever the capacity sits on the grid."""
     units = int(spec.capacity * step)
     assert units == spec.capacity * step, "capacity must sit on the lattice"
-    inf = math.inf
-    cost = [0.0] + [inf] * units
+    levels = [spec.alpha * (spec.capacity_f - s / step) for s in range(units + 1)]
+    cost = [0.0] + [math.inf] * units
+    out = []
     for p in prices:
-        nxt = list(cost)
-        for s in range(1, units + 1):
-            lo = max(0, s - step)
-            best = min(cost[q] + p * (s - q) / step for q in range(lo, s))
-            if best < nxt[s]:
-                nxt[s] = best
-        cost = nxt
-    cap = spec.capacity_f
-    return min(cost[s] + spec.alpha * (cap - s / step) for s in range(units + 1) if cost[s] < inf)
+        cost = [min(cost[q] + p * (s - q) / step for q in range(max(0, s - step), s + 1))
+                for s in range(units + 1)]
+        out.append(min(units_cost + level for units_cost, level in zip(cost, levels)))
+    return out
 
 
 def decreasing_prices(rng: np.random.Generator, lo: float, start: float, T: int) -> list[float]:

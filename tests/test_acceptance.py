@@ -2,17 +2,21 @@
 
 Each criterion prints exactly one PASS/FAIL line, so a plain pytest run
 doubles as an acceptance report.  Quantitative claims are checked against
-independent constructions: closed-form worst cases, exhaustive search on
+independent constructions: closed-form worst cases, the lattice DP on
 small instances, and frozen solver values verified by hand.
 """
 
+import csv
 import json
 import math
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
+from pathlib import Path
+from statistics import correlation, fmean
 
 import numpy as np
 import pytest
@@ -24,14 +28,15 @@ from evcharge.harness.config import ExperimentConfig
 from evcharge.harness.ingest import ingest_prices
 from evcharge.harness.sweeps import sweep_alpha, sweep_rate_limit
 from evcharge.harness.synthetic import write_corpus
-from evcharge.offline import RateLimitedOptimum, opt_rate_limited
+from evcharge.offline import opt_rate_limited
 from evcharge.online import FixedRatioPolicy, make_policy
 from evcharge.ratio import max_total_charge, solve_pi_star
 
 from conftest import (
+    GreedyOptimum,
     decreasing_prices,
     eta_path,
-    opt_no_limit_path,
+    lattice_optimum_path,
     spec_of,
     sub_opt_sum,
     sub_problems,
@@ -58,7 +63,8 @@ def policy_suite():
 
     Runs fixed/adaptive/int on an integer-capacity spec and rat on a
     fractional-capacity one, then replays the adversarial descents, and
-    returns violation counts plus the wall-clock spent.
+    returns violation counts plus the wall-clock spent.  The uncapped
+    policies are held to GreedyOptimum's path.
     """
     rng = np.random.default_rng(404)
     caps_int = (1, 2, 3)
@@ -67,12 +73,12 @@ def policy_suite():
 
     def run(policy, prices, spec, pi, capped):
         # cost-so-far from the charges; the optimum is the capped policies'
-        # sub-problem sum, else the unlimited-rate closed form
+        # sub-problem sum, else the greedy oracle's uncapped path
         alpha = spec.alpha
         eta = alpha * spec.capacity_f
         total = 0.0
         etas = []
-        opts = [] if capped else opt_no_limit_path(spec, prices)
+        opts = [] if capped else GreedyOptimum(spec, prices, False).path
         for p in prices:
             v = policy.charge(p)
             total += v
@@ -189,7 +195,7 @@ def test_06_worst_case_construction_is_tight():
         runner = make_policy("fixed", spec)
         descent = worst_case_no_limit(spec, pi, 10_000).slots
         charges = [runner.charge(p) for p in descent]
-        final_ratio = eta_path(spec, descent, charges)[-1] / opt_no_limit_path(spec, descent)[-1]
+        final_ratio = eta_path(spec, descent, charges)[-1] / GreedyOptimum(spec, descent, False).value
         assert pi * 0.99 <= final_ratio <= pi + 1e-6
         policies = ("fixed", "adaptive", "int", "rat", "rhc:0", "rhc:8", "naive", "never")
         for name in policies:
@@ -205,7 +211,7 @@ def test_06_worst_case_construction_is_tight():
 
 
 def test_07_capacity_split_is_exact():
-    with criterion(7, "split cost and split optima match the whole"):
+    with criterion(7, "split cost and split optima match the whole (GreedyOptimum)"):
         rng = np.random.default_rng(707)
         for _ in range(500):
             c = int(rng.choice((1, 2, 3)))
@@ -214,45 +220,16 @@ def test_07_capacity_split_is_exact():
             alpha = p_min * float(rng.uniform(1.1, 10.0))
             spec = validate_spec(p_min, p_max, alpha, c)
             policy = make_policy("int", spec)
-            offline = RateLimitedOptimum(spec)
             eta = alpha * c
-            for p in _band_prices(rng, p_min, p_max, int(rng.integers(1, 13))):
+            prices = _band_prices(rng, p_min, p_max, int(rng.integers(1, 13)))
+            for p, opt in zip(prices, GreedyOptimum(spec, prices, True).path):
                 eta -= (alpha - p) * policy.charge(p)
-                (opt,) = offline.path((p,))
                 assert abs(eta - math.fsum(s.eta for _, s in sub_problems(policy))) <= 1e-12
                 assert abs(sub_opt_sum(policy) - opt) <= 1e-12
 
 
-def _lp_vertex_opt(spec, prices) -> float:
-    """Exhaustive optimum over the vertices of the feasible polytope.
-
-    With bounds 0 <= v <= 1 and one coupling row sum(v) <= c, a vertex has
-    every coordinate at a bound except at most one, which is only free when
-    the coupling row is tight and therefore equals c minus the count of
-    ones.  Enumerating subsets of full-rate slots plus an optional
-    fractional top-up slot covers every vertex.
-    """
-    alpha, c = spec.alpha, spec.capacity_f
-    floor_c = int(spec.capacity)
-    frac = c - floor_c
-    T = len(prices)
-    best = alpha * c  # charge nothing
-    for k in range(1, min(floor_c, T) + 1):
-        for subset in combinations(range(T), k):
-            cost = sum(prices[j] for j in subset) + alpha * (c - k)
-            best = min(best, cost)
-    if frac > 0 and T > floor_c:
-        for subset in combinations(range(T), floor_c):
-            base = sum(prices[j] for j in subset)
-            taken = set(subset)
-            for j in range(T):
-                if j not in taken:
-                    best = min(best, base + frac * prices[j])
-    return best
-
-
 def test_08_offline_optimum_matches_exhaustive_search():
-    with criterion(8, "offline optimum equals vertex enumeration on small instances"):
+    with criterion(8, "offline optimum equals the lattice DP on small instances"):
         grid = (0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 2.75, 3.0, 4.0)
         rng = np.random.default_rng(808)
         for cap in (1, 2, Fraction(3, 2)):
@@ -260,7 +237,8 @@ def test_08_offline_optimum_matches_exhaustive_search():
             for T in range(1, 7):
                 for combo in combinations_with_replacement(grid, T):
                     value = opt_rate_limited(spec, combo)[0]
-                    assert abs(value - _lp_vertex_opt(spec, combo)) <= 1e-9, (cap, combo)
+                    oracle = lattice_optimum_path(spec, combo, step=spec.capacity.denominator)[-1]
+                    assert abs(value - oracle) <= 1e-9, (cap, combo)
                     if rng.uniform() < 0.02:
                         shuffled = tuple(rng.permutation(combo).tolist())
                         assert abs(opt_rate_limited(spec, shuffled)[0] - value) <= 1e-12
@@ -350,3 +328,116 @@ def test_12_simulation_reports_are_deterministic(tmp_path):
             files = ("summary.csv", "summary.json", "slots.csv", "compare.csv", "calibration.json")
             blobs.append({f: (out / f).read_bytes() for f in files})
         assert blobs[0] == blobs[1]
+
+
+def _read_csv(path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _read_reports(folder) -> dict[str, list[dict]]:
+    """Every csv and json report in folder, as rows of cells: csv cells as
+    written, json values as loaded (calibration.json is one row)."""
+    reports = {}
+    for path in sorted(folder.iterdir()):
+        if path.suffix == ".csv":
+            reports[path.name] = _read_csv(path)
+        else:
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+            reports[path.name] = loaded if isinstance(loaded, list) else [loaded]
+    return reports
+
+
+# report cells in price units: they scale with the prices, the rest must not
+_PRICE_KEYS = {"p_min", "p_max", "alpha", "alpha_star", "charging_cost", "dissatisfaction", "objective",
+               "mean_objective", "mean_alg_objective", "mean_opt_objective"}
+_PRICE_METRICS = {"price", "eta", "opt"}  # slots.csv rows whose value is in price units
+
+
+def _assert_scaled(base: dict[str, list[dict]], scaled: dict[str, list[dict]], k: int) -> None:
+    """Each price-unit cell of scaled is exactly its cell of base times 2**k,
+    to the bit; every other cell is the same to the bit."""
+    assert base.keys() == scaled.keys()
+    for name, rows in base.items():
+        assert len(rows) == len(scaled[name]), name
+        for row, other in zip(rows, scaled[name]):
+            assert row.keys() == other.keys(), name
+            for key, cell in row.items():
+                if key in _PRICE_KEYS or key == "value" and row["metric"] in _PRICE_METRICS:
+                    expected = repr(math.ldexp(float(cell), k))
+                else:
+                    expected = cell if isinstance(cell, str) else repr(cell)
+                got = other[key] if isinstance(other[key], str) else repr(other[key])
+                assert got == expected, (name, key, cell, k)
+
+
+def _run_cli(argv, out, capsys):
+    """Run a report command into the folder out, and return out."""
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def _solve_ratio(prices, capacity: str, capsys) -> dict:
+    """solve-ratio's payload at the prices (p_min, p_max, alpha)."""
+    p_min, p_max, alpha = map(repr, prices)
+    assert cli.main(["solve-ratio", "--p-min", p_min, "--p-max", p_max, "--alpha", alpha,
+                     "--capacity", capacity]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_13_reports_scale_with_the_prices(tmp_path, capsys):
+    with criterion(13, "prices times 2**k scale every price cell by 2**k and leave the rest"):
+        corpus = tmp_path / "regime.csv"
+        write_corpus(str(corpus), "regime", days=4, seed=1)
+        header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+        # 30 p_min is past alpha* on this corpus, so both pi* branches run
+        commands = [["simulate", "--capacity", "24"],
+                    ["simulate", "--capacity", "7/2", "--policies", "fixed,adaptive,rat,rhc:0,naive,never"],
+                    ["sweep", "--alpha-grid", "1,2,30"],
+                    ["sweep", "--rate-grid", "0.7,1.3"]]
+        specs = [((1.0, 5.0, 5.0), "2"), ((1.0, 5.0, 50.0), "7/2")]  # the root and the closed-form pi*
+
+        def run_all(k, prices):
+            outs = [_run_cli(argv + ["--prices", str(prices)], tmp_path / f"{k}-{i}", capsys)
+                    for i, argv in enumerate(commands)]
+            solved = [_solve_ratio([math.ldexp(x, k) for x in prices], capacity, capsys)
+                      for prices, capacity in specs]
+            return [_read_reports(out) for out in outs] + [{"solve-ratio": solved}]
+
+        base = run_all(0, corpus)
+        assert [row["branch"] for row in base[-1]["solve-ratio"]] == ["root", "closed_form"]
+        for k in (-1000, -40, 20, 900):
+            scaled = tmp_path / f"regime-2^{k}.csv"
+            cells = (row.rsplit(",", 1) for row in rows)
+            scaled.write_text("\n".join([header] + [f"{stamp},{math.ldexp(float(price), k)!r}"
+                                                    for stamp, price in cells]) + "\n", encoding="utf-8")
+            for before, after in zip(base, run_all(k, scaled)):
+                _assert_scaled(before, after, k)
+
+
+def test_14_readme_readings_reproduce(tmp_path, capsys):
+    with criterion(14, "README readings reproduce on the seed-1 30-day regime corpus"):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        readme = " ".join(readme.split())  # one line: a reading may wrap anywhere
+        corpus = tmp_path / "regime.csv"
+        write_corpus(str(corpus), "regime", days=30, seed=1)
+        policies = "adaptive,fixed,int,never,naive,rhc:12,rhc:0"
+        out = _run_cli(["simulate", "--prices", str(corpus), "--policies", policies, "--capacity", "24"],
+                       tmp_path / "simulate", capsys)
+        summary = _read_csv(out / "summary.csv")
+        means = {p: fmean(float(row["objective"]) for row in summary if row["policy"] == p)
+                 for p in policies.split(",")}
+        header = r"\| " + r" \| ".join(rf"`{p}`" for p in means) + r" \|"
+        table = re.search(header + r"[-| ]+\|((?: \d+\.\d+ \|)+)", readme)
+        assert table.group(1).split("|")[:-1] == [f" {mean:.2f} " for mean in means.values()]
+        assert re.search(r"\((\d+) episodes", readme).group(1) == str(len({row["date"] for row in summary}))
+        factors = [0.5, 0.75, 1, 1.25, 1.5, 1.75, 2]
+        out = _run_cli(["sweep", "--prices", str(corpus), "--rate-grid", ",".join(map(str, factors))],
+                       tmp_path / "sweep", capsys)
+        rates = _read_csv(out / "sweep_rate.csv")
+        objectives = [float(row["mean_alg_objective"]) for row in rates]
+        reading = re.search(r"falls from (\d+\.\d+) at rate factor 0\.5 to (\d+\.\d+) at 2\b", readme)
+        assert reading.groups() == (f"{objectives[0]:.2f}", f"{objectives[-1]:.2f}")
+        r2 = [correlation(xs, objectives) ** 2 for xs in (factors, [1 / f for f in factors])]
+        assert re.findall(r"R² (\d+\.\d+)", readme) == [f"{x:.3f}" for x in r2]

@@ -15,11 +15,10 @@ from evcharge.adversary import (
     worst_case_rate_limited,
 )
 from evcharge.core import ValidationError, validate_spec
-from evcharge.offline import opt_rate_limited
 from evcharge.online import make_policy
 from evcharge.ratio import NoBracket, max_total_charge, solve_pi_star
 
-from conftest import domain_specs, drive, eta_path, spec_of
+from conftest import GreedyOptimum, domain_specs, drive, eta_path, spec_of
 
 
 class TestWorstCaseNoLimit:
@@ -126,13 +125,13 @@ def _fractional_spec(draw):
 
 @given(spec=_fractional_spec(), steps=st.integers(1, 200))
 def test_repeated_descent_holds_rat_at_target_against_capped_optimum(spec, steps):
-    # rat ends at pi* times the capped optimum: below it only by the
-    # descent's discretization, above it only by float noise.  Descents
-    # with fewer levels than ceil(c) fall far short without the repeats.
+    """rat ends at pi* times GreedyOptimum's capped value: below it only by
+    the descent's discretization, above it only by float noise.  Descents
+    with fewer levels than ceil(c) fall far short without the repeats."""
     pi = solve_pi_star(spec).pi_star
     prices = worst_case_rate_limited(spec, pi, steps).slots
     eta = eta_path(spec, prices, drive("rat", spec, prices))[-1]
-    ratio = eta / opt_rate_limited(spec, prices)[0]
+    ratio = eta / GreedyOptimum(spec, prices, True).value
     assert pi * (1 - 1e-3) <= ratio <= pi * (1 + 1e-12)
 
 

@@ -60,10 +60,10 @@ from evcharge.ratio import solve_pi_star
 from conftest import (
     ALPHA_STAR_BOUND,
     CLOSED_FORM_BOUND,
+    GreedyOptimum,
     alpha_star_oracle,
     closed_form_pi_star_oracle,
     domain_specs,
-    opt_no_limit_path,
     random_prices,
     relative_miss,
     root_pi_star_oracle,
@@ -524,29 +524,16 @@ def test_run_episode_scores_the_one_objective(policy, prices, m, n, alpha):
     n=st.integers(1, 4),
     alpha=st.sampled_from([1.0, 2.0, 2.5, 4.5, 6.0]),
 )
+@example(policy="int", prices=[2.0, 1.0, 3.0], m=3, n=2, alpha=2.5)  # rat: kept full at 3/2
 def test_run_episode_scores_against_the_policys_optimum(policy, prices, m, n, alpha):
-    # a coarse price grid, so prices tie each other and alpha
+    """On a coarse price grid, so that prices tie each other and alpha, each
+    slot's opt is GreedyOptimum's value of its prefix, capped for the
+    capped policies."""
     spec = validate_spec(1, 5, alpha, Fraction(m, n))
     if policy == "int" and spec.capacity.denominator != 1:
         policy = "rat"
     _, slots = run_episode(ExperimentConfig(), spec, PriceTrace(tuple(prices)), policy)
-    if policy in NO_LIMIT_POLICIES:
-        expected = opt_no_limit_path(spec, prices)
-    else:
-        expected = [opt_rate_limited(spec, prices[: t + 1])[0] for t in range(len(prices))]
-    assert [s.opt for s in slots] == expected
-
-
-def _exact_optimum(spec, prices, capped):
-    """The optimum of prices in exact rationals at the spec's exact capacity:
-    the cheapest prices below alpha fill it, at most one unit each if
-    capped, and the need left is paid at alpha."""
-    alpha, left = Fraction(spec.alpha), spec.capacity
-    opt = Fraction(0)
-    for price in sorted(Fraction(p) for p in prices if p < spec.alpha):
-        take = min(left, Fraction(1)) if capped else left
-        opt, left = opt + price * take, left - take
-    return opt + alpha * left
+    assert [s.opt for s in slots] == GreedyOptimum(spec, prices, policy not in NO_LIMIT_POLICIES).path
 
 
 _U = sys.float_info.epsilon / 2  # the unit roundoff
@@ -558,21 +545,21 @@ _U = sys.float_info.epsilon / 2  # the unit roundoff
        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
 @example(spec=spec_of(1, 5, 20, Fraction(240, 13)), seed=0, n=60)
 def test_score_run_float_error_is_within_its_bound_of_exact_rationals(spec, seed, n):
-    # A Fraction shadow of score_run, driven by the float charges the policy
-    # placed: eta from alpha * c less (alpha - p) * v per slot, and the
-    # optimum of each prefix, both at the exact capacity.  Bounds, with k the
-    # nonzero charges so far and u the unit roundoff:
-    #   eta   (k + 4) u alpha / p_min: alpha * c rounds twice, each charge
-    #         adds two roundings of (alpha - p) v and one of eta (all at most
-    #         alpha c), and the exact eta is at least p_min c;
-    #   opt   4 u: the capped optimum rounds a fill or unmet amount, its
-    #         product with a price and the exact sum, and the uncapped one
-    #         c and price * c;
-    #   ratio the two, plus u for the division.
-    # Over 3,000 random specs of this domain at these capacities (10,477
-    # runs), eta missed by at most 0.71 of its bound, opt by 2.4 u and ratio
-    # by 0.63 of its bound; the largest relative misses were 4.8e-12 for eta
-    # and ratio (alpha / p_min = 8,800) and 2.6e-16 for opt.
+    """A Fraction shadow of score_run, driven by the float charges the policy
+    placed: eta from alpha * c less (alpha - p) * v per slot, and
+    GreedyOptimum's exact value of each prefix, both at the exact capacity.
+    Bounds, with k the nonzero charges so far and u the unit roundoff:
+      eta   (k + 4) u alpha / p_min: alpha * c rounds twice, each charge
+            adds two roundings of (alpha - p) v and one of eta (all at most
+            alpha c), and the exact eta is at least p_min c;
+      opt   4 u: the capped optimum rounds a fill or unmet amount, its
+            product with a price and the exact sum, and the uncapped one
+            c and price * c;
+      ratio the two, plus u for the division.
+    Over 3,000 random specs of this domain at these capacities (10,477
+    runs), eta missed by at most 0.71 of its bound, opt by 2.4 u and ratio
+    by 0.63 of its bound; the largest relative misses were 4.8e-12 for eta
+    and ratio (alpha / p_min = 8,800) and 2.6e-16 for opt."""
     prices = tuple(random_prices(np.random.default_rng(seed), spec, n))
     cfg = ExperimentConfig()
     for policy in RATIO_POLICIES:
@@ -586,7 +573,7 @@ def test_score_run_float_error_is_within_its_bound_of_exact_rationals(spec, seed
         for t, (price, v) in enumerate(zip(prices, charges)):
             eta -= (alpha - Fraction(price)) * Fraction(v)
             k += v != 0.0
-            opt = _exact_optimum(spec, prices[: t + 1], capped)
+            opt = GreedyOptimum(spec, prices[: t + 1], capped).exact()
             eta_bound = (k + 4) * _U * spec.alpha / spec.p_min
             for name, value, exact, bound in (("eta", etas[t], eta, eta_bound),
                                               ("opt", opts[t], opt, 4 * _U),

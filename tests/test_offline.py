@@ -1,4 +1,5 @@
-"""Offline optimum oracles: closed form, greedy, and streaming updates."""
+"""The offline optima: batch, streamed and uncapped, against the greedy and
+lattice oracles in conftest."""
 
 import itertools
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import capped_optimum_reference, lattice_optimum, opt_no_limit_path
+from conftest import GreedyOptimum, lattice_optimum_path
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import (
     RateLimitedOptimum,
@@ -20,11 +21,6 @@ from evcharge.offline import (
 )
 
 
-def _no_limit_opt(spec, prices):
-    """The uncapped optimum of the whole prefix: the path's last value."""
-    return optimum_path(spec, prices, False)[-1]
-
-
 def _step(tracker, price):
     """The tracker's optimum after one more slot."""
     return tracker.path((price,))[0]
@@ -33,15 +29,16 @@ def _step(tracker, price):
 class TestOptNoLimit:
     def test_min_below_alpha(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert _no_limit_opt(spec, [5, 3, 7]) == pytest.approx(6.0)
+        assert optimum_path(spec, [5, 3, 7], False)[-1] == pytest.approx(6.0)
+        assert optimum_path(spec, [5.0, 3.0, 7.0], False)[-1] == pytest.approx(6.0)
 
     def test_dissatisfaction_only(self):
         spec = validate_spec(1, 8, 4, 2)
-        assert _no_limit_opt(spec, [5]) == pytest.approx(8.0)
+        assert optimum_path(spec, [5], False)[-1] == pytest.approx(8.0)
 
     def test_realistic_prefix(self):
         spec = validate_spec(1.3, 5.902, 2.6, 24)
-        assert _no_limit_opt(spec, [2.0, 1.3]) == pytest.approx(31.2)
+        assert optimum_path(spec, [2.0, 1.3], False)[-1] == pytest.approx(31.2)
 
 
 class TestOptRateLimited:
@@ -154,10 +151,6 @@ class TestOfflineStep:
         assert opts[-1] == value == 2.0 + 4.0 + 5 * (1e6 - 2)
         assert schedule == (1.0, 0.0, 1.0)
 
-    def test_no_limit_tracker(self):
-        spec = validate_spec(1, 8, 4, 2)
-        assert _no_limit_opt(spec, [5.0, 3.0, 7.0]) == pytest.approx(6.0)
-
 
 @given(
     prices=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=40),
@@ -167,14 +160,14 @@ class TestOfflineStep:
 )
 @example(prices=[3.0, 1.0, 3.0, 1.0, 2.0], alpha=2.0, m=1, n=7)
 def test_compat_state_kept_changes_with_the_tracker(prices, alpha, m, n):
-    # the benchmark counts kept-set changes through the compatibility
-    # wrapper: its .kept must differ from the last exactly on the slots
-    # that enter the kept set, those the test-side optimum of their own
-    # prefix fills
+    """The benchmark counts kept-set changes through the compatibility
+    wrapper: its .kept must differ from the last exactly on the slots that
+    enter the kept set, those that GreedyOptimum's schedule of their own
+    prefix fills."""
     spec = validate_spec(0.5, 10.0, alpha, Fraction(m, n))
     state, tracker = new_offline_state(spec), RateLimitedOptimum(spec)
     for t, price in enumerate(prices):
-        entered = capped_optimum_reference(spec, prices[: t + 1])[1][t] > 0.0
+        entered = GreedyOptimum(spec, prices[: t + 1], True).schedule[t] > 0.0
         nxt, opt = offline_step(state, price), _step(tracker, price)
         assert (nxt.kept != state.kept) == entered
         assert nxt.kept == tuple(tracker.kept)
@@ -183,7 +176,7 @@ def test_compat_state_kept_changes_with_the_tracker(prices, alpha, m, n):
 
 
 def test_greedy_matches_lattice_dp_small():
-    # spot check against the independent DP; the full sweep runs in acceptance
+    """A spot check against lattice_optimum_path; criterion 8 runs more."""
     grid = [1.0, 1.5, 2.5, 4.0, 5.0]
     spec_caps = [Fraction(1), Fraction(2), Fraction(3, 2)]
     for cap in spec_caps:
@@ -191,7 +184,7 @@ def test_greedy_matches_lattice_dp_small():
         for T in (1, 2, 3, 4):
             for prices in itertools.combinations_with_replacement(grid, T):
                 value, _ = opt_rate_limited(spec, list(prices))
-                oracle = lattice_optimum(spec, prices)
+                oracle = lattice_optimum_path(spec, prices)[-1]
                 assert value == pytest.approx(oracle, abs=1e-9), (cap, prices)
 
 
@@ -214,14 +207,15 @@ def test_value_is_permutation_invariant():
 @example(prices=[2.0, 4.0, 1.0, 1.0], alpha=3.0, m=4, n=2)  # whole c
 @example(prices=[1.0, 2.5, 1.0], alpha=3.0, m=15, n=4)  # ceil(c) > T
 def test_streamed_optimum_matches_batch_and_lattice(prices, alpha, m, n):
-    # coarse grid: ties, prices at alpha and above it
+    """On a coarse grid (ties, prices at alpha and above it) the stream is
+    the batch optimum to the bit and lattice_optimum_path's to 1e-9."""
     spec = validate_spec(1, 5, alpha, Fraction(m, n))
     tracker = RateLimitedOptimum(spec)
-    for t, price in enumerate(prices):
+    for t, (price, oracle) in enumerate(zip(prices, lattice_optimum_path(spec, prices, step=n))):
         opt = _step(tracker, price)
         batch, _ = opt_rate_limited(spec, prices[: t + 1])
         assert opt == batch  # bit-exact
-        assert opt == pytest.approx(lattice_optimum(spec, prices[: t + 1], step=n), abs=1e-9)
+        assert opt == pytest.approx(oracle, abs=1e-9)
 
 
 _TIED = [1.0, 1.5, 2.0, 3.0, 4.5]
@@ -247,11 +241,17 @@ def _capped_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, 10**6), [4.5, 2.0, 2.0, 9.0]))  # c >> T
 @example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(7, 2)), [1.5] * 6))  # ties past ceil(c)
 @example(case=(validate_spec(1.0, 10.0, 1.5, Fraction(5, 3)), [1.5, 4.5, 10.0]))  # all >= alpha
+@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(5, 2)), [2.0, 1.0, 2.0, 2.0]))
 def test_tracker_value_equals_reference_on_every_prefix(case):
+    """Stepped one price at a time, the tracker's value is GreedyOptimum's
+    on every prefix, and the batch value and schedule are its own."""
     spec, prices = case
-    tracker = RateLimitedOptimum(spec)
-    for t, price in enumerate(prices):
-        assert _step(tracker, price) == capped_optimum_reference(spec, prices[: t + 1])[0]
+    oracle, tracker = GreedyOptimum(spec, prices, True), RateLimitedOptimum(spec)
+    for price, expected in zip(prices, oracle.path):
+        assert _step(tracker, price) == expected
+    value, schedule = opt_rate_limited(spec, prices)
+    assert value == oracle.value
+    assert list(schedule) == oracle.schedule
 
 
 # whole capacities whose kept set fills within 60 slots (1, 2, 24) take the
@@ -291,20 +291,17 @@ def _path_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, 2), [1.5, 1.5, 1.0, 1.5, 1.0], 2))  # ties past c
 @example(case=(_LOW_SPEC, [3e-308, 2.5e-308, 4e-308, 2.3e-308, 9e-308, 2.4e-308, 2.3e-308], 3))
 def test_optimum_paths_equal_steps_and_reference_bit_for_bit(case):
-    # both kinds: one optimum_path call, the same run cut into two tracker
-    # calls, one call per price, and the test-side optimum of every prefix
-    # (uncapped: min(cheapest, alpha) * c; capped: one fsum of the kept
-    # prices' fills plus alpha * unmet) agree to the last bit.  The uncapped
-    # tracker runs at capacity 1 and its values are scaled by c
+    """Both kinds: one optimum_path call, the same run cut into two tracker
+    calls, one call per price, and GreedyOptimum's path agree to the last
+    bit.  The uncapped tracker runs at capacity 1 and its values are scaled
+    by c."""
     spec, prices, cut = case
-    capped_reference = [capped_optimum_reference(spec, prices[: t + 1])[0] for t in range(len(prices))]
-    for capped, tracked, c, reference in (
-            (False, spec._replace(capacity=Fraction(1)), spec.capacity_f, opt_no_limit_path(spec, prices)),
-            (True, spec, 1.0, capped_reference)):
+    for capped, tracked, c in ((False, spec._replace(capacity=Fraction(1)), spec.capacity_f),
+                               (True, spec, 1.0)):
         split, stepper = RateLimitedOptimum(tracked), RateLimitedOptimum(tracked)
         paths = (optimum_path(spec, prices, capped),
                  [opt * c for opt in split.path(prices[:cut]) + split.path(prices[cut:])],
-                 [_step(stepper, p) * c for p in prices], reference)
+                 [_step(stepper, p) * c for p in prices], GreedyOptimum(spec, prices, capped).path)
         assert len({tuple(x.hex() for x in path) for path in paths}) == 1, capped
 
 
@@ -335,25 +332,15 @@ def _far_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, Fraction(7, 2)), [3.0, 0.0, -2.5, 1e-200, -0.0, 2.0, -1e300]))
 @example(case=(_LOW_SPEC, [3e-308, 1e-310, 2.4e-308, 0.0, 4e-308, 5e-324, -1e-307]))
 def test_capped_path_is_exact_far_outside_the_band(case):
-    # the kept sum is exact however far apart its prices lie: one path
-    # call, the run cut in two, and the test-side fsum of every prefix
-    # agree to the last bit
+    """The kept sum is exact however far apart its prices lie: one path
+    call, the run cut in two, and GreedyOptimum's path agree to the last
+    bit."""
     spec, prices = case
     cut = len(prices) // 2
     split = RateLimitedOptimum(spec)
     paths = (RateLimitedOptimum(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
-             [capped_optimum_reference(spec, prices[: t + 1])[0] for t in range(len(prices))])
+             GreedyOptimum(spec, prices, True).path)
     assert len({tuple(x.hex() for x in path) for path in paths}) == 1
-
-
-@given(case=_capped_case())
-@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(5, 2)), [2.0, 1.0, 2.0, 2.0]))
-def test_batch_schedule_equals_reference_fills(case):
-    spec, prices = case
-    value, schedule = opt_rate_limited(spec, prices)
-    ref_value, ref_schedule = capped_optimum_reference(spec, prices)
-    assert value == ref_value
-    assert list(schedule) == ref_schedule
 
 
 @given(
@@ -367,10 +354,11 @@ def test_batch_schedule_equals_reference_fills(case):
 @example(prices=[-0.0], alpha=2.0, capacity=Fraction(1))  # a signed zero price
 @example(prices=[3.0, -5e-324], alpha=2.0, capacity=Fraction(1, 2))  # a product that rounds to -0.0
 def test_optima_agree_bit_for_bit_at_capacity_up_to_one(prices, alpha, capacity):
-    # at c <= 1 one slot takes the whole need: fills[0] is float(c) and the
-    # unmet term is alpha * 0.0, so the cap never binds; the paths agree on
-    # every prefix, the sign of a zero included
+    """At c <= 1 one slot takes the whole need: fills[0] is float(c) and the
+    unmet term is alpha * 0.0, so the cap never binds; both kinds' paths
+    and GreedyOptimum's agree on every prefix, the sign of a zero
+    included."""
     spec = validate_spec(0.5, 10.0, alpha, capacity)
     paths = [[opt.hex() for opt in optimum_path(spec, prices, capped)] for capped in (False, True)]
-    assert paths[0] == paths[1]
-    assert _no_limit_opt(spec, prices).hex() == opt_rate_limited(spec, prices)[0].hex()
+    assert paths[0] == paths[1] == [opt.hex() for opt in GreedyOptimum(spec, prices, False).path]
+    assert paths[0][-1] == opt_rate_limited(spec, prices)[0].hex()

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
+    GreedyOptimum,
     drive,
     eta_path,
     held_prices,
-    opt_no_limit_path,
     random_prices,
     spec_of,
     sub_opt_sum,
@@ -40,7 +40,7 @@ class TestFixedStep:
         pi = solve_pi_star(spec).pi_star
         charges = drive("fixed", spec, [1.0])
         (eta,) = eta_path(spec, [1.0], charges)
-        (opt,) = opt_no_limit_path(spec, [1.0])
+        (opt,) = GreedyOptimum(spec, [1.0], False).path
         assert charges[0] == pytest.approx(0.7768091842729072, rel=1e-12)
         assert eta == pytest.approx(pi, rel=1e-12)
         assert eta / opt == pytest.approx(pi, rel=1e-12)
@@ -74,7 +74,7 @@ class TestFixedStep:
         prices = [3.0, 2.2, 1.4, 1.1]
         policy = FixedRatioPolicy(spec, 1.9)
         eta = policy.eta
-        for p, opt in zip(prices, opt_no_limit_path(spec, prices)):
+        for p, opt in zip(prices, GreedyOptimum(spec, prices, False).path):
             eta -= (spec.alpha - p) * policy.charge(p)
             assert policy.eta == pytest.approx(eta, rel=1e-12)
             assert policy.low * policy.capacity == opt
@@ -87,7 +87,7 @@ class TestAdaptiveStep:
         out = policy.charge(1.0)
         assert policy.pi == 1.0
         assert out == 1.0
-        assert eta_path(spec, [1.0], [out])[0] / opt_no_limit_path(spec, [1.0])[0] == 1.0
+        assert eta_path(spec, [1.0], [out])[0] / GreedyOptimum(spec, [1.0], False).value == 1.0
 
     def test_no_new_minimum_skips(self):
         # first price low enough to act on; the repeat is not a new minimum
@@ -272,14 +272,15 @@ class TestDecomposition:
                 assert eta == pytest.approx(math.fsum(s.eta for _, s in sub_problems(policy)), abs=1e-12)
 
     def test_subproblem_optima_sum_to_offline_optimum(self):
+        """After every slot the sub-problem optima sum to GreedyOptimum's."""
         rng = np.random.default_rng(47)
         for cap in (1, 2, 3, Fraction(3, 2), Fraction(7, 3)):
             spec = spec_of(1, 5, 4, cap)
             policy = make_policy("rat", spec)
-            offline = RateLimitedOptimum(spec)
-            for p in random_prices(rng, spec, 60):
+            prices = random_prices(rng, spec, 60)
+            for p, opt in zip(prices, GreedyOptimum(spec, prices, True).path):
                 policy.charge(p)
-                assert sub_opt_sum(policy) == pytest.approx(offline.path((p,))[0], abs=1e-12)
+                assert sub_opt_sum(policy) == pytest.approx(opt, abs=1e-12)
 
     def test_subproblem_capacity_is_one_over_n_bit_for_bit(self):
         # a sub-problem is the fixed policy on the spec at capacity 1/n, and
@@ -311,6 +312,8 @@ def test_inserting_non_minimum_prices_changes_nothing():
 
 
 def test_ratio_guarantee_and_feasibility_random_suite():
+    """Feasibility, and eta <= pi* opt at every slot, where opt is the capped
+    policies' sub-problem sum and GreedyOptimum's uncapped path otherwise."""
     rng = np.random.default_rng(61)
     caps = [1, 2, 3, Fraction(3, 2), Fraction(5, 2)]
     for _ in range(60):
@@ -326,7 +329,7 @@ def test_ratio_guarantee_and_feasibility_random_suite():
             capped = name in ("int", "rat")
             policy = make_policy(name, spec)
             charges = []
-            opts = [] if capped else opt_no_limit_path(spec, prices)
+            opts = [] if capped else GreedyOptimum(spec, prices, False).path
             for p in prices:
                 charges.append(policy.charge(p))
                 if capped:
@@ -443,16 +446,16 @@ def test_distributor_and_adaptive_match_references_bit_for_bit(case):
 
 @given(case=_rate_limited_case())
 def test_rate_limited_guarantee_on_random_traces(case):
-    # the bound is against the streamed rate-limited optimum, not the
-    # policy's own sub-problem optima
+    """The bound is against GreedyOptimum's capped path, not the policy's
+    own sub-problem optima."""
     spec, prices = case
     pi = solve_pi_star(spec).pi_star
+    opts = GreedyOptimum(spec, prices, True).path
     for name in _distributor_names(spec):
-        policy, offline = make_policy(name, spec), RateLimitedOptimum(spec)
+        policy = make_policy(name, spec)
         eta, total = spec.alpha * spec.capacity_f, 0.0
-        for p in prices:
+        for p, opt in zip(prices, opts):
             v = policy.charge(p)
-            (opt,) = offline.path((p,))
             eta -= (spec.alpha - p) * v
             total += v
             assert 0.0 <= v <= 1.0 + 1e-9
