@@ -103,15 +103,16 @@ class TestOfflineStep:
         assert tracker.kept == [2.0, 3.0]
 
     def test_streaming_equals_batch_exactly(self):
+        """Stepped, batch and GreedyOptimum's value of every prefix agree to the bit."""
         rng = np.random.default_rng(42)
         spec = validate_spec(0.25, 5.0, 2.5, Fraction(7, 2))
         for _ in range(200):
             T = int(rng.integers(1, 51))
             prices = (rng.integers(1, 21, size=T) * 0.25).tolist()
             tracker = RateLimitedOptimum(spec)
-            for t in range(T):
+            for t, expected in enumerate(GreedyOptimum(spec, prices, True).path):
                 batch, _ = opt_rate_limited(spec, prices[: t + 1])
-                assert _step(tracker, prices[t]) == batch  # bit-exact, same summation
+                assert _step(tracker, prices[t]) == batch == expected
 
     def test_opt_non_increasing_and_bounded(self):
         rng = np.random.default_rng(3)

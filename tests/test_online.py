@@ -239,15 +239,14 @@ class TestGroups:
         # holds alpha until 10**5 prices have been accepted
         rng = np.random.default_rng(67)
         spec = spec_of(1, 5, 4, 10**5)
-        policy, offline = make_policy("int", spec), RateLimitedOptimum(spec)
+        policy = make_policy("int", spec)
         prices = [float(x) for x in rng.uniform(spec.p_min, spec.p_max, 180)]
         for p in prices:
             policy.charge(p)
-            (opt,) = offline.path((p,))
         accepted = sum(p < spec.alpha for p in prices)
         assert 0 < accepted < len(prices)
         assert len(policy.held) <= accepted + 1
-        assert sub_opt_sum(policy) == pytest.approx(opt, rel=1e-12)
+        assert sub_opt_sum(policy) == pytest.approx(GreedyOptimum(spec, prices, True).value, rel=1e-12)
 
     def test_state_copy_is_a_distinct_equal_object(self):
         # vars() compares every attribute, so one added to __init__ but not
