@@ -30,7 +30,6 @@ class TestOptNoLimit:
     def test_min_below_alpha(self):
         spec = validate_spec(1, 8, 4, 2)
         assert optimum_path(spec, [5, 3, 7], False)[-1] == pytest.approx(6.0)
-        assert optimum_path(spec, [5.0, 3.0, 7.0], False)[-1] == pytest.approx(6.0)
 
     def test_dissatisfaction_only(self):
         spec = validate_spec(1, 8, 4, 2)
@@ -152,6 +151,10 @@ class TestOfflineStep:
         assert opts[-1] == value == 2.0 + 4.0 + 5 * (1e6 - 2)
         assert schedule == (1.0, 0.0, 1.0)
 
+    def test_no_limit_tracker(self):
+        spec = validate_spec(1, 8, 4, 2)
+        assert optimum_path(spec, [5.0, 3.0, 7.0], False)[-1] == pytest.approx(6.0)
+
 
 @given(
     prices=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=40),
@@ -242,17 +245,13 @@ def _capped_case(draw):
 @example(case=(validate_spec(1.0, 10.0, 4.5, 10**6), [4.5, 2.0, 2.0, 9.0]))  # c >> T
 @example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(7, 2)), [1.5] * 6))  # ties past ceil(c)
 @example(case=(validate_spec(1.0, 10.0, 1.5, Fraction(5, 3)), [1.5, 4.5, 10.0]))  # all >= alpha
-@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(5, 2)), [2.0, 1.0, 2.0, 2.0]))
 def test_tracker_value_equals_reference_on_every_prefix(case):
     """Stepped one price at a time, the tracker's value is GreedyOptimum's
-    on every prefix, and the batch value and schedule are its own."""
+    on every prefix."""
     spec, prices = case
-    oracle, tracker = GreedyOptimum(spec, prices, True), RateLimitedOptimum(spec)
-    for price, expected in zip(prices, oracle.path):
+    tracker = RateLimitedOptimum(spec)
+    for price, expected in zip(prices, GreedyOptimum(spec, prices, True).path):
         assert _step(tracker, price) == expected
-    value, schedule = opt_rate_limited(spec, prices)
-    assert value == oracle.value
-    assert list(schedule) == oracle.schedule
 
 
 # whole capacities whose kept set fills within 60 slots (1, 2, 24) take the
@@ -342,6 +341,17 @@ def test_capped_path_is_exact_far_outside_the_band(case):
     paths = (RateLimitedOptimum(spec).path(prices), split.path(prices[:cut]) + split.path(prices[cut:]),
              GreedyOptimum(spec, prices, True).path)
     assert len({tuple(x.hex() for x in path) for path in paths}) == 1
+
+
+@given(case=_capped_case())
+@example(case=(validate_spec(1.0, 10.0, 3.0, Fraction(5, 2)), [2.0, 1.0, 2.0, 2.0]))
+def test_batch_schedule_equals_reference_fills(case):
+    """The batch value and schedule are GreedyOptimum's."""
+    spec, prices = case
+    value, schedule = opt_rate_limited(spec, prices)
+    oracle = GreedyOptimum(spec, prices, True)
+    assert value == oracle.value
+    assert list(schedule) == oracle.schedule
 
 
 @given(
