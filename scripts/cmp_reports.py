@@ -1,62 +1,83 @@
 #!/usr/bin/env python3
-"""Compare the report files of this checkout against those of a git ref.
+"""Compare the outputs of this checkout against those of a git ref.
 
     python3 scripts/cmp_reports.py REF
 
-Exports REF's tree into a temporary directory (git archive), writes each
-benchmark workload's seeded corpus once per seed, runs the workload's CLI
-command (from perfbench/workloads.py) with both trees' sources, and
-compares every report file byte for byte.  On each seed's simulate corpus
-it also runs `simulate` over every policy kind but `int` at capacities 7/2
-(`rat` fans out over 7 sub-problems), 240/13 (each price fans out over 13
-of 240 sub-problems, so a group of sub-problems in one state splits; the
-rate-sweep workload reaches this fan-out but reports only per-grid means,
-not per-slot charges) and 1/2 (`rat` is `fixed` there), `simulate` over
-`fixed`, `int` and `rat` at capacity 1, where `int` is `fixed` too,
-`simulate` at capacity 24 over only capped policies (`int`, `rhc:0`,
-`naive`) and over only uncapped ones (`fixed`, `adaptive`, `never`), so
-that each episode's optimum path is shared within a single kind, and
-`sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed` against
-the unlimited-rate optimum, and `sweep --alpha-grid 20,30,50,100`, whose
-grid points lie on both sides of `alpha*` (29.6 p_min on the seed-1 regime
-corpus), so the closed-form `pi*` branch is run as well as the root one.
-It also scales each seed's simulate corpus by 2**-1000, by 2**950 and by
-2**-1020 (exact in floats, so only the units change) and runs on each
-`simulate` at capacities 7/2 and 240/13 over `fixed`, `adaptive`, `rat`,
-`rhc:0`, `naive` and `never`, `simulate` at capacity 24 over the default
-policies, `sweep --rate-grid 0.7,0.9,1.1,1.25,1.3` (the rate workload's
-grid) and `sweep --rate-grid 24,48`: p_min's units then leave the float
-range, so the capped optimum takes each value from its definition, one
-fsum over its terms, from the first slot, and so does the capacity-1
-tracker that the uncapped optimum scales by c, which the last sweep's
-`fixed` runs at capacities 1 and 1/2 are scored against.  Against a REF
-older than that fallback, the 2**-1020 cases at 240/13 and of the rate
-sweep fail on the REF side (negative shift count).
-On each seed's descending corpus it runs `sweep --alpha-grid 2,7,20`
-with a --config file that sets capacity 7/2, and with one that sets
-240/13, so the capped optimum's fractional fill and unmet terms are taken
-while its kept set churns on every slot: paths no workload takes.  It
-also compares the stdout of `adversary`, without --rate-limited and
-with it at whole capacities 1, 3 and 24, and of `solve-ratio` on each
-branch of the solver and at the edges of its start bounds (a narrow
-band, each side of a threshold, a wide band with a large alpha).  Last
-it runs commands that must fail: `solve-ratio` on each rejected spec (a zero
-p_min, inverted bounds, alpha below p_min, a zero capacity, and a
-p_max * capacity that overflows), `adversary` with alpha == p_min and at
---pi 1 with alpha inside the band, `simulate` on a header-only price
-file (exit 1) and on one with a bad timestamp (exit 2), and on the seed-1
-regime corpus `sweep --rate-grid 0.7,0.00006` (a factor whose denominator
-is above the bound) and `sweep --rate-grid 0.7,-1` (exit 1 each, after a
-good first factor).  Each must give its expected exit code in both trees,
-with the same stdout and stderr.
-Exits 1 when any output differs, is missing on one side, or a command
-fails (a failing one: exits otherwise than expected).
+Exports REF's tree into a temporary directory (git archive), runs each
+case below with both trees' sources on the same seeded corpora, and
+compares every report file byte for byte, or the stdout of `adversary`
+and `solve-ratio`.  This list is the one list of the cases.
 
-Under each csv report that differs it prints, for each (policy, column)
-whose cells differ, how many cells differ and the largest absolute
-difference between them, so that an intended change of bits can be read
-cell by cell.  In the long slots.csv table the metric named on the row
-stands for the column.
+For each seed in SEEDS (1 and 2):
+
+- each benchmark workload's command (perfbench/workloads.py) on its
+  own corpus;
+- on the simulate workload's regime corpus:
+  - `simulate` over every policy kind but `int` at capacities 7/2 (`rat`
+    fans out over 7 sub-problems), 240/13 (each price fans out over 13
+    of 240 sub-problems, so a group of sub-problems in one state splits;
+    the rate sweep reaches this fan-out but reports no per-slot charges)
+    and 1/2 (`rat` is `fixed` there);
+  - `simulate --policies fixed,int,rat --capacity 1`, where `int` and
+    `rat` are `fixed` too;
+  - `simulate` at capacity 24 over only capped policies (`int,rhc:0,naive`)
+    and over only uncapped ones (`fixed,adaptive,never`), so that each
+    episode's optimum path is shared within a single kind;
+  - `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed`
+    against the unlimited-rate optimum;
+  - `sweep --alpha-grid 20,30,50,100`, whose grid points lie on both
+    sides of `alpha*` (29.6 p_min on the seed-1 corpus), so the
+    closed-form `pi*` branch runs as well as the root one;
+- the same corpus with every price times 2**-1000, 2**950 and 2**-1020
+  (exact in floats, so only the units change): `simulate` at capacities
+  7/2 and 240/13 over `fixed,adaptive,rat,rhc:0,naive,never`, `simulate`
+  at capacity 24 over the default policies, `sweep --rate-grid
+  0.7,0.9,1.1,1.25,1.3` (the rate workload's grid) and `sweep --rate-grid
+  24,48`.  p_min's units then leave the float range, so the capped
+  optimum takes each value from its definition, one fsum over its terms,
+  from the first slot, and so does the capacity-1 tracker that the
+  uncapped optimum scales by c.  Against a REF older than that fallback,
+  the 2**-1020 cases at 240/13 and of the rate sweep fail on the REF side
+  (negative shift count);
+- on the descending workload's corpus, `sweep --alpha-grid 2,7,20` with a
+  --config file that sets capacity 7/2, and with one that sets 240/13,
+  so the capped optimum's fractional fill and unmet terms are taken while
+  its kept set churns on every slot.
+
+Once:
+
+- `adversary` at (p_min, p_max, alpha) = (1, 5, 5): without
+  --rate-limited, and with it at whole capacities 1, 3 and 24;
+- `adversary` at (1, 5, 5) times 2**-40 and capacity 5/2, without and
+  with --rate-limited: the same descent in another price unit;
+- `solve-ratio` on each branch of the solver (closed form, root,
+  alpha == p_min, a flat band) and at the edges of its start bounds: a
+  threshold just above a narrow band (`--p-max 1.01 --alpha 2` on a unit
+  floor), one alpha on each side of the 1-5 band's threshold (15.5 and
+  15.55; it is about 15.535), and a threshold far above a wide band
+  (`--p-min 0.01 --p-max 100 --alpha 1000000`);
+- commands that must fail, whose exit code, stdout and stderr are
+  compared: `solve-ratio` with a zero p_min, inverted bounds, alpha below
+  p_min, a zero capacity and a p_max * capacity that overflows (exit 1);
+  `adversary` with alpha == p_min, and at --pi 1 with alpha inside the
+  band (exit 1); `simulate` on a header-only price file (exit 1) and on
+  one with a bad timestamp (exit 2); and on the seed-1 regime corpus
+  `sweep --rate-grid 0.7,0.00006` (a factor whose denominator is above
+  the bound) and `sweep --rate-grid 0.7,-1` (exit 1 each, after a good
+  first factor).
+
+Exits 1 when any output differs, is missing on one side, or a command
+fails (a command that must fail: exits otherwise than expected); a
+failed report command is named with the tree it failed in.  Under each csv report that differs
+it prints, for each (policy, column) whose cells differ, how many cells
+differ and the largest absolute difference between them, so that an
+intended change of bits can be read cell by cell.  In the long slots.csv
+table the metric named on the row stands for the column.
+
+Blind spot: the sub-problems that the distributor breaks a tie between
+are symmetric, so no report shows a change in its tie-break;
+tests/test_online.py::test_distributor_and_adaptive_match_references_bit_for_bit
+catches one.
 """
 
 from __future__ import annotations
@@ -90,6 +111,8 @@ PRICE_SCALES = {"2^-1000": 2.0**-1000, "2^950": 2.0**950,  # powers of two: ever
 SCALED_POLICIES = "fixed,adaptive,rat,rhc:0,naive,never"
 SCALED_POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}
 SCALED_RATE_GRID = "0.7,0.9,1.1,1.25,1.3"
+SCALED_ADVERSARY_SPEC = ["--p-min", repr(2.0**-40), "--p-max", repr(5 * 2.0**-40),
+                         "--alpha", repr(5 * 2.0**-40), "--capacity", "5/2"]
 STDOUT_COMMANDS = {
     "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                            "--steps", "1000"],
@@ -99,6 +122,11 @@ STDOUT_COMMANDS = {
                                     "--capacity", "24", "--steps", "50", "--rate-limited"],
     "adversary rate-limited c=1": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
                                    "--capacity", "1", "--rate-limited"],
+    # prices and alpha times 2**-40: the descent's rows must not depend on
+    # the price unit
+    "adversary no-limit times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000"],
+    "adversary rate-limited times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000",
+                                           "--rate-limited"],
     "solve-ratio closed-form": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "20",
                                 "--capacity", "3/2"],
     "solve-ratio root": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "2",

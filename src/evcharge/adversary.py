@@ -18,15 +18,22 @@ as bad as the reference target.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import PriceTrace, ProblemSpec, ValidationError, objective_parts
 from .offline import optimum_path
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
+# The narrowest gap between adjacent levels: this fraction of alpha - p_min,
+# and no fewer than LEVEL_GAP_EPS float eps of alpha, so that rounding
+# cannot collapse two levels.  Both are ratios of prices, so a spec and its
+# prices times 2**k get the same number of levels.
 MIN_LEVEL_GAP = 1e-12
+LEVEL_GAP_EPS = 8
 
-# Candidate charged strictly less than the reference, beyond float noise.
+# Candidate charged strictly less than the reference, beyond float noise:
+# this fraction of the capacity.
 TRUNCATION_SLACK = 1e-12
 
 # The most rows a trace may have: the adversary command peaked at 305 MB
@@ -55,21 +62,24 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     if p_start >= alpha:
         raise ValidationError(f"no descent at pi={pi} with alpha={alpha} <= p_max={p_max}: "
                               f"the worst-case total diverges")
-    if p_start <= p_min + MIN_LEVEL_GAP or steps == 1:
+    # the descent in units of alpha - p_min: it opens at 1 - head and ends at 0
+    depth = alpha - p_min
+    head = (alpha - p_start) / depth
+    gap = max(MIN_LEVEL_GAP, LEVEL_GAP_EPS * sys.float_info.epsilon * (alpha / depth))
+    if 1 - head <= gap or steps == 1:
         return PriceTrace((p_min,))
 
     import numpy as np  # here, so that importing the CLI does not load numpy
 
-    span = math.log((alpha - p_min) / (alpha - p_start))
     # cap keeps the tightest level spacing at twice the gap floor so float
     # rounding cannot collapse adjacent levels
-    cap = 1 + int((alpha - p_start) * span / (2 * MIN_LEVEL_GAP))
+    cap = 1 + int(head * -math.log(head) / (2 * gap))
     n = min(steps, max(2, cap))
-    gaps = np.geomspace(alpha - p_start, alpha - p_min, n)
+    gaps = np.geomspace(alpha - p_start, depth, n)
     prices = alpha - gaps
     prices[0] = p_start
     prices[-1] = p_min
-    if np.any(np.diff(prices) > -MIN_LEVEL_GAP):
+    if np.any(np.diff(prices) / depth > -gap):
         raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
     return PriceTrace(prices.tolist())
 
@@ -96,6 +106,7 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     plan = worst_case_no_limit(spec, pi_star, steps).slots
     reference = FixedRatioPolicy(spec, pi_star)
 
+    slack = TRUNCATION_SLACK * spec.capacity_f
     cum_policy = cum_ref = 0.0
     charges = []
     for played, price in enumerate(plan, 1):
@@ -103,7 +114,7 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
         charges.append(policy.charge(price, look))
         cum_policy += charges[-1]
         cum_ref += reference.charge(price)
-        if cum_policy < cum_ref - TRUNCATION_SLACK:
+        if cum_policy < cum_ref - slack:
             break
     # the unmet need as one rounding of c - sum(v): alpha magnifies its error
     unmet = math.fsum([spec.capacity_f, *(-v for v in charges)])

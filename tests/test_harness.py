@@ -984,6 +984,13 @@ class TestCli:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_adversary_rows_do_not_depend_on_the_price_unit(self, capsys):
+        # the same spec at p_min 1 and 1e-14 writes the same number of rows
+        for p_min, p_max in (("1", "5"), ("1e-14", "5e-14")):
+            assert cli.main(["adversary", "--p-min", p_min, "--p-max", p_max, "--alpha", p_max,
+                             "--capacity", "2", "--steps", "1000"]) == 0
+            assert capsys.readouterr().out.count("\n") == 1001, p_min
+
     def test_cli_import_leaves_unused_modules_unloaded(self):
         # every command pays for what importing the CLI loads: numpy and the
         # adversary serve only `adversary`, and statistics nothing
