@@ -25,11 +25,10 @@ from .offline import optimum_path
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
 
-# The narrowest gap between adjacent levels: this fraction of alpha - p_min,
-# and no fewer than LEVEL_GAP_EPS float eps of alpha, so that rounding
-# cannot collapse two levels.  Both are ratios of prices, so a spec and its
-# prices times 2**k get the same number of levels.
-MIN_LEVEL_GAP = 1e-12
+# The narrowest gap between adjacent levels, in float eps of alpha: each
+# level is alpha less its gap to alpha, so rounding moves it by about eps
+# alpha.  The gap scales with the prices, so a spec and its prices times
+# 2**k get the same number of levels.
 LEVEL_GAP_EPS = 8
 
 # Candidate charged strictly less than the reference, beyond float noise:
@@ -62,24 +61,22 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     if p_start >= alpha:
         raise ValidationError(f"no descent at pi={pi} with alpha={alpha} <= p_max={p_max}: "
                               f"the worst-case total diverges")
-    # the descent in units of alpha - p_min: it opens at 1 - head and ends at 0
-    depth = alpha - p_min
-    head = (alpha - p_start) / depth
-    gap = max(MIN_LEVEL_GAP, LEVEL_GAP_EPS * sys.float_info.epsilon * (alpha / depth))
-    if 1 - head <= gap or steps == 1:
+    gap = LEVEL_GAP_EPS * sys.float_info.epsilon * alpha
+    if p_start <= p_min + gap or steps == 1:
         return PriceTrace((p_min,))
 
     import numpy as np  # here, so that importing the CLI does not load numpy
 
+    span = math.log((alpha - p_min) / (alpha - p_start))
     # cap keeps the tightest level spacing at twice the gap floor so float
     # rounding cannot collapse adjacent levels
-    cap = 1 + int(head * -math.log(head) / (2 * gap))
+    cap = 1 + int((alpha - p_start) * span / (2 * gap))
     n = min(steps, max(2, cap))
-    gaps = np.geomspace(alpha - p_start, depth, n)
+    gaps = np.geomspace(alpha - p_start, alpha - p_min, n)
     prices = alpha - gaps
     prices[0] = p_start
     prices[-1] = p_min
-    if np.any(np.diff(prices) / depth > -gap):
+    if np.any(np.diff(prices) > -gap):
         raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
     return PriceTrace(prices.tolist())
 

@@ -79,12 +79,21 @@ class TestWorstCaseNoLimit:
         assert prices[-1] == spec.p_min
 
     def test_levels_stay_floats_apart_when_alpha_is_just_above_p_min(self):
-        # the descent spans 28 ulps here: a gap relative to alpha - p_min
-        # alone would try to fit 1000 levels into them and fail
+        # the descent spans 28 ulps here: levels at least 8 eps alpha apart
+        # leave room for two, where 1000 would fail the level check
         spec = spec_of(1, 5, 1 + 1e-14, 1)
         pi = solve_pi_star(spec).pi_star
         prices = worst_case_no_limit(spec, pi, 1000).slots
         assert prices == (spec.alpha / pi, spec.p_min)
+
+    @pytest.mark.parametrize("p_max, alpha, steps", [(5, 1e10, 1000), (1 + 1e-6, 1e4, 300)])
+    def test_a_narrow_band_far_below_alpha_keeps_every_step(self, p_max, alpha, steps):
+        # the levels are far more than 8 eps alpha apart (0.004 against 2e-5
+        # at alpha 1e10), so the cap must not cut the descent, at any scale
+        for k in (0, -40):
+            spec = spec_of(*(math.ldexp(x, k) for x in (1, p_max, alpha)), 1)
+            pi = solve_pi_star(spec).pi_star
+            assert len(worst_case_no_limit(spec, pi, steps)) == steps, k
 
 
 class TestWorstCaseRateLimited:
