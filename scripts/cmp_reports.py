@@ -50,6 +50,9 @@ Once:
   --rate-limited, and with it at whole capacities 1, 3 and 24;
 - `adversary` at (1, 5, 5) times 2**-40 and capacity 5/2, without and
   with --rate-limited: the same descent in another price unit;
+- `adversary` at (1, 5, 1e10) and (1, 5, 1e11) with 1000 steps, whose
+  1000 levels fit at the first try (at 1e12 they do not), so a descent
+  that fits keeps its bytes;
 - `solve-ratio` on each branch of the solver (closed form, root,
   alpha == p_min, a flat band) and at the edges of its start bounds: a
   threshold just above a narrow band (`--p-max 1.01 --alpha 2` on a unit
@@ -127,6 +130,11 @@ STDOUT_COMMANDS = {
     "adversary no-limit times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000"],
     "adversary rate-limited times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000",
                                            "--rate-limited"],
+    # large alphas at which 1000 levels still fit without halving
+    "adversary alpha 1e10": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "1e10",
+                             "--steps", "1000"],
+    "adversary alpha 1e11": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "1e11",
+                             "--steps", "1000"],
     "solve-ratio closed-form": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "20",
                                 "--capacity", "3/2"],
     "solve-ratio root": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "2",

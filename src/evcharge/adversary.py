@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import PriceTrace, ProblemSpec, ValidationError, objective_parts
+from .core import ProblemSpec, ValidationError, objective_parts
 from .offline import optimum_path
 from .online import FixedRatioPolicy, Policy
 from .ratio import solve_pi_star
@@ -47,12 +47,12 @@ def _check_rows(spec: ProblemSpec, steps: int, repeat: int = 1) -> None:
                               f"{rows} rows, more than the limit of {MAX_TRACE_ROWS}")
 
 
-def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
+def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> tuple[float, ...]:
     """Strictly decreasing price path that exhausts a target-pi policy."""
     if steps < 1:
         raise ValidationError(f"need at least one step, got {steps}")
     _check_rows(spec, steps)
-    if not (math.isfinite(pi) and pi >= 1.0 - 1e-12):
+    if not (math.isfinite(pi) and pi >= 1.0):
         raise ValidationError(f"ratio target must be finite and >= 1, got {pi}")
     alpha, p_min, p_max = spec.alpha, spec.p_min, spec.p_max
     if alpha == p_min:
@@ -63,7 +63,7 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
                               f"the worst-case total diverges")
     gap = LEVEL_GAP_EPS * sys.float_info.epsilon * alpha
     if p_start <= p_min + gap or steps == 1:
-        return PriceTrace((p_min,))
+        return (p_min,)
 
     import numpy as np  # here, so that importing the CLI does not load numpy
 
@@ -72,25 +72,26 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
     # rounding cannot collapse adjacent levels
     cap = 1 + int((alpha - p_start) * span / (2 * gap))
     n = min(steps, max(2, cap))
-    gaps = np.geomspace(alpha - p_start, alpha - p_min, n)
-    prices = alpha - gaps
-    prices[0] = p_start
-    prices[-1] = p_min
-    if np.any(np.diff(prices) > -gap):
-        raise ValidationError(f"cannot fit {n} strictly decreasing levels in the band")
-    return PriceTrace(prices.tolist())
+    while True:
+        prices = alpha - np.geomspace(alpha - p_start, alpha - p_min, n)
+        prices[0], prices[-1] = p_start, p_min
+        # geomspace rounds in log10, at a large alpha more coarsely than cap
+        # allows for: halve n until the levels fit (p_start > p_min always do)
+        if n == 2 or not np.any(np.diff(prices) > -gap):
+            return tuple(prices.tolist())
+        n = max(2, n // 2)
 
 
-def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> PriceTrace:
+def worst_case_rate_limited(spec: ProblemSpec, pi: float, steps: int) -> tuple[float, ...]:
     """The target-pi descent with each level repeated ceil(capacity) times,
     so every sub-problem of a capacity-splitting policy sees the full
     descent, the last (fractional) one included."""
     repeat = math.ceil(spec.capacity)
     _check_rows(spec, steps, repeat)
-    return PriceTrace(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat))
+    return tuple(p for p in worst_case_no_limit(spec, pi, steps) for _ in range(repeat))
 
 
-def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[PriceTrace, float]:
+def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[tuple[float, ...], float]:
     """Duel `policy` against the reference on the worst-case descent.
 
     Returns the (possibly truncated) trace actually played and the
@@ -100,7 +101,7 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     as one fsum of c - sum(v) rather than as score_run's running total.
     """
     pi_star = solve_pi_star(spec).pi_star
-    plan = worst_case_no_limit(spec, pi_star, steps).slots
+    plan = worst_case_no_limit(spec, pi_star, steps)
     reference = FixedRatioPolicy(spec, pi_star)
 
     slack = TRUNCATION_SLACK * spec.capacity_f
@@ -116,5 +117,4 @@ def adaptive_adversary(policy: Policy, spec: ProblemSpec, steps: int) -> tuple[P
     # the unmet need as one rounding of c - sum(v): alpha magnifies its error
     unmet = math.fsum([spec.capacity_f, *(-v for v in charges)])
     cost, diss = objective_parts(spec, (p * v for p, v in zip(plan, charges)), unmet)
-    trace = PriceTrace(plan[:played])
-    return trace, (cost + diss) / optimum_path(spec, trace, False)[-1]
+    return plan[:played], (cost + diss) / optimum_path(spec, plan[:played], False)[-1]

@@ -33,17 +33,13 @@ class InternalConsistencyError(EvChargeError):
 
 class ProblemSpec(NamedTuple):
     """Validated instance parameters.  Build via :func:`validate_spec`.
-
-    Nothing reads slot_minutes: reports convert to kWh from the config's
-    (slot_energy_kwh), and the policies work in normalized units.  It stays
-    while perfbench's pipeline passes it to validate_spec.
-    """
+    The slot length is not one: reports convert to kWh from the config's
+    (slot_energy_kwh), and the policies work in normalized units."""
 
     p_min: float
     p_max: float
     alpha: float
     capacity: Fraction
-    slot_minutes: int = 5
 
     @property
     def theta(self) -> float:
@@ -100,7 +96,8 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
     rational with denominator <= 10**4.  A p_min below the smallest normal
     float is rejected, and so is alpha below p_min: the optimum there is
     to never charge, which makes every ratio question vacuous.  So is a
-    spec whose alpha * c or p_max * c overflows a float.
+    spec whose alpha * c or p_max * c overflows a float.  slot_minutes is
+    only checked, for perfbench's pipeline, which passes it.
     """
     p_min = float(p_min)
     p_max = float(p_max)
@@ -129,7 +126,7 @@ def validate_spec(p_min: float, p_max: float, alpha: float, capacity, slot_minut
                                   f"capacity={_named(capacity, cap)}")
     if slot_minutes <= 0:
         raise ValidationError(f"slot_minutes must be positive, got {slot_minutes}")
-    return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap, slot_minutes=int(slot_minutes))
+    return ProblemSpec(p_min=p_min, p_max=p_max, alpha=alpha, capacity=cap)
 
 
 class PriceTrace(tuple):

@@ -59,7 +59,7 @@ def run_policies(cfg: ExperimentConfig, data: IngestResult, runs: list[tuple[Pro
     needs: dict[tuple[ProblemSpec, bool], int] = {}
     keys = [needs.setdefault((spec, capped(policy)), len(needs)) for spec, policy in runs]
     for ep in data.episodes:
-        prices = ep.trace.slots
+        prices = ep.trace
         paths = [optimum_path(spec, prices, limited) for spec, limited in needs]
         args = [(cfg, spec, prices, paths[key], policy, ep.date, columns)
                 for key, (spec, policy) in zip(keys, runs)]
@@ -96,7 +96,7 @@ def sweep_alpha(cfg: ExperimentConfig, data: IngestResult) -> list[AlphaSweepRow
     dissatisfaction price in the grid (as multiples of calibrated p_min).
     Every grid point's spec and target is checked before any is scored."""
     calib = data.calibration
-    specs = [validate_spec(calib.p_min, calib.p_max, factor * calib.p_min, cfg.capacity, cfg.slot_minutes)
+    specs = [validate_spec(calib.p_min, calib.p_max, factor * calib.p_min, cfg.capacity)
              for factor in cfg.alpha_grid]
     targets = [solve_pi_star(spec).pi_star for spec in specs]
     return [AlphaSweepRow(alpha_factor=factor, alpha=spec.alpha, pi_star=target,
@@ -117,8 +117,8 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
     calib = data.calibration
     base = spec_from_calibration(cfg, calib)
     energy = slot_energy_kwh(cfg)
-    specs = [validate_spec(calib.p_min, calib.p_max, base.alpha, rate_capacity(base.capacity, factor),
-                           cfg.slot_minutes) for factor in cfg.rate_grid]
+    specs = [validate_spec(calib.p_min, calib.p_max, base.alpha, rate_capacity(base.capacity, factor))
+             for factor in cfg.rate_grid]
     return [RateSweepRow(rate_factor=factor, capacity=str(spec.capacity),
                          policy=splitting_policy(spec.capacity),
                          mean_alg_objective=_mean(row.objective * (factor * energy) for row, _ in runs),

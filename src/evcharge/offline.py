@@ -128,24 +128,17 @@ def optimum_path(spec: ProblemSpec, prices, capped: bool) -> list[float]:
 def opt_rate_limited(spec: ProblemSpec, prices) -> tuple[float, tuple[float, ...]]:
     """Optimal value and per-slot charges achieving it under the per-slot cap
     of 1: the capped tracker's final value, and the fill of each slot in
-    its final kept set.  Every slot priced below the last kept price is
-    kept, and so are the earliest slots priced at it, as many as kept
-    holds; the latest of those is the one at rank floor(c)."""
+    its final kept set.  That set is the first ceil(c) slots priced below
+    alpha in (price, t) order, the tracker's tie rule; the first floor(c)
+    of them are filled at rate 1 and the next at the fraction."""
     prices = tuple(prices)
     tracker = RateLimitedOptimum(spec)
     if not tracker.path(prices):
         raise ValidationError("empty price prefix")
-    kept = tracker.kept
+    order = sorted((t for t, price in enumerate(prices) if price < spec.alpha), key=prices.__getitem__)
     v = [0.0] * len(prices)
-    if kept:
-        top, ties = kept[-1], kept.count(kept[-1])
-        for t, price in enumerate(prices):
-            if price < top or price == top and ties:
-                v[t] = 1.0
-                if price == top:
-                    ties, last = ties - 1, t
-        if len(kept) > tracker.whole:
-            v[last] = tracker.frac
+    for rank, t in enumerate(order[: tracker.keep]):
+        v[t] = 1.0 if rank < tracker.whole else tracker.frac
     return tracker.opt, tuple(v)
 
 

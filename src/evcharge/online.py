@@ -3,10 +3,11 @@
 Each policy's charge takes the current price (and, for lookahead
 baselines, the next prices) and returns only the float charge it places
 now.  Scoring, the running cost and the offline optimum belong to the
-episode loop in `harness.runner`.  The target keeps each ratio policy's
-total within its capacity, so `fixed` never clamps; `adaptive` and the
-distributor sub-problems clamp their totals at the capacity only as a
-guard against float error, and treat a clamp beyond that error as a bug.
+episode loop in `harness.runner`.  `fixed` never clamps, so rounding can
+take its total past its capacity, which the runner's guard allows for;
+`adaptive` and the distributor sub-problems clamp their totals at the
+capacity only as a guard against float error, and treat a clamp beyond
+that error as a bug.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class PolicyStep(NamedTuple):
     charge: float
 
 
-NO_CHARGE = PolicyStep(0.0)  # immutable, so every step that charges nothing can share it
-
-
 class Policy:
     """One episode of one policy; build a fresh one per episode."""
 
@@ -45,11 +43,8 @@ class Policy:
         raise NotImplementedError
 
     def step(self, price: float, lookahead: tuple[float, ...] = ()) -> PolicyStep:
-        """charge, boxed; every zero charge is the shared NO_CHARGE (no policy
-        charges -0.0).  Kept, with PolicyStep, while perfbench's replay calls
-        it."""
-        v = self.charge(price, lookahead)
-        return PolicyStep(v) if v else NO_CHARGE
+        """charge, boxed; kept, with PolicyStep, while perfbench's replay calls it."""
+        return PolicyStep(self.charge(price, lookahead))
 
 
 class FixedRatioPolicy(Policy):

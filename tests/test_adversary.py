@@ -28,15 +28,15 @@ class TestWorstCaseNoLimit:
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 2)
         assert len(trace) == 2
-        assert trace.slots[0] == spec.alpha / pi
-        assert trace.slots[0] == pytest.approx(2.641640451282391, rel=1e-12)
-        assert trace.slots[-1] == spec.p_min
+        assert trace[0] == spec.alpha / pi
+        assert trace[0] == pytest.approx(2.641640451282391, rel=1e-12)
+        assert trace[-1] == spec.p_min
 
     def test_strictly_decreasing_inside_band(self):
         spec = spec_of(1, 5, 5, 1)
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 10_000)
-        prices = np.asarray(trace.slots)
+        prices = np.asarray(trace)
         assert len(trace) == 10_000
         assert (np.diff(prices) < 0).all()
         assert prices[0] == spec.alpha / pi
@@ -47,12 +47,12 @@ class TestWorstCaseNoLimit:
         # a lenient target would force charging above the band; clamp to p_max
         spec = spec_of(1, 5, 20, 1)
         trace = worst_case_no_limit(spec, 1.0, 100)
-        assert trace.slots[0] == spec.p_max
+        assert trace[0] == spec.p_max
 
     def test_degenerate_target_collapses_to_floor(self):
         spec = spec_of(1, 5, 5, 1)
         trace = worst_case_no_limit(spec, spec.alpha / spec.p_min, 50)
-        assert trace.slots == (spec.p_min,)
+        assert trace == (spec.p_min,)
         assert len(trace) == 1
 
     def test_alpha_at_floor_has_no_descent(self):
@@ -73,7 +73,7 @@ class TestWorstCaseNoLimit:
         spec = spec_of(1, 5, 5, 1)
         trace = worst_case_no_limit(spec, spec.alpha / (1 + 1e-9), 10**6)
         assert 1 < len(trace) < 10**6
-        prices = np.asarray(trace.slots)
+        prices = np.asarray(trace)
         assert (np.diff(prices) < 0).all()
         assert prices[0] == 1 + 1e-9
         assert prices[-1] == spec.p_min
@@ -83,7 +83,7 @@ class TestWorstCaseNoLimit:
         # leave room for two, where 1000 would fail the level check
         spec = spec_of(1, 5, 1 + 1e-14, 1)
         pi = solve_pi_star(spec).pi_star
-        prices = worst_case_no_limit(spec, pi, 1000).slots
+        prices = worst_case_no_limit(spec, pi, 1000)
         assert prices == (spec.alpha / pi, spec.p_min)
 
     @pytest.mark.parametrize("p_max, alpha, steps", [(5, 1e10, 1000), (1 + 1e-6, 1e4, 300)])
@@ -100,24 +100,23 @@ class TestWorstCaseRateLimited:
     def test_levels_repeat_capacity_times(self):
         spec = spec_of(1, 5, 5, 2)
         pi = solve_pi_star(spec).pi_star
-        trace = worst_case_rate_limited(spec, pi, 3)
-        prices = trace.slots
+        prices = worst_case_rate_limited(spec, pi, 3)
         assert len(prices) == 6
         assert prices[0::2] == prices[1::2]
         levels = prices[0::2]
         assert all(a > b for a, b in zip(levels, levels[1:]))
         base = worst_case_no_limit(spec, pi, 3)
-        assert levels == base.slots
+        assert levels == base
 
     def test_fractional_capacity_repeats_levels_ceil_times(self):
         # the last, fractional sub-problem needs the full descent too
         for capacity, repeat in ((Fraction(3, 2), 2), (Fraction(1, 2), 1)):
             spec = spec_of(1, 5, 5, capacity)
             pi = solve_pi_star(spec).pi_star
-            levels = worst_case_no_limit(spec, pi, 3).slots
+            levels = worst_case_no_limit(spec, pi, 3)
             trace = worst_case_rate_limited(spec, pi, 3)
             assert len(trace) == 3 * repeat
-            assert all(trace.slots[k::repeat] == levels for k in range(repeat))
+            assert all(trace[k::repeat] == levels for k in range(repeat))
 
 
     def test_traces_past_the_row_limit_are_refused_before_they_are_built(self):
@@ -146,7 +145,7 @@ def test_repeated_descent_holds_rat_at_target_against_capped_optimum(spec, steps
     the descent's discretization, above it only by float noise.  Descents
     with fewer levels than ceil(c) fall far short without the repeats."""
     pi = solve_pi_star(spec).pi_star
-    prices = worst_case_rate_limited(spec, pi, steps).slots
+    prices = worst_case_rate_limited(spec, pi, steps)
     eta = eta_path(spec, prices, drive("rat", spec, prices))[-1]
     ratio = eta / GreedyOptimum(spec, prices, True).value
     assert pi * (1 - 1e-3) <= ratio <= pi * (1 + 1e-12)
@@ -163,7 +162,7 @@ class TestDescentExhaustsTarget:
         for n in (2, 10, 50, 100, 1000, 10_000):
             runner = make_policy("fixed", spec)
             trace = worst_case_no_limit(spec, pi, n)
-            totals.append(math.fsum(runner.charge(p) for p in trace.slots))
+            totals.append(math.fsum(runner.charge(p) for p in trace))
         assert totals[0] == pytest.approx(0.7768091842729072, rel=1e-12)
         assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
         assert all(t <= ceiling + 1e-9 for t in totals)
@@ -307,7 +306,7 @@ def test_adversary_is_scale_free(spec, k, steps):
         reject()
     k = min(max(k, math.ceil(math.log2(1e-300 / spec.p_min))), math.floor(math.log2(1e300 / spec.p_min)))
     scaled = spec_of(*(math.ldexp(x, k) for x in (spec.p_min, spec.p_max, spec.alpha)), spec.capacity)
-    base, moved = (worst_case_no_limit(s, pi, steps).slots for s in (spec, scaled))
+    base, moved = (worst_case_no_limit(s, pi, steps) for s in (spec, scaled))
     assert len(moved) == len(base)
     drift = max(abs(math.ldexp(scaled.alpha - q, -k) / (spec.alpha - p) - 1) for p, q in zip(base, moved))
     bound = 2 * (drift + sys.float_info.epsilon) * spec.alpha / spec.p_min

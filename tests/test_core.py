@@ -21,7 +21,9 @@ from evcharge.core import (
     ValidationError,
     validate_spec,
 )
+from evcharge.adversary import worst_case_no_limit
 from evcharge.harness.config import ExperimentConfig
+from evcharge.offline import optimum_path
 from evcharge.online import Policy
 from evcharge.ratio import solve_pi_star
 
@@ -116,6 +118,10 @@ class TestValidateSpec:
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert after.currsize - before.currsize == 1
         assert validate_spec(1.25, 6.5, 4.75, "7/2") != first
+        # the slot length is checked but not kept, so it cannot split the entry
+        other_slots = validate_spec(1.25, 6.5, 4.75, "7/3", 15)
+        assert other_slots == first and solve_pi_star(other_slots) is solve_pi_star(first)
+        assert solve_pi_star.cache_info().currsize == after.currsize
 
     def test_alpha_equal_p_min_allowed(self):
         assert validate_spec(1, 5, 1, 1).alpha == 1.0
@@ -271,6 +277,16 @@ class TestCheckFeasible:
         assert _score(spec, (3.0,) * 24, v).dissatisfaction == 0.0
         with pytest.raises(InternalConsistencyError, match="over capacity"):
             _score(spec, (3.0,) * 25, (1.0,) * 25)
+
+    @pytest.mark.parametrize("capacity", [10**5, 10**7])
+    def test_capacity_tolerance_scales_with_capacity(self, capacity):
+        # `fixed` does not clamp: on this 180-level descent at pi* its float
+        # total passes c by about 1.2e-14 c, past 1e-9 at these capacities
+        spec = validate_spec(1.0, 1.000001484352465, 51.957308152734036, capacity)
+        pi = solve_pi_star(spec).pi_star
+        prices = worst_case_no_limit(spec, pi, 180)
+        row, *_ = runner.score_run(ExperimentConfig(), spec, prices, optimum_path(spec, prices, False), "fixed")
+        assert capacity + 1e-9 < row.charged_units <= capacity * (1 + 180 * sys.float_info.epsilon)
 
 
 prices_list = st.lists(st.floats(1.0, 5.0, allow_nan=False), min_size=1, max_size=30)

@@ -416,7 +416,7 @@ class TestRunEpisode:
         spec = validate_spec(1, 5, 5, "2")
         pi = solve_pi_star(spec).pi_star
         trace = worst_case_no_limit(spec, pi, 500)
-        row, slots = run_episode(cfg, spec, trace, "fixed", "2021-03-01")
+        row, slots = run_episode(cfg, spec, PriceTrace(trace), "fixed", "2021-03-01")
         assert all(abs(s.ratio - pi) <= 0.01 * pi for s in slots)
         assert row.ratio == pytest.approx(pi, rel=1e-9)
 
@@ -960,14 +960,29 @@ class TestCli:
         assert repeated == [p for p in levels for _ in range(repeat)]
 
     @pytest.mark.parametrize("mode", [[], ["--rate-limited"]])
-    @pytest.mark.parametrize("pi", ["nan", "inf", "1", "0.9999999999999"])
-    def test_adversary_bad_pi_exits_one(self, capsys, mode, pi):
-        # alpha == p_max here, so a target of 1 leaves no descent: the total diverges
-        code = cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
+    @pytest.mark.parametrize("alpha, pi", [
+        *(pytest.param("5", pi, id=pi) for pi in ("nan", "inf", "1", "0.9999999999999")),
+        pytest.param("20", "0.9999999999999", id="0.9999999999999-alpha20"),
+    ])
+    def test_adversary_bad_pi_exits_one(self, capsys, mode, alpha, pi):
+        # at alpha == p_max a target of 1 leaves no descent: the total
+        # diverges; at alpha 20 it has one, but a target below 1 is refused
+        code = cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", alpha,
                          "--pi", pi] + mode)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha, rows", [("1e12", 500), ("1e13", 56)])
+    def test_adversary_fits_fewer_levels_at_a_large_alpha(self, capsys, alpha, rows):
+        # np.geomspace rounds in log10, so 1000 levels do not fit at this
+        # alpha; the descent halves its levels until they do
+        assert cli.main(["adversary", "--p-min", "1", "--p-max", "5", "--alpha", alpha,
+                         "--steps", "1000"]) == 0
+        prices = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(prices) == rows
+        assert all(a > b for a, b in zip(prices, prices[1:]))
+        assert (prices[0], prices[-1]) == (5.0, 1.0)
 
     @pytest.mark.parametrize("args, lines, digest", [
         (["--steps", "200"], 201,

@@ -21,10 +21,10 @@ from conftest import (
 from evcharge.core import ValidationError, validate_spec
 from evcharge.offline import RateLimitedOptimum
 from evcharge.online import (
-    NO_CHARGE,
     RATIO_POLICIES,
     DistributorPolicy,
     FixedRatioPolicy,
+    PolicyStep,
     make_policy,
     naive_threshold_step,
     rhc_step,
@@ -527,13 +527,12 @@ def step_all(name, spec, prices):
 @example(case=(spec_of(1, 5, 5, 2), [5.0, 5.0, 5.0]), horizon=0)  # rhc:0 stops at c
 def test_step_boxes_charge_bit_for_bit(case, horizon):
     # every kind: step(p).charge of one policy is charge(p) of its twin to
-    # the last bit, and a zero charge is the one shared NO_CHARGE
+    # the last bit
     spec, prices = case
     names = ["fixed", "adaptive", "rat", f"rhc:{horizon}", "naive", "never"]
     for name in names + (["int"] if spec.capacity.denominator == 1 else []):
         for out, v in zip(step_all(name, spec, prices), drive(name, spec, prices)):
             assert out.charge.hex() == v.hex(), name
-            assert (out is NO_CHARGE) == (v == 0.0), name
 
 
 def _rhc_step_by_fill(remaining, window):
@@ -568,14 +567,12 @@ class TestRhc:
         assert rhc_step(2.0, 5.0, ()) == 1.0
         steps = step_all("rhc:0", spec, [5.0, 5.0, 5.0])
         assert [s.charge for s in steps] == [1.0, 1.0, 0.0]
-        assert steps[2] is NO_CHARGE  # a zero step is the one shared instance
 
     def test_waits_for_cheaper_window_slot(self):
         spec = spec_of(1, 5, 5, 1)
         assert rhc_step(1.0, 5.0, (3.0, 4.0)) == 0.0
         steps = step_all("rhc:2", spec, [5.0, 3.0, 4.0])
         assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
-        assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 
     def test_nothing_left(self):
         assert rhc_step(0.0, 2.0, (1.0,)) == 0.0
@@ -601,7 +598,6 @@ class TestNaiveThreshold:
         assert naive_threshold_step(2.0, 3.7, spec) == 0.0
         steps = step_all("naive", spec, [3.7, 3.0, 3.601])
         assert [s.charge for s in steps] == [0.0, 1.0, 0.0]
-        assert steps[0] is NO_CHARGE and steps[2] is NO_CHARGE
 
     def test_partial_remainder(self):
         spec = spec_of(1.3, 5.902, 2.6, 2)
@@ -613,7 +609,7 @@ def test_make_policy_names():
     for name in RATIO_POLICIES:
         make_policy(name, spec)
     assert make_policy("rhc:3", spec).lookahead_needed == 3
-    assert make_policy("never", spec).step(1.0) is NO_CHARGE
+    assert make_policy("never", spec).step(1.0) == PolicyStep(0.0)
     with pytest.raises(ValidationError):
         make_policy("clairvoyant", spec)
 
