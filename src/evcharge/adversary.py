@@ -76,7 +76,7 @@ def worst_case_no_limit(spec: ProblemSpec, pi: float, steps: int) -> tuple[float
         prices = alpha - np.geomspace(alpha - p_start, alpha - p_min, n)
         prices[0], prices[-1] = p_start, p_min
         # geomspace rounds in log10, at a large alpha more coarsely than cap
-        # allows for: halve n until the levels fit (p_start > p_min always do)
+        # allows for: halve n until the levels fit (two always do: p_start > p_min + gap)
         if n == 2 or not np.any(np.diff(prices) > -gap):
             return tuple(prices.tolist())
         n = max(2, n // 2)

@@ -33,8 +33,8 @@ class InternalConsistencyError(EvChargeError):
 
 class ProblemSpec(NamedTuple):
     """Validated instance parameters.  Build via :func:`validate_spec`.
-    The slot length is not one: reports convert to kWh from the config's
-    (slot_energy_kwh), and the policies work in normalized units."""
+    The slot length is not one: the policies work in normalized units,
+    and reports convert to kWh from the config (slot_energy_kwh)."""
 
     p_min: float
     p_max: float

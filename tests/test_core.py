@@ -14,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 import evcharge
 import evcharge.harness.runner as runner
+from evcharge.adversary import worst_case_no_limit
 from evcharge.core import (
     InternalConsistencyError,
     MAX_CAPACITY_DENOMINATOR,
@@ -21,7 +22,6 @@ from evcharge.core import (
     ValidationError,
     validate_spec,
 )
-from evcharge.adversary import worst_case_no_limit
 from evcharge.harness.config import ExperimentConfig
 from evcharge.offline import optimum_path
 from evcharge.online import Policy
