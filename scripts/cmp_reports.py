@@ -3,79 +3,21 @@
 
     python3 scripts/cmp_reports.py REF
 
-Exports REF's tree into a temporary directory (git archive), runs each
-case below with both trees' sources on the same seeded corpora, and
-compares every report file byte for byte, or the stdout of `adversary`
-and `solve-ratio`.  This list is the one list of the cases.
-
-For each seed in SEEDS (1 and 2):
-
-- each benchmark workload's command (perfbench/workloads.py) on its
-  own corpus;
-- on the simulate workload's regime corpus:
-  - `simulate` over every policy kind but `int` at capacities 7/2 (`rat`
-    fans out over 7 sub-problems), 240/13 (each price fans out over 13
-    of 240 sub-problems, so a group of sub-problems in one state splits;
-    the rate sweep reaches this fan-out but reports no per-slot charges)
-    and 1/2 (`rat` is `fixed` there);
-  - `simulate --policies fixed,int,rat --capacity 1`, where `int` and
-    `rat` are `fixed` too;
-  - `simulate` at capacity 24 over only capped policies (`int,rhc:0,naive`)
-    and over only uncapped ones (`fixed,adaptive,never`), so that each
-    episode's optimum path is shared within a single kind;
-  - `sweep --rate-grid 24,48`, whose capacities 1 and 1/2 run `fixed`
-    against the unlimited-rate optimum;
-  - `sweep --alpha-grid 20,30,50,100`, whose grid points lie on both
-    sides of `alpha*` (29.6 p_min on the seed-1 corpus), so the
-    closed-form `pi*` branch runs as well as the root one;
-- the same corpus with every price times 2**-1000, 2**950 and 2**-1020
-  (exact in floats, so only the units change): `simulate` at capacities
-  7/2 and 240/13 over `fixed,adaptive,rat,rhc:0,naive,never`, `simulate`
-  at capacity 24 over the default policies, `sweep --rate-grid
-  0.7,0.9,1.1,1.25,1.3` (the rate workload's grid) and `sweep --rate-grid
-  24,48`.  p_min's units then leave the float range, so the capped
-  optimum takes each value from its definition, one fsum over its terms,
-  from the first slot, and so does the capacity-1 tracker that the
-  uncapped optimum scales by c.  Against a REF older than that fallback,
-  the 2**-1020 cases at 240/13 and of the rate sweep fail on the REF side
-  (negative shift count);
-- on the descending workload's corpus, `sweep --alpha-grid 2,7,20` with a
-  --config file that sets capacity 7/2, and with one that sets 240/13,
-  so the capped optimum's fractional fill and unmet terms are taken while
-  its kept set churns on every slot.
-
-Once:
-
-- `adversary` at (p_min, p_max, alpha) = (1, 5, 5): without
-  --rate-limited, and with it at whole capacities 1, 3 and 24;
-- `adversary` at (1, 5, 5) times 2**-40 and capacity 5/2, without and
-  with --rate-limited: the same descent in another price unit;
-- `adversary` at (1, 5, 1e10) and (1, 5, 1e11) with 1000 steps, whose
-  1000 levels fit at the first try (at 1e12 they do not), so a descent
-  that fits keeps its bytes;
-- `solve-ratio` on each branch of the solver (closed form, root,
-  alpha == p_min, a flat band) and at the edges of its start bounds: a
-  threshold just above a narrow band (`--p-max 1.01 --alpha 2` on a unit
-  floor), one alpha on each side of the 1-5 band's threshold (15.5 and
-  15.55; it is about 15.535), and a threshold far above a wide band
-  (`--p-min 0.01 --p-max 100 --alpha 1000000`);
-- commands that must fail, whose exit code, stdout and stderr are
-  compared: `solve-ratio` with a zero p_min, inverted bounds, alpha below
-  p_min, a zero capacity and a p_max * capacity that overflows (exit 1);
-  `adversary` with alpha == p_min, and at --pi 1 with alpha inside the
-  band (exit 1); `simulate` on a header-only price file (exit 1) and on
-  one with a bad timestamp (exit 2); and on the seed-1 regime corpus
-  `sweep --rate-grid 0.7,0.00006` (a factor whose denominator is above
-  the bound) and `sweep --rate-grid 0.7,-1` (exit 1 each, after a good
-  first factor).
-
-Exits 1 when any output differs, is missing on one side, or a command
-fails (a command that must fail: exits otherwise than expected); a
-failed report command is named with the tree it failed in.  Under each csv report that differs
-it prints, for each (policy, column) whose cells differ, how many cells
+Exports REF's tree into a temporary directory (git archive) and runs each
+case of cases() with both trees' sources on the same seeded corpora; that
+table is the one list of the cases.  Each run starts in its own empty
+working directory and writes its reports under the relative `--out out`,
+so that both trees print the same paths.  Every case compares the exit
+code, which must also be the case's expected one, stdout, stderr and
+every file written, byte for byte.  Under each csv that differs it
+prints, for each (policy, column) whose cells differ, how many cells
 differ and the largest absolute difference between them, so that an
 intended change of bits can be read cell by cell.  In the long slots.csv
 table the metric named on the row stands for the column.
+
+Exits 0 when every output is identical; 1 when any output differs or is
+missing on one side, or a case exits otherwise than expected; 2 on a
+usage error or a REF that git cannot export.
 
 Blind spot: the sub-problems that the distributor breaks a tie between
 are symmetric, so no report shows a change in its tie-break;
@@ -86,12 +28,11 @@ catches one.
 from __future__ import annotations
 
 import csv
-import filecmp
+import io
 import os
 import subprocess
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,90 +40,6 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from evcharge.harness.synthetic import write_corpus  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
-
-SEEDS = (1, 2)
-POLICY_PATHS = "fixed,adaptive,rat,never,rhc:3,naive"
-POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13", "1-2": "1/2"}
-UNIT_CAPACITY_POLICIES = "fixed,int,rat"  # `int` runs only at whole capacities
-ONE_KIND_POLICIES = {"capped": "int,rhc:0,naive", "uncapped": "fixed,adaptive,never"}
-NO_LIMIT_RATE_GRID = "24,48"  # capacity 24 becomes 1 and 1/2
-CLOSED_FORM_ALPHA_GRID = "20,30,50,100"  # root branch at 20, closed form at 30 and up
-FRACTIONAL_ALPHA_GRID = "2,7,20"
-FRACTIONAL_ALPHA_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}  # set through --config
-PRICE_SCALES = {"2^-1000": 2.0**-1000, "2^950": 2.0**950,  # powers of two: every product is exact
-                "2^-1020": 2.0**-1020}
-SCALED_POLICIES = "fixed,adaptive,rat,rhc:0,naive,never"
-SCALED_POLICY_CAPACITIES = {"7-2": "7/2", "240-13": "240/13"}
-SCALED_RATE_GRID = "0.7,0.9,1.1,1.25,1.3"
-SCALED_ADVERSARY_SPEC = ["--p-min", repr(2.0**-40), "--p-max", repr(5 * 2.0**-40),
-                         "--alpha", repr(5 * 2.0**-40), "--capacity", "5/2"]
-STDOUT_COMMANDS = {
-    "adversary no-limit": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
-                           "--steps", "1000"],
-    "adversary rate-limited": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
-                               "--capacity", "3", "--steps", "200", "--rate-limited"],
-    "adversary rate-limited c=24": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
-                                    "--capacity", "24", "--steps", "50", "--rate-limited"],
-    "adversary rate-limited c=1": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "5",
-                                   "--capacity", "1", "--rate-limited"],
-    # prices and alpha times 2**-40: the descent's rows must not depend on
-    # the price unit
-    "adversary no-limit times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000"],
-    "adversary rate-limited times 2^-40": ["adversary", *SCALED_ADVERSARY_SPEC, "--steps", "1000",
-                                           "--rate-limited"],
-    # large alphas at which 1000 levels still fit without halving
-    "adversary alpha 1e10": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "1e10",
-                             "--steps", "1000"],
-    "adversary alpha 1e11": ["adversary", "--p-min", "1", "--p-max", "5", "--alpha", "1e11",
-                             "--steps", "1000"],
-    "solve-ratio closed-form": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "20",
-                                "--capacity", "3/2"],
-    "solve-ratio root": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "2",
-                         "--capacity", "24"],
-    "solve-ratio alpha-at-p-min": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "1",
-                                   "--capacity", "24"],
-    "solve-ratio flat-band": ["solve-ratio", "--p-min", "3", "--p-max", "3", "--alpha", "10",
-                              "--capacity", "24"],
-    # the edges of the start bounds: a threshold just above a narrow band, one
-    # alpha on each side of the 1-5 band's threshold (about 15.535), and a
-    # threshold far above a wide band
-    "solve-ratio narrow-band": ["solve-ratio", "--p-min", "1", "--p-max", "1.01", "--alpha", "2"],
-    "solve-ratio below-threshold": ["solve-ratio", "--p-min", "1", "--p-max", "5", "--alpha", "15.5"],
-    "solve-ratio above-threshold": ["solve-ratio", "--p-min", "1", "--p-max", "5",
-                                    "--alpha", "15.55"],
-    "solve-ratio wide-band": ["solve-ratio", "--p-min", "0.01", "--p-max", "100",
-                              "--alpha", "1000000"],
-}
-BAD_PRICE_FILES = {"header-only.csv": "timestamp,price\n",
-                   "bad-timestamp.csv": "timestamp,price\n2021-03-01 17:00,2.0\n2021-03-01 17:5x,2.0\n"}
-
-
-def error_commands(tmp: Path, corpus: str) -> dict[str, tuple[int, list[str]]]:
-    """label: (the exit code both trees must give, argv), reading the
-    BAD_PRICE_FILES written into tmp and the price file corpus."""
-    band = ["--p-min", "1", "--p-max", "5"]
-    out = ["--out", str(tmp / "error-out")]
-
-    def simulate(fname):
-        return ["simulate", "--prices", str(tmp / fname), *out]
-
-    return {
-        "solve-ratio zero p-min": (1, ["solve-ratio", "--p-min", "0", "--p-max", "5",
-                                       "--alpha", "5"]),
-        "solve-ratio inverted band": (1, ["solve-ratio", "--p-min", "5", "--p-max", "1",
-                                          "--alpha", "5"]),
-        "solve-ratio alpha below p-min": (1, ["solve-ratio", *band, "--alpha", "0.5"]),
-        "solve-ratio zero capacity": (1, ["solve-ratio", *band, "--alpha", "5", "--capacity", "0"]),
-        "solve-ratio overflowing p-max": (1, ["solve-ratio", "--p-min", "1", "--p-max", "1e308",
-                                              "--alpha", "5", "--capacity", "24"]),
-        "adversary alpha at p-min": (1, ["adversary", *band, "--alpha", "1"]),
-        "adversary pi 1 inside band": (1, ["adversary", *band, "--alpha", "5", "--pi", "1"]),
-        "simulate header-only": (1, simulate("header-only.csv")),
-        "simulate bad timestamp": (2, simulate("bad-timestamp.csv")),
-        "sweep rate factor past the denominator bound": (
-            1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,0.00006", *out]),
-        "sweep negative rate factor": (1, ["sweep", "--prices", corpus, "--rate-grid", "0.7,-1", *out]),
-    }
 
 
 def write_scaled(src: str, dest: Path, factor: float) -> str:
@@ -195,28 +52,119 @@ def write_scaled(src: str, dest: Path, factor: float) -> str:
     return str(dest)
 
 
-def export_tree(ref: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+def cases(tmp: Path) -> list[tuple[str, list[str], int]]:
+    """Every case as (label, argv, the exit code both trees must give),
+    after writing the corpora and config files that they read into tmp."""
+    def simulate(prices, *flags):
+        return ["simulate", "--prices", prices, *flags, "--out", "out"]
+
+    def sweep(prices, *flags):
+        return ["sweep", "--prices", prices, *flags, "--out", "out"]
+
+    table = []
+    for seed in (1, 2):
+        def add(label, argv, code=0):
+            table.append((f"{label} seed {seed}", argv, code))
+
+        # each benchmark workload's command (perfbench/workloads.py) on its own corpus
+        for name, workload in WORKLOADS.items():
+            corpus = write_corpus(str(tmp / f"{name}-{seed}.csv"), workload.model, workload.days, seed)
+            add(name, workload.argv(corpus, "out"))
+        regime = str(tmp / f"simulate-regime-{seed}.csv")  # the simulate workload's, written above
+        # every policy kind but int: rat fans out over 7 sub-problems at 7/2, over 13 of 240
+        # per price at 240/13 (so a group of sub-problems in one state splits), and is fixed at 1/2
+        for capacity in ("7/2", "240/13", "1/2"):
+            add(f"simulate-{capacity}", simulate(regime, "--policies", "fixed,adaptive,rat,never,rhc:3,naive",
+                                                 "--capacity", capacity))
+        # int runs only at whole capacities; at 1, int and rat are fixed too
+        add("simulate-int-1", simulate(regime, "--policies", "fixed,int,rat", "--capacity", "1"))
+        # only capped, then only uncapped policies: each episode's optimum path is shared in one kind
+        for kind, policies in (("capped", "int,rhc:0,naive"), ("uncapped", "fixed,adaptive,never")):
+            add(f"simulate-{kind}-only", simulate(regime, "--policies", policies, "--capacity", "24"))
+        # capacities 1 and 1/2: fixed against the unlimited-rate optimum
+        add("sweep-rate-no-limit", sweep(regime, "--rate-grid", "24,48"))
+        # both pi* branches: alpha* is 29.6 p_min on the seed-1 corpus, so the closed form runs from 30
+        add("sweep-alpha-closed-form", sweep(regime, "--alpha-grid", "20,30,50,100"))
+        # prices times powers of two (exact, so only the units change), past the capped optimum's int
+        # range, so it takes each value as one fsum of its terms; a REF older than that fallback
+        # fails the 2^-1020 cases at 240/13 and of the rate sweep
+        for tag, factor in (("2^-1000", 2.0**-1000), ("2^950", 2.0**950), ("2^-1020", 2.0**-1020)):
+            scaled = write_scaled(regime, tmp / f"simulate-regime-{seed}-{tag}.csv", factor)
+            for capacity in ("7/2", "240/13"):
+                add(f"simulate-times-{tag}-{capacity}", simulate(
+                    scaled, "--policies", "fixed,adaptive,rat,rhc:0,naive,never", "--capacity", capacity))
+            add(f"simulate-times-{tag}-24", simulate(scaled, "--capacity", "24"))
+            for grid_tag, grid in (("", "0.7,0.9,1.1,1.25,1.3"), ("-no-limit", "24,48")):
+                add(f"sweep-rate{grid_tag}-times-{tag}", sweep(scaled, "--rate-grid", grid))
+        # a capacity set through --config: the capped optimum's fractional fill and unmet terms,
+        # while its kept set churns on every slot
+        descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")
+        for tag, capacity in (("7-2", "7/2"), ("240-13", "240/13")):
+            config = tmp / f"capacity-{tag}.cfg"
+            config.write_text(f"capacity = {capacity}\n", encoding="utf-8")
+            add(f"sweep-alpha-{tag}", sweep(descending, "--config", str(config), "--alpha-grid", "2,7,20"))
+
+    band = ["--p-min", "1", "--p-max", "5"]
+    spec = [*band, "--alpha", "5"]
+    unit = 2.0**-40
+    scaled_spec = ["--p-min", repr(unit), "--p-max", repr(5 * unit), "--alpha", repr(5 * unit),
+                   "--capacity", "5/2", "--steps", "1000"]
+    once = {
+        # the worst-case descent, and with --rate-limited at whole capacities
+        "adversary no-limit": ["adversary", *spec, "--steps", "1000"],
+        "adversary rate-limited": ["adversary", *spec, "--capacity", "3", "--steps", "200", "--rate-limited"],
+        "adversary rate-limited c=24": ["adversary", *spec, "--capacity", "24", "--steps", "50",
+                                        "--rate-limited"],
+        "adversary rate-limited c=1": ["adversary", *spec, "--capacity", "1", "--rate-limited"],
+        # the same descent in another price unit
+        "adversary no-limit times 2^-40": ["adversary", *scaled_spec],
+        "adversary rate-limited times 2^-40": ["adversary", *scaled_spec, "--rate-limited"],
+        # large alphas whose 1000 levels still fit at the first try (at 1e12 they do not)
+        "adversary alpha 1e10": ["adversary", *band, "--alpha", "1e10", "--steps", "1000"],
+        "adversary alpha 1e11": ["adversary", *band, "--alpha", "1e11", "--steps", "1000"],
+        # each branch of the solver: closed form, root, alpha == p_min, a flat band
+        "solve-ratio closed-form": ["solve-ratio", *band, "--alpha", "20", "--capacity", "3/2"],
+        "solve-ratio root": ["solve-ratio", *band, "--alpha", "2", "--capacity", "24"],
+        "solve-ratio alpha-at-p-min": ["solve-ratio", *band, "--alpha", "1", "--capacity", "24"],
+        "solve-ratio flat-band": ["solve-ratio", "--p-min", "3", "--p-max", "3", "--alpha", "10",
+                                  "--capacity", "24"],
+        # the edges of its start bounds: a threshold just above a narrow band, one alpha on each
+        # side of the 1-5 band's threshold (about 15.535), and a threshold far above a wide band
+        "solve-ratio narrow-band": ["solve-ratio", "--p-min", "1", "--p-max", "1.01", "--alpha", "2"],
+        "solve-ratio below-threshold": ["solve-ratio", *band, "--alpha", "15.5"],
+        "solve-ratio above-threshold": ["solve-ratio", *band, "--alpha", "15.55"],
+        "solve-ratio wide-band": ["solve-ratio", "--p-min", "0.01", "--p-max", "100", "--alpha", "1000000"],
+    }
+    table += [(label, argv, 0) for label, argv in once.items()]
+
+    (tmp / "header-only.csv").write_text("timestamp,price\n", encoding="utf-8")
+    (tmp / "bad-timestamp.csv").write_text(
+        "timestamp,price\n2021-03-01 17:00,2.0\n2021-03-01 17:5x,2.0\n", encoding="utf-8")
+    regime = str(tmp / "simulate-regime-1.csv")
+    # input that must be refused: the same exit code and message from both trees
+    table += [
+        ("solve-ratio zero p-min", ["solve-ratio", "--p-min", "0", "--p-max", "5", "--alpha", "5"], 1),
+        ("solve-ratio inverted band", ["solve-ratio", "--p-min", "5", "--p-max", "1", "--alpha", "5"], 1),
+        ("solve-ratio alpha below p-min", ["solve-ratio", *band, "--alpha", "0.5"], 1),
+        ("solve-ratio zero capacity", ["solve-ratio", *spec, "--capacity", "0"], 1),
+        ("solve-ratio overflowing p-max", ["solve-ratio", "--p-min", "1", "--p-max", "1e308", "--alpha", "5",
+                                           "--capacity", "24"], 1),
+        ("adversary alpha at p-min", ["adversary", *band, "--alpha", "1"], 1),
+        ("adversary pi 1 inside band", ["adversary", *spec, "--pi", "1"], 1),
+        ("simulate header-only", simulate(str(tmp / "header-only.csv")), 1),
+        ("simulate bad timestamp", simulate(str(tmp / "bad-timestamp.csv")), 2),
+        # a good first factor, then one whose denominator is above the bound, or a negative one
+        ("sweep rate factor past the denominator bound", sweep(regime, "--rate-grid", "0.7,0.00006"), 1),
+        ("sweep negative rate factor", sweep(regime, "--rate-grid", "0.7,-1"), 1),
+    ]
+    return table
 
 
-def run_cli(src: Path, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "evcharge.harness.cli"] + argv, env=env, **kwargs)
-
-
-def run_command(src: Path, argv: list[str]) -> bytes:
-    """The command's stdout."""
-    return run_cli(src, argv, check=True, stdout=subprocess.PIPE).stdout
-
-
-def cell_diffs(a: Path, b: Path) -> list[str]:
+def cell_diffs(a: bytes, b: bytes) -> list[str]:
     """One line per (policy, column) whose cells differ between two csv
-    files: the number of cells and the largest absolute difference of the
+    texts: the number of cells and the largest absolute difference of the
     numeric ones.  A table without a policy column keys its rows by "-"."""
-    with open(a, newline="", encoding="utf-8") as fa, open(b, newline="", encoding="utf-8") as fb:
-        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    rows_a, rows_b = (list(csv.reader(io.StringIO(text.decode("utf-8")))) for text in (a, b))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[:1] != rows_b[:1]:
         return ["    header or table shape differs"]
     header = rows_a[0]
@@ -241,129 +189,56 @@ def cell_diffs(a: Path, b: Path) -> list[str]:
     return lines
 
 
-def compare_command(tmp: Path, trees: dict, label: str, argv) -> int:
-    """Run `argv(out_dir)` with both trees; the number of report files that
-    differ (a failed command counts as one)."""
-    outs = {side: tmp / label.replace(" ", "-") / side for side in trees}
-    failed = []
+def compare(trees: dict[str, Path], run_dir: Path, label: str, argv: list[str], expected: int) -> int:
+    """Run argv with the "ref" and the "new" tree's sources, each from its own
+    empty directory under run_dir, and print one verdict per output: the
+    exit code, stdout, stderr and every file written.  Returns the number
+    of outputs that differ, or are missing on one side, counting an exit
+    code other than expected as one."""
+    runs = {}
     for side, src in trees.items():
-        try:
-            run_command(src, argv(str(outs[side])))
-        except subprocess.CalledProcessError as exc:
-            failed.append(f"{side} (exit {exc.returncode})")
-    if failed:
-        print(f"{label}: command failed in tree {' and '.join(failed)}")
-        return 1
-    differ = 0
-    for fname in sorted({p.name for out in outs.values() for p in out.iterdir()}):
-        a, b = outs["ref"] / fname, outs["new"] / fname
-        if not (a.is_file() and b.is_file()):
+        cwd = run_dir / side
+        cwd.mkdir(parents=True)
+        done = subprocess.run([sys.executable, "-m", "evcharge.harness.cli", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        runs[side] = (done.returncode, {"stdout": done.stdout, "stderr": done.stderr, **files})
+    (code_a, out_a), (code_b, out_b) = runs["ref"], runs["new"]
+    verdict = ("DIFFERS" if code_a != code_b
+               else f"EXPECTED exit {expected}" if code_b != expected else "identical")
+    print(f"{label}: exit {code_a} and {code_b}: {verdict}")
+    differ = verdict != "identical"
+    for name in sorted(out_a.keys() | out_b.keys()):
+        a, b = out_a.get(name), out_b.get(name)
+        if a is None or b is None:
             verdict = "MISSING on one side"
-        elif filecmp.cmp(a, b, shallow=False):
-            verdict = f"identical ({a.stat().st_size} bytes)"
         else:
-            verdict = "DIFFERS"
+            verdict = f"identical ({len(a)} bytes)" if a == b else "DIFFERS"
         differ += not verdict.startswith("identical")
-        print(f"{label}: {fname}: {verdict}")
-        if verdict == "DIFFERS" and fname.endswith(".csv"):
+        print(f"{label}: {name}: {verdict}")
+        if verdict == "DIFFERS" and name.endswith(".csv"):
             for line in cell_diffs(a, b):
                 print(line)
     return differ
-
-
-def compare_stdout(trees: dict, label: str, argv) -> int:
-    """Run `argv(side)` with both trees; 1 if their stdout differs or a
-    command fails, else 0."""
-    try:
-        outs = {side: run_command(src, argv(side)) for side, src in trees.items()}
-    except subprocess.CalledProcessError as exc:
-        print(f"{label}: command failed: {exc}")
-        return 1
-    same = outs["ref"] == outs["new"]
-    print(f"{label}: stdout: " + (f"identical ({len(outs['ref'])} bytes)" if same else "DIFFERS"))
-    return not same
-
-
-def compare_failure(trees: dict, label: str, code: int, argv: list[str]) -> int:
-    """Run argv with both trees; 0 if both exit with `code` and print the
-    same stdout and stderr, else 1."""
-    ref, new = ((p.returncode, p.stdout, p.stderr)
-                for p in (run_cli(src, argv, capture_output=True) for src in trees.values()))
-    if ref != new:
-        verdict = "DIFFERS"
-    elif new[0] != code:
-        verdict = f"EXPECTED exit {code}"
-    else:
-        verdict = f"identical ({len(new[2])} bytes of stderr)"
-    print(f"{label}: exit {ref[0]} and {new[0]}: {verdict}")
-    return not verdict.startswith("identical")
-
-
-def policy_paths_argv(corpus: str, capacity: str, policies: str = POLICY_PATHS):
-    return lambda out: ["simulate", "--prices", corpus, "--policies", policies,
-                        "--capacity", capacity, "--out", out]
 
 
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    ref = sys.argv[1]
-    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        old_tree = tmp / "ref"
-        old_tree.mkdir()
-        export_tree(ref, old_tree)
-        trees = {"ref": old_tree / "src", "new": ROOT / "src"}
-        for seed in SEEDS:
-            for name, workload in WORKLOADS.items():
-                corpus = str(tmp / f"{name}-{seed}.csv")
-                write_corpus(corpus, workload.model, workload.days, seed)
-                differ += compare_command(tmp, trees, f"{name} seed {seed}",
-                                          partial(workload.argv, corpus))
-            corpus = str(tmp / f"simulate-regime-{seed}.csv")  # the regime corpus, written above
-            for tag, capacity in POLICY_CAPACITIES.items():
-                differ += compare_command(tmp, trees, f"simulate-{tag} seed {seed}",
-                                          policy_paths_argv(corpus, capacity))
-            differ += compare_command(tmp, trees, f"simulate-int-1 seed {seed}",
-                                      policy_paths_argv(corpus, "1", UNIT_CAPACITY_POLICIES))
-            for kind, policies in ONE_KIND_POLICIES.items():
-                differ += compare_command(tmp, trees, f"simulate-{kind}-only seed {seed}",
-                                          policy_paths_argv(corpus, "24", policies))
-            differ += compare_command(tmp, trees, f"sweep-rate-no-limit seed {seed}",
-                                      lambda out: ["sweep", "--prices", corpus, "--rate-grid",
-                                                   NO_LIMIT_RATE_GRID, "--out", out])
-            differ += compare_command(tmp, trees, f"sweep-alpha-closed-form seed {seed}",
-                                      lambda out: ["sweep", "--prices", corpus, "--alpha-grid",
-                                                   CLOSED_FORM_ALPHA_GRID, "--out", out])
-            for tag, factor in PRICE_SCALES.items():
-                scaled = write_scaled(corpus, tmp / f"simulate-regime-{seed}-{tag}.csv", factor)
-                for cap_tag, capacity in SCALED_POLICY_CAPACITIES.items():
-                    differ += compare_command(tmp, trees, f"simulate-times-{tag}-{cap_tag} seed {seed}",
-                                              policy_paths_argv(scaled, capacity, SCALED_POLICIES))
-                differ += compare_command(tmp, trees, f"simulate-times-{tag}-24 seed {seed}",
-                                          lambda out, scaled=scaled: ["simulate", "--prices", scaled,
-                                                                      "--capacity", "24", "--out", out])
-                for grid_tag, grid in (("", SCALED_RATE_GRID), ("-no-limit", NO_LIMIT_RATE_GRID)):
-                    differ += compare_command(tmp, trees, f"sweep-rate{grid_tag}-times-{tag} seed {seed}",
-                                              lambda out, scaled=scaled, grid=grid: [
-                                                  "sweep", "--prices", scaled, "--rate-grid", grid,
-                                                  "--out", out])
-            descending = str(tmp / f"sweep-alpha-descending-{seed}.csv")  # written above
-            for tag, capacity in FRACTIONAL_ALPHA_CAPACITIES.items():
-                config = tmp / f"capacity-{tag}.cfg"
-                config.write_text(f"capacity = {capacity}\n", encoding="utf-8")
-                differ += compare_command(tmp, trees, f"sweep-alpha-{tag} seed {seed}",
-                                          lambda out, config=config: [
-                                              "sweep", "--prices", descending, "--config", str(config),
-                                              "--alpha-grid", FRACTIONAL_ALPHA_GRID, "--out", out])
-        for name, argv in STDOUT_COMMANDS.items():
-            differ += compare_stdout(trees, name, lambda side, argv=argv: argv)
-        for fname, text in BAD_PRICE_FILES.items():
-            (tmp / fname).write_text(text, encoding="utf-8")
-        for name, (code, argv) in error_commands(tmp, str(tmp / "simulate-regime-1.csv")).items():
-            differ += compare_failure(trees, name, code, argv)
+        try:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", sys.argv[1]],
+                                     check=True, capture_output=True).stdout
+        except subprocess.CalledProcessError as exc:
+            print(f"error: {exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+            return 2
+        (tmp / "ref").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "ref")], input=archive, check=True)
+        trees = {"ref": tmp / "ref" / "src", "new": ROOT / "src"}
+        differ = sum(compare(trees, tmp / "runs" / str(i), label, argv, code)
+                     for i, (label, argv, code) in enumerate(cases(tmp)))
     print("all outputs identical" if not differ else f"{differ} output(s) differ")
     return 1 if differ else 0
 

@@ -10,17 +10,19 @@ import os
 import sys
 
 from evcharge.harness.cli import main as evcharge
+from evcharge.harness.config import ExperimentConfig
 from evcharge.harness.synthetic import write_corpus
 
 
 def main() -> int:
+    defaults = ExperimentConfig()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--prices", default=None, help="existing CSV (default: generate one)")
     ap.add_argument("--out", default="reports")
     ap.add_argument("--days", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--alpha-grid", default="1,2,4,7,10,14,20")
-    ap.add_argument("--rate-grid", default="0.5,0.75,1,1.25,1.5")
+    ap.add_argument("--alpha-grid", default=",".join(map(repr, defaults.alpha_grid)))
+    ap.add_argument("--rate-grid", default=",".join(map(repr, defaults.rate_grid)))
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)

@@ -17,7 +17,7 @@ from ..ratio import solve_pi_star
 from .config import ExperimentConfig, _coerce, apply_overrides, load_config
 from .ingest import IngestResult, ParseError, ingest_prices
 from .report import emit_report, write_report, write_simulate_reports
-from .runner import spec_from_calibration
+from .runner import check_kwh_range, spec_from_calibration
 from .sweeps import sweep_alpha, sweep_rate_limit
 
 EXIT_OK = 0
@@ -127,6 +127,7 @@ def _cmd_simulate(args) -> int:
     spec = spec_from_calibration(cfg, data.calibration)
     for policy in cfg.policies:
         make_policy(policy, spec)  # a bad policy fails here, before any output
+    check_kwh_range(cfg, spec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     summary = write_simulate_reports(cfg, spec, data)
     print(f"wrote {len(summary)} episode rows to {cfg.out_dir}")

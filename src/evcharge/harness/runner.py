@@ -12,13 +12,14 @@ from ..core import (
     InternalConsistencyError,
     PriceTrace,
     ProblemSpec,
+    ValidationError,
     objective_parts,
     validate_spec,
 )
 from ..offline import optimum_path
 from ..online import NO_LIMIT_POLICIES, RATIO_POLICIES, make_policy
 from ..ratio import solve_pi_star
-from .config import ExperimentConfig
+from .config import ExperimentConfig, episode_slot_count
 from .ingest import Calibration
 
 RATIO_GUARD_TOL = 1e-6  # how far a ratio policy's eta/opt may pass its target
@@ -59,6 +60,29 @@ def spec_from_calibration(cfg: ExperimentConfig, calib: Calibration) -> ProblemS
 def slot_energy_kwh(cfg: ExperimentConfig) -> float:
     """kWh delivered by one slot at full rate; converts normalized units."""
     return cfg.charger_kw * cfg.slot_minutes / 60.0
+
+
+def capacity_slack(slots: int, cap: float) -> float:
+    """How far a run of `slots` slots may charge past capacity cap: `fixed`
+    does not clamp, and on worst-case descents its float total passed c by
+    up to 0.36 T eps c over T slots."""
+    return max(CAPACITY_SLACK, slots * sys.float_info.epsilon * cap)
+
+
+def check_kwh_range(cfg: ExperimentConfig, spec: ProblemSpec, price: float = 1.0,
+                    episodes: int = 1, factor: float = 1.0) -> None:
+    """Refuse a charger_kw at which a report's kWh figure can overflow a
+    float.  The largest is price times an episode's most charge (c plus
+    its capacity slack) times factor * slot_energy_kwh(cfg), summed over
+    `episodes` for a mean: charged_kwh has price 1 and one episode, and the
+    rate sweep's objectives max(alpha, p_max), every episode and their
+    rate factor.  Since a report's figure is rounded a few times on the
+    way, the bound must stay a factor 2 below the float range."""
+    most = spec.capacity_f + capacity_slack(episode_slot_count(cfg), spec.capacity_f)
+    figure = episodes * (price * most * (factor * slot_energy_kwh(cfg)))
+    if not math.isfinite(2 * figure):
+        raise ValidationError(f"charger_kw={cfg.charger_kw} is too large: a kWh figure of the "
+                              f"report could overflow a float")
 
 
 def capped(policy: str) -> bool:
@@ -109,8 +133,7 @@ def score_run(cfg: ExperimentConfig, spec: ProblemSpec, prices: tuple[float, ...
         if columns:
             etas.append(eta)
             ratios.append(ratio)
-    # `fixed` does not clamp; on worst-case descents its float total passed c by up to 0.36 T eps c
-    if charged > cap + max(CAPACITY_SLACK, len(prices) * sys.float_info.epsilon * cap):
+    if charged > cap + capacity_slack(len(prices), cap):
         raise InternalConsistencyError(f"{policy}: charged {charged} over capacity {cap}")
 
     cost, diss = objective_parts(spec, map(mul, prices, charges), cap - charged)

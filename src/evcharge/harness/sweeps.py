@@ -13,7 +13,8 @@ from ..online import splitting_policy
 from ..ratio import solve_pi_star
 from .config import ExperimentConfig
 from .ingest import IngestResult
-from .runner import EpisodeRow, capped, score_run, slot_energy_kwh, spec_from_calibration
+from .runner import (EpisodeRow, capped, check_kwh_range, score_run, slot_energy_kwh,
+                     spec_from_calibration)
 
 
 def _mean(xs) -> float:
@@ -112,13 +113,16 @@ def sweep_rate_limit(cfg: ExperimentConfig, data: IngestResult) -> list[RateSwee
     A rate factor f multiplies the physical per-slot maximum, so capacity
     in normalized units becomes capacity / f (rate_capacity); objectives
     are scaled back by f to stay comparable across the grid (fixed total
-    energy need).  Every grid point's spec is checked before any is scored.
+    energy need).  Every grid point's spec, and its objectives' range in
+    kWh, is checked before any is scored.
     """
     calib = data.calibration
     base = spec_from_calibration(cfg, calib)
     energy = slot_energy_kwh(cfg)
     specs = [validate_spec(calib.p_min, calib.p_max, base.alpha, rate_capacity(base.capacity, factor))
              for factor in cfg.rate_grid]
+    for factor, spec in zip(cfg.rate_grid, specs):
+        check_kwh_range(cfg, spec, max(spec.alpha, spec.p_max), len(data.episodes), factor)
     return [RateSweepRow(rate_factor=factor, capacity=str(spec.capacity),
                          policy=splitting_policy(spec.capacity),
                          mean_alg_objective=_mean(row.objective * (factor * energy) for row, _ in runs),

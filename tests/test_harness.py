@@ -1340,6 +1340,31 @@ class TestCli:
         assert err.startswith("error:") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, charger_kw", [
+        (["sweep", "--rate-grid", "1"], "3e306"),  # an OverflowError traceback from fsum
+        (["simulate"], "1e308"),  # inf kWh cells, and Infinity in summary.json
+        (["sweep", "--rate-grid", "1"], "1e308"),  # inf means
+    ], ids=["sweep-3e306", "simulate-1e308", "sweep-1e308"])
+    def test_overflowing_charger_kw_exits_one(self, regime_paths, tmp_path, capsys, argv, charger_kw):
+        config = tmp_path / "kw.cfg"
+        config.write_text(f"charger_kw = {charger_kw}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--prices", regime_paths[0], "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: charger_kw={float(charger_kw)} ")
+        assert not out.exists()
+
+    def test_a_large_charger_kw_that_fits_writes_finite_kwh(self, regime_paths, tmp_path):
+        # an episode charges at most 24 units of 2.5e305 kWh
+        config = tmp_path / "kw.cfg"
+        config.write_text("charger_kw = 3e306\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--prices", regime_paths[0], "--config", str(config),
+                         "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text(encoding="utf-8")
+        rows = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        assert max(row["charged_kwh"] for row in rows) == 24 * (3e306 * 5 / 60)
+
     def test_report_command_is_gone(self, capsys):
         # summary and both sweep reports are written as .csv and .json already
         with pytest.raises(SystemExit) as exc:
